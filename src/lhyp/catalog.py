@@ -616,6 +616,11 @@ def write_grp(group: GroupHandle, gens: Optional[Sequence[Elem]] = None,
 def read_grp(text: str, loader: Optional[Callable[[str], str]] = None
              ) -> Tuple[GroupHandle, Tuple[Elem, ...]]:
     """Parse a .grp description; referenced factor files go through loader."""
+    return _read_grp(text, loader, ())
+
+
+def _read_grp(text: str, loader: Optional[Callable[[str], str]],
+              open_refs: Tuple[str, ...]) -> Tuple[GroupHandle, Tuple[Elem, ...]]:
     rows = _lines(text)
     if not rows:
         raise InputError("empty group description")
@@ -656,8 +661,14 @@ def read_grp(text: str, loader: Optional[Callable[[str], str]] = None
             raise InputError("%s header needs exactly two factor references" % kind)
         if loader is None:
             raise InputError("no loader supplied for factor references")
-        left, _ = read_grp(loader(head[1]), loader)
-        right, _ = read_grp(loader(head[2]), loader)
+        factors = []
+        for ref in head[1:]:
+            # open_refs are the files still being read further up; meeting
+            # one again means the files refer to each other without end
+            if ref in open_refs:
+                raise InputError("group file %r refers back to itself" % ref)
+            factors.append(_read_grp(loader(ref), loader, open_refs + (ref,))[0])
+        left, right = factors
         group = DirectProduct(left, right) if kind == "product" else FreeProduct(left, right)
     else:
         raise InputError("unknown group kind %r" % kind)
@@ -703,7 +714,10 @@ def read_len(text: str, loader: Callable[[str], str]) -> LengthTable:
     if rows and rows[0][0] == "radius":
         if len(rows[0]) != 2:
             raise InputError("radius line needs exactly one value")
-        radius = int(rows[0][1])
+        try:
+            radius = int(rows[0][1])
+        except ValueError:
+            raise InputError("bad radius %r" % rows[0][1]) from None
         rows = rows[1:]
     values: Dict[Elem, LexElem] = {}
     for row in rows:

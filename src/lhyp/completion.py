@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations
 from random import Random
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ConstructionError, InputError
 from .isometry import IsoPerm
@@ -131,7 +131,7 @@ def _least_geodesic(adj: List[List[int]], dist_to: List[int], src: int,
     return path
 
 
-def _int_table(space: FiniteLambdaSpace) -> List[List[int]]:
+def _int_table(space: FiniteLambdaSpace) -> Sequence[Sequence[int]]:
     if space.rank != 1 or space.domain != "Z":
         raise InputError("completion needs integer distances (rank-1 Z table)")
     for lab in space.labels:
@@ -143,7 +143,8 @@ def _int_table(space: FiniteLambdaSpace) -> List[List[int]]:
     if not report.ok:
         raise InputError("input is not a metric space: %s at %s"
                          % (report.axiom, report.witness))
-    return [[e.coords[0] for e in row] for row in space.dist]
+    # over rank-one Z the packed table holds the distances themselves
+    return space.packed_table()
 
 
 def _require_delta(space: FiniteLambdaSpace, delta: int) -> None:
@@ -339,7 +340,7 @@ class _Builder:
                                tuple(sorted(edges)), certificate)
 
 
-def _between_blocked(D: List[List[int]], n: int, i: int, j: int) -> bool:
+def _between_blocked(D: Sequence[Sequence[int]], n: int, i: int, j: int) -> bool:
     d = D[i][j]
     for k in range(n):
         if k != i and k != j and D[i][k] + D[k][j] == d:
@@ -429,7 +430,7 @@ def gamma1(space: FiniteLambdaSpace, delta: int,
 
 
 def _verify_stage(out: CompletionGraph, space: FiniteLambdaSpace,
-                  D: List[List[int]], chords_expected: bool) -> None:
+                  D: Sequence[Sequence[int]], chords_expected: bool) -> None:
     n = len(space)
     if out.labels[:n] != space.labels:
         raise ConstructionError("essential vertices lost or reordered")

@@ -120,11 +120,12 @@ def write_gg(G: GeodesicGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_table(X: FiniteLambdaSpace) -> List[List[int]]:
-    # geodesic analysis is defined for Z-valued distances only
+def _int_table(X: FiniteLambdaSpace) -> Sequence[Sequence[int]]:
+    # geodesic analysis is defined for Z-valued distances only; over rank-one
+    # Z the packed table holds the distances themselves
     if X.domain != "Z" or X.rank != 1:
         raise InputError("need rank-one Z-valued distances, got %s^%d" % (X.domain, X.rank))
-    return X.raw_table()
+    return X.packed_table()
 
 
 def unit_graph(X: FiniteLambdaSpace, check: bool = True) -> GeodesicGraph:
@@ -167,7 +168,7 @@ def is_geodesic(X: FiniteLambdaSpace) -> Tuple[bool, Optional[Tuple[str, str, in
     return True, None
 
 
-def _require_geodesic(X: FiniteLambdaSpace) -> List[List[int]]:
+def _require_geodesic(X: FiniteLambdaSpace) -> Sequence[Sequence[int]]:
     ok, wit = is_geodesic(X)
     if not ok:
         raise InputError("space is not geodesic: gap at (%s,%s,t=%d)" % wit)

@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from .catalog import GroupHandle, LengthTable
 from .errors import ConstructionError, InputError
 from .lspace import FiniteLambdaSpace, validate_metric
-from .ordgroup import LexElem, QLexElem, height
+from .ordgroup import LexElem, Packing, QLexElem, height
 
 Elem = Any
 
@@ -70,7 +70,8 @@ def _min_delta(l: LengthTable, sample: Sequence[Elem]):
     """Smallest delta making the hyperbolicity axiom hold on the sample.
 
     Returns (delta, witness, checked, skipped); delta is None when no
-    triple had all three Gromov products available.
+    triple had all three Gromov products available.  The doubled Gromov
+    products are scanned as packed ints.
     """
     n = len(sample)
     c2 = [[None] * n for _ in range(n)]
@@ -79,6 +80,8 @@ def _min_delta(l: LengthTable, sample: Sequence[Elem]):
             val = _c2(l, sample[i], sample[j])
             c2[i][j] = val
             c2[j][i] = val
+    packing = Packing([LexElem.zero(l.rank)] + [v for row in c2 for v in row if v is not None])
+    c2 = [[None if v is None else packing.pack(v) for v in row] for row in c2]
     best = None
     witness = None
     checked = 0
@@ -102,11 +105,8 @@ def _min_delta(l: LengthTable, sample: Sequence[Elem]):
                     witness = (j, k, i)
     if best is None:
         return None, None, checked, skipped
-    zero = LexElem((0,) * l.rank)
-    if best < zero:
-        best = zero
     names = tuple(l.group.render(sample[t]) for t in witness)
-    return QLexElem(best, 2), names, checked, skipped
+    return QLexElem(packing.unpack(max(best, 0)), 2), names, checked, skipped
 
 
 def check_axioms(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> AxiomReport:
@@ -674,31 +674,23 @@ class Axiom4Scan:
     violating_pairs: int
     witness: Optional[Tuple[str, str, str]]
     pairs_checked: int
-    encoded: bool
-
-
-def _encode(coords: Tuple[int, ...]) -> int:
-    key = 0
-    for c in reversed(coords):
-        key = key * 64 + c
-    return key
 
 
 def axiom4_scan(l: LengthTable, delta: LexElem,
                 sample: Optional[Sequence[Elem]] = None) -> Axiom4Scan:
     """Count pairs (f,g) violating c(f,g) >= min(c(f,h), c(g,h)) - delta.
 
-    When all doubled Gromov products fit in small coordinates, they are
-    packed into machine integers that compare exactly like the right
-    lexicographic order, and the h scan runs at C speed.  Every product
-    l(f^-1 g) must be present; use a table of twice the sample radius.
+    The doubled Gromov products and 2*delta are packed into ints whose
+    order and subtraction are those of the group, so the h scan runs at C
+    speed.  Every product l(f^-1 g) must be present; use a table of twice
+    the sample radius.
     """
     if sample is None:
         sample = l.elements()
     sample = list(sample)
     G = l.group
     n = len(sample)
-    d2 = (delta * 2).coords
+    d2 = delta * 2
     rows: List[List[LexElem]] = []
     for i in range(n):
         row = []
@@ -709,38 +701,22 @@ def axiom4_scan(l: LengthTable, delta: LexElem,
                                  % (G.render(sample[i]), G.render(sample[j])))
             row.append(val)
         rows.append(row)
-    small = all(abs(c) <= 15 for row in rows for v in row for c in v.coords)
-    small = small and all(abs(c) <= 15 for c in d2)
+    packing = Packing([d2] + [v for row in rows for v in row])
+    keys = [[packing.pack(v) for v in row] for row in rows]
+    slack = packing.pack(d2)
     violations = 0
     witness = None
     pairs = 0
-    if small:
-        keys = [[_encode(v.coords) for v in row] for row in rows]
-        slack = _encode(d2)
-        for i in range(n):
-            ki = keys[i]
-            for j in range(i + 1, n):
-                kj = keys[j]
-                pairs += 1
-                bar = max(map(min, ki, kj)) - slack
-                if ki[j] < bar:
-                    violations += 1
-                    if witness is None:
-                        h = max(range(n), key=lambda t: min(ki[t], kj[t]))
-                        witness = (G.render(sample[i]), G.render(sample[j]),
-                                   G.render(sample[h]))
-    else:
-        d2e = LexElem(d2)
-        for i in range(n):
-            ri = rows[i]
-            for j in range(i + 1, n):
-                rj = rows[j]
-                pairs += 1
-                bar = max(map(min, ri, rj)) - d2e
-                if ri[j] < bar:
-                    violations += 1
-                    if witness is None:
-                        h = max(range(n), key=lambda t: min(ri[t], rj[t]))
-                        witness = (G.render(sample[i]), G.render(sample[j]),
-                                   G.render(sample[h]))
-    return Axiom4Scan(violations, witness, pairs, small)
+    for i in range(n):
+        ki = keys[i]
+        for j in range(i + 1, n):
+            kj = keys[j]
+            pairs += 1
+            bar = max(map(min, ki, kj)) - slack
+            if ki[j] < bar:
+                violations += 1
+                if witness is None:
+                    h = max(range(n), key=lambda t: min(ki[t], kj[t]))
+                    witness = (G.render(sample[i]), G.render(sample[j]),
+                               G.render(sample[h]))
+    return Axiom4Scan(violations, witness, pairs)

@@ -1,25 +1,29 @@
 """Finite metric spaces with distances in Z^n or Q^n.
 
 Distances are exact group elements; hyperbolicity constants live in the
-divisible hull and are reported as exact fractions.  The two minimal
+divisible hull and are reported as exact fractions.  Every kernel runs on
+one table of ints per space, packed once by ``ordgroup.Packing`` for every
+rank and both domains and unpacked only for results.  The two minimal
 constants (triple condition at a basepoint, four-point condition) are
 computed by full scans; the four-point scan can be partitioned across
-worker processes.
+worker processes, at most one per core.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
-from .ordgroup import LexElem, QLexElem, parse_lex
+from .ordgroup import LexElem, Packing, QLexElem, parse_lex
 
 
 class FiniteLambdaSpace:
     """A finite point set with a symmetric distance table over Z^n or Q^n."""
 
-    __slots__ = ("labels", "dist", "domain", "_index")
+    __slots__ = ("labels", "dist", "domain", "_index", "_packing", "_packed")
 
     def __init__(self, labels: Sequence[str], dist: Sequence[Sequence[LexElem]], domain: str = "Z"):
         labels = tuple(str(s) for s in labels)
@@ -42,6 +46,8 @@ class FiniteLambdaSpace:
         self.dist = tuple(tuple(row) for row in dist)
         self.domain = domain
         self._index = {s: i for i, s in enumerate(labels)}
+        self._packing = None
+        self._packed = None
 
     @property
     def rank(self) -> int:
@@ -63,21 +69,21 @@ class FiniteLambdaSpace:
     def d(self, x, y) -> LexElem:
         return self.dist[self.index(x)][self.index(y)]
 
-    def raw_table(self):
-        """Distance entries as natively comparable values.
+    def packed_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """The distance table packed by one Packing of all its entries.
 
-        Rank 1 gives bare coordinates; higher ranks give reversed
-        coordinate tuples, whose componentwise sums and native ordering
-        agree with the group operations.
+        Built on first use and shared by every caller.
         """
-        if self.rank == 1:
-            return [[e.coords[0] for e in row] for row in self.dist]
-        return [[e.coords[::-1] for e in row] for row in self.dist]
+        if self._packed is None:
+            packing = Packing(e for row in self.dist for e in row)
+            self._packed = tuple(tuple(packing.pack(e) for e in row) for row in self.dist)
+            self._packing = packing
+        return self._packed
 
-    def lex_of_raw(self, v) -> LexElem:
-        if self.rank == 1:
-            return LexElem((v,), self.domain)
-        return LexElem(v[::-1], self.domain)
+    def unpack(self, code: int) -> LexElem:
+        """The element that a signed sum of packed entries stands for."""
+        self.packed_table()
+        return self._packing.unpack(code)
 
 
 @dataclass
@@ -95,26 +101,29 @@ class ValidationReport:
 def validate_metric(X: FiniteLambdaSpace) -> ValidationReport:
     """Check nonnegativity, identity of indiscernibles, symmetry, triangle."""
     n = len(X)
-    dist = X.dist
-    zero = LexElem.zero(X.rank, X.domain)
+    P = X.packed_table()
+    labels = X.labels
     for i in range(n):
         for j in range(n):
-            if dist[i][j] < zero:
-                return ValidationReport(False, "LM1", (X.labels[i], X.labels[j]))
+            if P[i][j] < 0:
+                return ValidationReport(False, "LM1", (labels[i], labels[j]))
     for i in range(n):
         for j in range(n):
-            if (i == j) != dist[i][j].is_zero():
-                return ValidationReport(False, "LM2", (X.labels[i], X.labels[j]))
+            if (i == j) != (P[i][j] == 0):
+                return ValidationReport(False, "LM2", (labels[i], labels[j]))
     for i in range(n):
         for j in range(i + 1, n):
-            if dist[i][j] != dist[j][i]:
-                return ValidationReport(False, "LM3", (X.labels[i], X.labels[j]))
+            if P[i][j] != P[j][i]:
+                return ValidationReport(False, "LM3", (labels[i], labels[j]))
     for i in range(n):
+        Pi = P[i]
         for j in range(n):
-            dij = dist[i][j]
-            for k in range(n):
-                if dist[i][k] + dist[k][j] < dij:
-                    return ValidationReport(False, "LM4", (X.labels[i], X.labels[j], X.labels[k]))
+            dij = Pi[j]
+            # the table is symmetric by now, so row j holds d(k, j)
+            Pj = P[j]
+            if min(map(add, Pi, Pj)) < dij:
+                k = next(k for k in range(n) if Pi[k] + Pj[k] < dij)
+                return ValidationReport(False, "LM4", (labels[i], labels[j], labels[k]))
     return ValidationReport(True)
 
 
@@ -125,16 +134,10 @@ def gromov_product(X: FiniteLambdaSpace, x, y, v) -> QLexElem:
 
 
 def _doubled_products(X: FiniteLambdaSpace, v: int):
-    """Matrix of 2(x.y)_v in raw form."""
-    raw = X.raw_table()
-    n = len(X)
-    dv = [raw[i][v] for i in range(n)]
-    if X.rank == 1:
-        return [[dv[i] + dv[j] - raw[i][j] for j in range(n)] for i in range(n)]
-    return [
-        [tuple(a + b - c for a, b, c in zip(dv[i], dv[j], raw[i][j])) for j in range(n)]
-        for i in range(n)
-    ]
+    """Matrix of 2(x.y)_v as packed ints."""
+    P = X.packed_table()
+    dv = [row[v] for row in P]
+    return [[a + b - c for b, c in zip(dv, Pa)] for a, Pa in zip(dv, P)]
 
 
 def min_delta_at(X: FiniteLambdaSpace, v) -> QLexElem:
@@ -148,34 +151,24 @@ def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, 
     Scans ordered triples in index order; the witness is the first
     maximizing triple (x,y,z) of the defect min{(x.z)_v,(z.y)_v}-(x.y)_v.
     The defect is symmetric in x and y, so the first maximizing pair in
-    index order has i <= j, and only those pairs are scanned.
+    index order has i <= j, and only those pairs are scanned.  The pair
+    i == j has defect >= 0, so the constant is never negative.
     """
     vi = X.index(v)
     D = _doubled_products(X, vi)
     n = len(X)
-    rank1 = X.rank == 1
     best = None
     bi = bj = 0
     for i in range(n):
         Di = D[i]
         for j in range(i, n):
-            m = max(map(min, Di, D[j]))
-            if rank1:
-                defect = m - Di[j]
-            else:
-                defect = tuple(a - b for a, b in zip(m, Di[j]))
+            defect = max(map(min, Di, D[j])) - Di[j]
             if best is None or defect > best:
                 best, bi, bj = defect, i, j
     Di, Dj = D[bi], D[bj]
-    if rank1:
-        target = best + Di[bj]
-    else:
-        target = tuple(a + b for a, b in zip(best, Di[bj]))
+    target = best + Di[bj]
     bk = next(k for k in range(n) if min(Di[k], Dj[k]) == target)
-    value = QLexElem(X.lex_of_raw(best), 2)
-    if value.sign() < 0:
-        value = QLexElem.zero(X.rank, X.domain)
-    return value, (X.labels[bi], X.labels[bj], X.labels[bk])
+    return QLexElem(X.unpack(best), 2), (X.labels[bi], X.labels[bj], X.labels[bk])
 
 
 def min_delta_triple(X: FiniteLambdaSpace) -> QLexElem:
@@ -192,7 +185,7 @@ _PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
 def _scan_quads_num(raw, idxs, n):
-    """Four-point scan over first indices in idxs; numeric entries."""
+    """Four-point scan over first indices in idxs of a packed table."""
     best = None
     wit = None
     for i in idxs:
@@ -226,38 +219,6 @@ def _scan_quads_num(raw, idxs, n):
     return best, wit
 
 
-def _scan_quads_tup(raw, idxs, n):
-    best = None
-    wit = None
-    for i in idxs:
-        di = raw[i]
-        for j in range(i + 1, n):
-            dij = di[j]
-            dj = raw[j]
-            for k in range(j + 1, n):
-                dik = di[k]
-                djk = dj[k]
-                dk = raw[k]
-                for l in range(k + 1, n):
-                    s1 = tuple(a + b for a, b in zip(dij, dk[l]))
-                    s2 = tuple(a + b for a, b in zip(dik, dj[l]))
-                    s3 = tuple(a + b for a, b in zip(di[l], djk))
-                    tri = sorted((s1, s2, s3))
-                    top, sec = tri[2], tri[1]
-                    p = (s1, s2, s3).index(top)
-                    v = tuple(a - b for a, b in zip(top, sec))
-                    if best is None or v > best:
-                        best = v
-                        wit = (i, j, k, l, p)
-    return best, wit
-
-
-def _scan_chunk(args):
-    raw, idxs, n, numeric = args
-    fn = _scan_quads_num if numeric else _scan_quads_tup
-    return fn(raw, idxs, n)
-
-
 def _chunk_first_indices(n: int, parts: int) -> List[List[int]]:
     """Greedy balanced split of first indices by quadruple counts."""
     weights = [(n - 1 - i) * (n - 2 - i) * (n - 3 - i) // 6 for i in range(n - 3)]
@@ -283,37 +244,28 @@ def min_delta_4pt_witness(
     """Least delta for the four-point condition, with first maximizing witness.
 
     The scan runs over index-sorted quadruples and the three pairings of
-    each; partitioning across workers does not change the result.
+    each; partitioning across workers does not change the result.  A
+    defect is a largest minus a second largest sum, never negative.
     """
     n = len(X)
     if n < 4:
         return QLexElem.zero(X.rank, X.domain), None
-    raw = X.raw_table()
-    numeric = X.rank == 1
+    P = X.packed_table()
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
-        best, wit = _scan_chunk((raw, list(range(n - 3)), n, numeric))
+        best, wit = _scan_quads_num(P, range(n - 3), n)
     else:
         chunks = _chunk_first_indices(n, workers)
-        results = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            for r in pool.map(_scan_chunk, [(raw, c, n, numeric) for c in chunks]):
-                results.append(r)
-        best, wit = None, None
-        for b, w in results:
-            if b is None:
-                continue
-            if best is None or b > best or (b == best and w < wit):
-                best, wit = b, w
-    defect = X.lex_of_raw(best)
-    value = QLexElem(defect, 2)
-    if value.sign() < 0:
-        value = QLexElem.zero(X.rank, X.domain)
-        return value, None
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            results = pool.map(_scan_quads_num, [P] * len(chunks), chunks,
+                               [n] * len(chunks))
+            # the largest defect; on a tie, the first witness in index order
+            best, wit = min(results, key=lambda r: (-r[0], r[1]))
     i, j, k, l, p = wit
     a, b, c, d = _PAIRINGS[p]
     quad = (i, j, k, l)
     witness = tuple(X.labels[quad[t]] for t in (a, b, c, d))
-    return value, witness
+    return QLexElem(X.unpack(best), 2), witness
 
 
 @dataclass

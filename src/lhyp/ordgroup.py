@@ -7,7 +7,7 @@ the divisible hull and carry the induced order.
 
 from fractions import Fraction
 from functools import reduce, total_ordering
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Tuple, Union
 
 from .errors import InputError
@@ -123,6 +123,58 @@ def _render_coord(c: Coord) -> str:
     if isinstance(c, Fraction) and c.denominator != 1:
         return "%d/%d" % (c.numerator, c.denominator)
     return "%d" % (c,)
+
+
+# The longest combination any kernel forms from packed table entries: the
+# basepoint sweep's defect min{2(x.z)_v, 2(z.y)_v} - 2(x.y)_v is a signed
+# sum of six distances.
+PACK_HEADROOM = 6
+
+
+class Packing:
+    """Exact encoding of elements of one Z^n or Q^n as Python ints.
+
+    Built from a set of elements.  Each coordinate, scaled by the LCM of
+    the denominators in the set, becomes a signed digit in base 2**width,
+    and the last coordinate is the most significant digit; for rank-one Z
+    the code of an element is its coordinate.  The width leaves room for
+    signed sums of up to PACK_HEADROOM elements of the set: every digit of
+    such a sum stays below half the base, so integer order, equality and
+    addition on the codes agree with the right lexicographic order and the
+    group law, and unpack recovers the element.
+    """
+
+    __slots__ = ("rank", "domain", "scale", "width")
+
+    def __init__(self, elems: Iterable[LexElem]):
+        elems = list(elems)
+        first = elems[0]
+        for e in elems:
+            _check_compatible(first, e)
+        self.rank, self.domain = first.rank, first.domain
+        self.scale = lcm(*(c.denominator for e in elems for c in e.coords))
+        top = max((abs(c) for e in elems for c in e.coords), default=0)
+        self.width = int(PACK_HEADROOM * top * self.scale).bit_length() + 1
+
+    def pack(self, e: LexElem) -> int:
+        """Code of e, which must lie in the set the packing was built from."""
+        code = 0
+        for c in reversed(e.coords):
+            code = (code << self.width) + int(c * self.scale)
+        return code
+
+    def unpack(self, code: int) -> LexElem:
+        """The element that a code, or a signed sum of codes, stands for."""
+        base = 1 << self.width
+        half = base >> 1
+        coords = []
+        for _ in range(self.rank):
+            digit = code & (base - 1)
+            if digit >= half:
+                digit -= base
+            coords.append(Fraction(digit, self.scale))
+            code = (code - digit) >> self.width
+        return LexElem(coords, self.domain)
 
 
 def lex_cmp(a: LexElem, b: LexElem) -> int:

@@ -1,5 +1,6 @@
 """Shared builders for randomized test instances."""
 
+from fractions import Fraction
 from functools import lru_cache
 from random import Random
 from typing import List, Tuple
@@ -55,6 +56,31 @@ def random_metric_rows(rng: Random, n: int, maxw: int = 20,
 def random_metric_space(rng: Random, n: int, maxw: int = 20,
                         minw: int = 1) -> FiniteLambdaSpace:
     return space_rank1(random_metric_rows(rng, n, maxw, minw))
+
+
+def random_lex_space(rng: Random, n: int, rank: int, domain: str = "Z",
+                     low: int = 9) -> FiniteLambdaSpace:
+    """Shortest paths in Z^rank or Q^rank over random complete-graph weights.
+
+    Each weight's last coordinate lies in 1..3, so many sums tie there and
+    the lower coordinates, drawn from [-low, low], decide.  Over Q every
+    coordinate is also divided by a random 1..3.
+    """
+    def coord(lo, hi):
+        c = rng.randint(lo, hi)
+        return Fraction(c, rng.randint(1, 3)) if domain == "Q" else c
+
+    d = [[LexElem.zero(rank, domain)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = [coord(-low, low) for _ in range(rank - 1)] + [coord(1, 3)]
+            d[i][j] = d[j][i] = LexElem(w, domain)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] < d[i][j]:
+                    d[i][j] = d[i][k] + d[k][j]
+    return FiniteLambdaSpace(labels_for(n), d, domain)
 
 
 def random_connected_unit_rows(rng: Random, n: int,

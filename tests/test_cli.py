@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from lhyp.catalog import FreeGroup, write_grp, write_len
+from lhyp.catalog import FreeGroup, product_length, write_grp, write_len
 from lhyp.cli import main
 from lhyp.lspace import write_lms
 
@@ -273,6 +273,33 @@ def test_lenfun_requires_a_mode(tmp_path, capsys):
     table = f2_fixture(tmp_path)
     code, _, err = run(capsys, "lenfun", "--len", table)
     assert code == 2 and "pick at least one" in err
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def test_lenfun_rejects_a_bad_radius(tmp_path, capsys):
+    put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
+    table = put(tmp_path, "z.len", "group z.grp\nlambda Z^1\nradius x\n")
+    code, out, err = run(capsys, "lenfun", "--len", table, "--axioms")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: bad radius 'x'"]
+
+
+def test_lenfun_group_files_may_share_but_not_cycle(tmp_path, capsys):
+    put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
+    put(tmp_path, "zz.grp", "product z.grp z.grp\n")
+    table = put(tmp_path, "zz.len",
+                write_len(product_length(z_table(1), z_table(1)), "zz.grp"))
+    code, out, err = run(capsys, "lenfun", "--len", table, "--axioms")
+    assert code == 0 and error_lines(err) == []
+    assert lines_of(out)["elements"] == "9"
+    put(tmp_path, "self.grp", "product z.grp self.grp\n")
+    table = put(tmp_path, "self.len", "group self.grp\nlambda Z^1\n")
+    code, out, err = run(capsys, "lenfun", "--len", table, "--axioms")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: group file 'self.grp' refers back to itself"]
 
 
 # -- relcayley ------------------------------------------------------------

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lhyp import lspace
 from lhyp.errors import InputError
 from lhyp.lspace import (FiniteLambdaSpace, convex_classes, gromov_product,
                          hyperbolicity_report, min_delta_4pt,
@@ -13,11 +14,19 @@ from lhyp.lspace import (FiniteLambdaSpace, convex_classes, gromov_product,
                          validate_metric, write_lms)
 from lhyp.ordgroup import LexElem, QLexElem
 
-from helpers import (L, cycle_space, random_metric_rows, random_metric_space,
-                     random_tree_rows, space_rank1)
+from helpers import (L, cycle_space, random_lex_space, random_metric_rows,
+                     random_metric_space, random_tree_rows, space_rank1)
 from oracles import oracle_delta_4pt, oracle_delta_at, rkey
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
+# (rank, domain, bound on the lower coordinates); None is a rank-1 Z metric
+kinds = st.sampled_from((None, (2, "Z", 9), (3, "Z", 10 ** 7), (2, "Q", 9)))
+
+
+def some_space(seed, n, kind):
+    if kind is None:
+        return random_metric_space(Random(seed), n, maxw=9)
+    return random_lex_space(Random(seed), n, *kind)
 
 
 def raw_of(X):
@@ -59,9 +68,9 @@ def test_indistinct_points_rejected():
     assert not validate_metric(dup).ok
 
 
-@given(seeds, st.integers(min_value=2, max_value=7))
-def test_delta_at_matches_oracle(seed, n):
-    X = random_metric_space(Random(seed), n, maxw=9)
+@given(seeds, st.integers(min_value=2, max_value=7), kinds)
+def test_delta_at_matches_oracle(seed, n, kind):
+    X = some_space(seed, n, kind)
     raw = raw_of(X)
     for v in range(n):
         got = min_delta_at(X, v)
@@ -69,9 +78,9 @@ def test_delta_at_matches_oracle(seed, n):
         assert tuple(Fraction(c, got.den) for c in got.num.coords) == want
 
 
-@given(seeds, st.integers(min_value=2, max_value=7))
-def test_delta_4pt_matches_oracle(seed, n):
-    X = random_metric_space(Random(seed), n, maxw=9)
+@given(seeds, st.integers(min_value=2, max_value=7), kinds)
+def test_delta_4pt_matches_oracle(seed, n, kind):
+    X = some_space(seed, n, kind)
     got = min_delta_4pt(X)
     want = oracle_delta_4pt(raw_of(X))
     assert tuple(Fraction(c, got.den) for c in got.num.coords) == want
@@ -122,6 +131,34 @@ def test_gromov_product_value():
 def test_workers_agree_with_serial(seed):
     X = random_metric_space(Random(seed), 8, maxw=9)
     assert min_delta_4pt(X, workers=1) == min_delta_4pt(X, workers=3)
+
+
+def test_four_point_pool_is_capped_at_the_core_count(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        # records the pool size and maps in this process: no worker starts
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    X = random_metric_space(Random(7), 12, maxw=9)
+    want = min_delta_4pt_witness(X)
+    monkeypatch.setattr(lspace, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(lspace.os, "cpu_count", lambda: 3)
+    assert min_delta_4pt_witness(X, workers=10 ** 6) == want
+    assert pools == [3]
+    monkeypatch.setattr(lspace.os, "cpu_count", lambda: None)
+    assert min_delta_4pt_witness(X, workers=10 ** 6) == want
+    assert pools == [3]
 
 
 def test_hyperbolicity_report_shape():

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lhyp.errors import InputError
-from lhyp.ordgroup import (LexElem, QLexElem, height, in_convex, lex_cmp,
-                           minimal_positive, parse_lex, parse_qlex,
-                           project_quotient, qdiv, qmax, qmin)
+from lhyp.ordgroup import (PACK_HEADROOM, LexElem, Packing, QLexElem, height,
+                           in_convex, lex_cmp, minimal_positive, parse_lex,
+                           parse_qlex, project_quotient, qdiv, qmax, qmin)
 
 from oracles import rkey
 
@@ -155,3 +155,54 @@ def test_incompatible_ranks_refuse():
         LexElem((1,)) + LexElem((1, 2))
     with pytest.raises(InputError):
         lex_cmp(LexElem((1,)), LexElem((1,), "Q"))
+
+
+@st.composite
+def packing_cases(draw):
+    """A set of elements and two signed sums of up to PACK_HEADROOM of them.
+
+    The set always holds (top,...,top) and (top,-top,top,...), so its
+    largest coordinate, the one the packing width is computed from, is
+    reached in every digit and with both signs.
+    """
+    rank = draw(st.integers(min_value=1, max_value=3))
+    domain = draw(st.sampled_from(("Z", "Q")))
+    top = draw(st.integers(min_value=0, max_value=10 ** 12))
+    coord = st.integers(min_value=-top, max_value=top)
+    if domain == "Q":
+        coord = st.builds(Fraction, coord, st.integers(min_value=1, max_value=12))
+    elems = draw(st.lists(st.lists(coord, min_size=rank, max_size=rank),
+                          max_size=6))
+    elems += [[top] * rank, [top if i % 2 == 0 else -top for i in range(rank)]]
+    elems = [LexElem(cs, domain) for cs in elems]
+    term = st.tuples(st.integers(min_value=0, max_value=len(elems) - 1),
+                     st.sampled_from((1, -1)))
+    sums = st.lists(term, max_size=PACK_HEADROOM)
+    return elems, draw(sums), draw(sums)
+
+
+@given(packing_cases())
+def test_packing_matches_lex_arithmetic(case):
+    elems, terms_a, terms_b = case
+    P = Packing(elems)
+    codes = [P.pack(e) for e in elems]
+    for e, c in zip(elems, codes):
+        assert P.unpack(c) == e
+        if e.rank == 1 and e.domain == "Z":
+            assert c == e.coords[0]
+        # a coordinate at the width limit, six times over, either sign
+        assert P.unpack(c * PACK_HEADROOM) == e * PACK_HEADROOM
+        assert P.unpack(-c * PACK_HEADROOM) == -e * PACK_HEADROOM
+
+    def combine(terms):
+        value, code = LexElem.zero(P.rank, P.domain), 0
+        for t, sign in terms:
+            value = value + elems[t] if sign > 0 else value - elems[t]
+            code += sign * codes[t]
+        return value, code
+
+    a, ca = combine(terms_a)
+    b, cb = combine(terms_b)
+    assert P.unpack(ca) == a and P.unpack(cb) == b
+    assert (ca < cb) == (a < b)
+    assert (ca == cb) == (a == b)
