@@ -672,12 +672,18 @@ def _read_grp(text: str, loader: Optional[Callable[[str], str]],
         group = DirectProduct(left, right) if kind == "product" else FreeProduct(left, right)
     else:
         raise InputError("unknown group kind %r" % kind)
-    gens = group.gens()
+    gens = None
     for row in rest:
         if row[0] == "gens":
             gens = tuple(group.parse(tok) for tok in row[1:])
         else:
             raise InputError("unexpected line %r" % " ".join(row))
+    if gens is None:
+        if open_refs:
+            # a factor's generators are never used, and the default ones
+            # of a nested product cost a walk down its whole nesting
+            return group, ()
+        gens = group.gens()
     if not gens:
         raise InputError("empty generating set")
     return group, gens

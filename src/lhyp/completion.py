@@ -8,22 +8,26 @@ pairs downward, dropping any pair that can be routed around a strict
 between-point, and finally reattaches every stray auxiliary vertex to
 the surviving skeleton by short bridges measured in the stage-one graph.
 
-Both outputs are weighted graphs whose path metric is geodesic by
-construction (every edge of weight w is a chain of w unit edges, except
-for the bookkeeping chords of stage one, which never shorten anything).
+Both outputs are graphs whose path metric is geodesic by construction:
+every edge is a unit edge except the bookkeeping chords of stage one,
+which restate input distances that unit paths already realize.  So the
+path metric of an output is its unit-edge BFS table, which the output
+builds once, on first use, and keeps for every later step, as it keeps
+its unit adjacency and its least geodesics.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from functools import cached_property
 from itertools import combinations
 from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ConstructionError, InputError
+from .geodspace import DisjointSets, bfs_table
 from .isometry import IsoPerm
 from .lspace import FiniteLambdaSpace, min_delta_4pt, validate_metric
-from .ordgroup import LexElem, QLexElem
+from .ordgroup import LexElem, Packing, QLexElem
 
 ESSENTIAL = "essential"
 AUXILIARY = "auxiliary"
@@ -55,16 +59,9 @@ class CompletionGraph:
                 k += 1
         return k
 
-    def adjacency(self) -> List[Dict[int, int]]:
-        adj: List[Dict[int, int]] = [dict() for _ in self.labels]
-        for u, v, w in self.edges:
-            cur = adj[u].get(v)
-            if cur is None or w < cur:
-                adj[u][v] = w
-                adj[v][u] = w
-        return adj
-
+    @cached_property
     def unit_adjacency(self) -> List[List[int]]:
+        """Neighbours along unit edges, ascending; built once and kept."""
         adj: List[List[int]] = [[] for _ in self.labels]
         for u, v, w in self.edges:
             if w == 1:
@@ -74,61 +71,44 @@ class CompletionGraph:
             row.sort()
         return adj
 
+    @cached_property
+    def unit_table(self) -> List[List[int]]:
+        """Unit-edge distances between all vertices, -1 where there is no
+        path; built once and kept."""
+        return bfs_table(self.unit_adjacency)
+
+    @cached_property
+    def _geodesics(self) -> Dict[Tuple[int, int], List[int]]:
+        return {}
+
+    def least_geodesic(self, src: int, dst: int) -> List[int]:
+        """The unit-edge geodesic from src to dst that always steps to the
+        least index; built once per pair and kept."""
+        path = self._geodesics.get((src, dst))
+        if path is None:
+            dist_to = self.unit_table[dst]
+            if dist_to[src] < 0:
+                raise ConstructionError("no path between %d and %d" % (src, dst))
+            path = [src]
+            while path[-1] != dst:
+                path.append(min(v for v in self.unit_adjacency[path[-1]]
+                                if dist_to[v] == dist_to[path[-1]] - 1))
+            self._geodesics[(src, dst)] = path
+        return path
+
     def derived_space(self) -> FiniteLambdaSpace:
-        table = _weighted_all_pairs(len(self.labels), self.adjacency())
-        dist = [[LexElem((table[i][j],)) for j in range(len(self.labels))]
-                for i in range(len(self.labels))]
-        return FiniteLambdaSpace(self.labels, dist)
-
-
-def _weighted_all_pairs(n: int, adj: List[Dict[int, int]]) -> List[List[int]]:
-    out = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        heap = [(0, s)]
-        while heap:
-            du, u = heappop(heap)
-            if du > dist[u]:
-                continue
-            for v, w in adj[u].items():
-                nd = du + w
-                if dist[v] < 0 or nd < dist[v]:
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-        if any(d < 0 for d in dist):
+        table = self.unit_table
+        if -1 in table[0]:
             raise ConstructionError("completion graph is not connected")
-        out.append(dist)
-    return out
-
-
-def _unit_all_pairs(n: int, adj: List[List[int]]) -> List[List[int]]:
-    out = []
-    for s in range(n):
-        dist = [-1] * n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        out.append(dist)
-    return out
-
-
-def _least_geodesic(adj: List[List[int]], dist_to: List[int], src: int,
-                    dst: int) -> List[int]:
-    # dist_to holds unit distances to dst; walk choosing the least index
-    if dist_to[src] < 0:
-        raise ConstructionError("no path between %d and %d" % (src, dst))
-    path = [src]
-    cur = src
-    while cur != dst:
-        cur = min(v for v in adj[cur] if dist_to[v] == dist_to[cur] - 1)
-        path.append(cur)
-    return path
+        for u, v, w in self.edges:
+            # a chord shorter than the unit path would make the path
+            # metric differ from the unit-edge table
+            if w < table[u][v]:
+                raise ConstructionError(
+                    "edge %s-%s of weight %d undercuts the unit distance %d"
+                    % (self.labels[u], self.labels[v], w, table[u][v]))
+        lex = {d: LexElem((d,)) for d in set().union(*table)}
+        return FiniteLambdaSpace(self.labels, [[lex[d] for d in row] for row in table])
 
 
 def _int_table(space: FiniteLambdaSpace) -> Sequence[Sequence[int]]:
@@ -155,18 +135,30 @@ def _require_delta(space: FiniteLambdaSpace, delta: int) -> None:
                          % delta)
 
 
+def _central_codes(space: FiniteLambdaSpace,
+                   delta: LexElem) -> Tuple[List[List[int]], int]:
+    # delta may exceed every entry, so it joins the packing; each test in
+    # _central is a signed sum of five codes, within the packing's headroom
+    packing = Packing([e for row in space.dist for e in row] + [delta])
+    table = [[packing.pack(e) for e in row] for row in space.dist]
+    return table, 2 * packing.pack(delta)
+
+
+def _central(D: Sequence[Sequence[int]], slack: int, x: int, y: int,
+             z: int) -> List[int]:
+    Dx, Dy = D[x], D[y]
+    sxy, sxz, syz = Dx[y] + slack, Dx[z] + slack, Dy[z] + slack
+    return [v for v, Dv in enumerate(D)
+            if Dx[v] + Dv[y] <= sxy and Dx[v] + Dv[z] <= sxz
+            and Dy[v] + Dv[z] <= syz]
+
+
 def midpoints(space: FiniteLambdaSpace, x: str, y: str, z: str,
               delta: LexElem) -> Tuple[str, ...]:
     """Points v that are 2*delta-central for the triple x, y, z."""
-    dx, dy, dz = space.d(x, y), space.d(x, z), space.d(y, z)
-    slack = delta * 2
-    out = []
-    for v in space.labels:
-        if (space.d(x, v) + space.d(v, y) <= dx + slack
-                and space.d(x, v) + space.d(v, z) <= dy + slack
-                and space.d(y, v) + space.d(v, z) <= dz + slack):
-            out.append(v)
-    return tuple(out)
+    D, slack = _central_codes(space, delta)
+    found = _central(D, slack, space.index(x), space.index(y), space.index(z))
+    return tuple(space.labels[v] for v in found)
 
 
 @dataclass(frozen=True)
@@ -184,11 +176,15 @@ def check_RS(space: FiniteLambdaSpace, delta: LexElem) -> Tuple[bool, MidpointTa
     """
     entries: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
     failing = None
-    for x, y, z in combinations(space.labels, 3):
-        found = midpoints(space, x, y, z, delta)
-        entries[(x, y, z)] = found
+    L = space.labels
+    triples = list(combinations(range(len(L)), 3))
+    if triples:  # fewer than three points never meet delta
+        D, slack = _central_codes(space, delta)
+    for x, y, z in triples:
+        found = tuple(L[v] for v in _central(D, slack, x, y, z))
+        entries[(L[x], L[y], L[z])] = found
         if not found and failing is None:
-            failing = (x, y, z)
+            failing = (L[x], L[y], L[z])
     return failing is None, MidpointTable(delta, entries, failing)
 
 
@@ -235,7 +231,10 @@ class _Builder:
         self.klass: List[str] = []
         self.records: List[str] = []
         self.adj: List[Set[int]] = []
-        self.parent: List[int] = []
+        # identified copies share a root: the stronger class, then the
+        # lesser label
+        self.sets = DisjointSets(
+            (), key=lambda r: (_CLASS_RANK[self.klass[r]], self.labels[r], r))
 
     def add(self, label: str, klass: str, record: str) -> int:
         i = len(self.labels)
@@ -243,47 +242,39 @@ class _Builder:
         self.klass.append(klass)
         self.records.append(record)
         self.adj.append(set())
-        self.parent.append(i)
+        self.sets.add(i)
         return i
 
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        # keep the root with the stronger class, then the lesser label
-        key = lambda r: (_CLASS_RANK[self.klass[r]], self.labels[r], r)
-        if key(rj) < key(ri):
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.adj[ri] |= self.adj[rj]
-        self.adj[rj] = set()
+    def identify(self, i: int, j: int) -> None:
+        joined = self.sets.union(i, j)
+        if joined is not None:
+            keep, drop = joined
+            self.adj[keep] |= self.adj[drop]
+            self.adj[drop] = set()
 
     def edge(self, u: int, v: int) -> None:
-        self.adj[self.find(u)].add(v)
-        self.adj[self.find(v)].add(u)
+        self.adj[self.sets.find(u)].add(v)
+        self.adj[self.sets.find(v)].add(u)
 
     def chain(self, u: int, v: int, length: int, klass: str,
-              label_stub: str) -> None:
-        # a path of `length` unit edges with length-1 interior vertices
-        prev = u
+              label_stub: str) -> List[int]:
+        """Join u to v by `length` unit edges; return u, the new interior
+        vertices and v, in path order."""
+        path = [u]
         for t in range(1, length):
             w = self.add("%s:%d" % (label_stub, t), klass,
                          "%s:%d" % (label_stub, t))
-            self.edge(prev, w)
-            prev = w
-        self.edge(prev, v)
+            self.edge(path[-1], w)
+            path.append(w)
+        self.edge(path[-1], v)
+        path.append(v)
+        return path
 
     def neighbours(self, root: int) -> Set[int]:
-        return {self.find(w) for w in self.adj[root]}
+        return {self.sets.find(w) for w in self.adj[root]}
 
     def connected(self, u: int, v: int, limit: int) -> bool:
-        src, dst = self.find(u), self.find(v)
+        src, dst = self.sets.find(u), self.sets.find(v)
         if src == dst:
             return limit >= 0
         seen = {src: 0}
@@ -304,7 +295,7 @@ class _Builder:
                certificate: Dict[str, str]) -> CompletionGraph:
         groups: Dict[int, List[int]] = {}
         for i in range(len(self.labels)):
-            groups.setdefault(self.find(i), []).append(i)
+            groups.setdefault(self.sets.find(i), []).append(i)
         # essential vertices first, in creation order; they are never
         # identified with one another, so this keeps input indices stable
         def group_key(root: int) -> Tuple[int, int, str]:
@@ -328,12 +319,12 @@ class _Builder:
         for root in roots:
             fu = final_of[root]
             for w in self.adj[root]:
-                fv = final_of[self.find(w)]
+                fv = final_of[self.sets.find(w)]
                 if fu != fv:
                     edges.add((min(fu, fv), max(fu, fv), 1))
         for (i, j), w in chords.items():
-            fu = final_of[self.find(i)]
-            fv = final_of[self.find(j)]
+            fu = final_of[self.sets.find(i)]
+            fv = final_of[self.sets.find(j)]
             if fu != fv:
                 edges.add((min(fu, fv), max(fu, fv), w))
         return CompletionGraph(tuple(labels), tuple(klass), tuple(prov),
@@ -348,8 +339,12 @@ def _between_blocked(D: Sequence[Sequence[int]], n: int, i: int, j: int) -> bool
     return False
 
 
+def _aux_stub(li: str, lj: str) -> str:
+    return "p:%s|%s" % (li, lj)
+
+
 def _aux_label(li: str, lj: str, t: int) -> str:
-    return "p:%s|%s:%d" % (li, lj, t)
+    return "%s:%d" % (_aux_stub(li, lj), t)
 
 
 def gamma1(space: FiniteLambdaSpace, delta: int,
@@ -362,6 +357,12 @@ def gamma1(space: FiniteLambdaSpace, delta: int,
     """
     D = _int_table(space)
     _require_delta(space, delta)
+    return _stage_one(space, D, delta, order_seed)
+
+
+def _stage_one(space: FiniteLambdaSpace, D: Sequence[Sequence[int]],
+               delta: int, order_seed: Optional[int]) -> CompletionGraph:
+    # gamma1 after its input checks, which gamma2 has already made
     n = len(space)
     g = _Builder()
     for lab in space.labels:
@@ -380,18 +381,11 @@ def gamma1(space: FiniteLambdaSpace, delta: int,
         d = D[i][j]
         if d >= 2:
             chords[(i, j)] = d
-        if d == 1:
-            g.edge(i, j)
-        elif d >= 2 and not _between_blocked(D, n, i, j):
-            prev = i
+        if d == 1 or not _between_blocked(D, n, i, j):
+            path = g.chain(i, j, d, AUXILIARY,
+                           _aux_stub(space.labels[i], space.labels[j]))
             for t in range(1, d):
-                a = g.add(_aux_label(space.labels[i], space.labels[j], t),
-                          AUXILIARY,
-                          _aux_label(space.labels[i], space.labels[j], t))
-                side[(i, j, t)] = a
-                g.edge(prev, a)
-                prev = a
-            g.edge(prev, j)
+                side[(i, j, t)] = path[t]
 
     def side_vertex(c: int, a: int, t: int) -> Optional[int]:
         if t == 0:
@@ -413,7 +407,7 @@ def gamma1(space: FiniteLambdaSpace, delta: int,
                 if g.klass[u] != AUXILIARY or g.klass[v] != AUXILIARY:
                     continue
                 if delta == 0:
-                    g.union(u, v)
+                    g.identify(u, v)
                 elif not g.connected(u, v, span):
                     lu, lv = sorted((g.labels[u], g.labels[v]))
                     g.chain(u, v, span, NEGLIGIBLE, "b:%s&%s" % (lu, lv))
@@ -444,13 +438,13 @@ def _verify_stage(out: CompletionGraph, space: FiniteLambdaSpace,
             if r in seen:
                 raise ConstructionError("duplicate creation record %r" % r)
             seen.add(r)
-    unit = out.unit_adjacency()
+    unit = out.unit_adjacency
     for i, c in enumerate(out.klass):
         if c == NEGLIGIBLE and len(unit[i]) != 2:
             raise ConstructionError("bridge interior %r has degree %d"
                                     % (out.labels[i], len(unit[i])))
     if chords_expected:
-        table = _unit_all_pairs(len(out.labels), unit)
+        table = out.unit_table
         for i, j in combinations(range(n), 2):
             if table[i][j] != D[i][j]:
                 raise ConstructionError(
@@ -480,9 +474,8 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
     if cap is None:
         cap = diam
 
-    g1 = gamma1(space, delta, order_seed=order_seed)
-    unit1 = g1.unit_adjacency()
-    d1 = _unit_all_pairs(len(g1.labels), unit1)
+    g1 = _stage_one(space, D, delta, order_seed)
+    d1 = g1.unit_table
 
     g = _Builder()
     for lab in space.labels:
@@ -493,8 +486,8 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
     if order_seed is not None:
         Random(order_seed).shuffle(pairs)
 
-    side: Dict[Tuple[int, int, int], int] = {}
-    surviving: List[Tuple[int, int]] = []
+    # the path of each surviving pair, in path order
+    paths: Dict[Tuple[int, int], List[int]] = {}
     two = 2 * delta
     for i, j in pairs:
         d = D[i][j]
@@ -524,20 +517,9 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
                 break
         if removed:
             continue
-        surviving.append((i, j))
-        if d == 1:
-            g.edge(i, j)
-        else:
-            prev = i
-            for t in range(1, d):
-                a = g.add(_aux_label(space.labels[i], space.labels[j], t),
-                          AUXILIARY,
-                          _aux_label(space.labels[i], space.labels[j], t))
-                side[(i, j, t)] = a
-                g.edge(prev, a)
-                prev = a
-            g.edge(prev, j)
-    surviving.sort(key=lambda p: (D[p[0]][p[1]], p))
+        paths[(i, j)] = g.chain(i, j, d, AUXILIARY,
+                                _aux_stub(space.labels[i], space.labels[j]))
+    surviving = sorted(paths, key=lambda p: (D[p[0]][p[1]], p))
 
     if not full:
         return g.finish({}, {"stage": "two-partial", "delta": str(delta),
@@ -547,38 +529,29 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
                             "cap": str(cap)})
     # connectivity of the skeleton: every removed pair refines through
     # strictly closer witnesses, so the survivors must already connect
-    _weighted_all_pairs(len(partial.labels), partial.adjacency())
+    if -1 in partial.unit_table[0]:
+        raise ConstructionError("completion graph is not connected")
 
     H_measured = hausdorff_const(g1, partial)
     H = H_measured if H_override is None else H_override
     dp = 29 * delta
     B = 2 * H + 2 * dp
 
+    # each path vertex sits over the vertex at the same step of the least
+    # stage-one geodesic of its pair
     phi: Dict[int, int] = {i: i for i in range(n)}
-    geo_cache: Dict[Tuple[int, int], List[int]] = {}
-
-    def geodesic1(i: int, j: int) -> List[int]:
-        if (i, j) not in geo_cache:
-            geo_cache[(i, j)] = _least_geodesic(unit1, d1[j], i, j)
-        return geo_cache[(i, j)]
-
-    for (i, j, t), a in side.items():
-        phi[a] = geodesic1(i, j)[t]
+    for (i, j), verts in paths.items():
+        phi.update(zip(verts, g1.least_geodesic(i, j)))
 
     aux_ids = sorted((a for a in range(len(g.labels))
                       if g.klass[a] == AUXILIARY), key=lambda a: g.labels[a])
-    path_vertices: Dict[Tuple[int, int], List[int]] = {}
-    for i, j in surviving:
-        d = D[i][j]
-        verts = [i] + [side[(i, j, t)] for t in range(1, d)] + [j]
-        path_vertices[(i, j)] = verts
     if order_seed is not None:
         Random(order_seed + 1).shuffle(aux_ids)
 
     added: Set[Tuple[int, int]] = set()
     for a in aux_ids:
         for pair in surviving:
-            verts = path_vertices[pair]
+            verts = paths[pair]
             if a in verts:
                 continue
             best = min(d1[phi[a]][phi[y]] for y in verts)
@@ -592,8 +565,8 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
                     continue
                 added.add(key)
                 if best == 0:
-                    g.union(a, y)
-                elif best == 1 and g.find(y) in g.neighbours(g.find(a)):
+                    g.identify(a, y)
+                elif best == 1 and g.sets.find(y) in g.neighbours(g.sets.find(a)):
                     continue
                 else:
                     la, ly = sorted((g.labels[a], g.labels[y]))
@@ -616,8 +589,7 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
     }
     out = g.finish({}, cert)
     _verify_stage(out, space, D, chords_expected=False)
-    unit = out.unit_adjacency()
-    t2 = _unit_all_pairs(len(out.labels), unit)
+    t2 = out.unit_table
     for i, j in combinations(range(n), 2):
         if t2[i][j] < 0:
             raise ConstructionError("completion graph is not connected")
@@ -636,18 +608,8 @@ def hausdorff_const(g1: CompletionGraph, g2: CompletionGraph) -> int:
     n = g1.essential_count()
     if g2.essential_count() != n or g1.labels[:n] != g2.labels[:n]:
         raise InputError("stage graphs disagree on essential vertices")
-    unit1 = g1.unit_adjacency()
-    d1 = _unit_all_pairs(len(g1.labels), unit1)
-    unit2 = g2.unit_adjacency()
-    d2 = _unit_all_pairs(len(g2.labels), unit2)
-
+    d1, d2 = g1.unit_table, g2.unit_table
     lab_index1 = {lab: i for i, lab in enumerate(g1.labels)}
-    geo_cache: Dict[Tuple[int, int], List[int]] = {}
-
-    def geodesic1(i: int, j: int) -> List[int]:
-        if (i, j) not in geo_cache:
-            geo_cache[(i, j)] = _least_geodesic(unit1, d1[j], i, j)
-        return geo_cache[(i, j)]
 
     def to_stage_one(v: int) -> int:
         if g2.klass[v] == ESSENTIAL:
@@ -655,14 +617,14 @@ def hausdorff_const(g1: CompletionGraph, g2: CompletionGraph) -> int:
         record = g2.provenance[v][0]
         body, t = record[2:].rsplit(":", 1)
         a, b = body.split("|", 1)
-        return geodesic1(lab_index1[a], lab_index1[b])[int(t)]
+        return g1.least_geodesic(lab_index1[a], lab_index1[b])[int(t)]
 
     worst = 0
     for i, j in combinations(range(n), 2):
         if d2[i][j] < 0:
             raise ConstructionError("stage-two skeleton is not connected")
-        image = [to_stage_one(v) for v in _least_geodesic(unit2, d2[j], i, j)]
-        target = geodesic1(i, j)
+        image = [to_stage_one(v) for v in g2.least_geodesic(i, j)]
+        target = g1.least_geodesic(i, j)
         for a in image:
             worst = max(worst, min(d1[a][b] for b in target))
         for b in target:

@@ -6,16 +6,79 @@ spaces the path metrics of connected graphs.  This module houses the graph
 type, the geodesicity test, comparison tripods, and the two triangle
 constants (thinness and slimness) together with the report relating them
 to the basepoint triple constant.
+
+It also holds the two graph kernels shared with ``completion`` and
+``relhyp``: ``bfs_table``, the one unit-edge all-pairs routine, and
+``DisjointSets``, the one union-find.  ``delta_relations`` checks
+geodesicity once and hands the distance table to the private bodies of
+the thinness and slimness scans.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from .errors import ConstructionError, InputError
 from .lspace import FiniteLambdaSpace, min_delta_at
 from .ordgroup import LexElem, QLexElem, qmax
+
+
+def bfs_table(adj: Sequence[Iterable[int]]) -> List[List[int]]:
+    """Unit-edge distances from every vertex, -1 where there is no path.
+
+    adj[u] lists the heads of the edges leaving u; an undirected graph
+    lists every edge at both ends.
+    """
+    n = len(adj)
+    rows = []
+    for src in range(n):
+        row = [-1] * n
+        row[src] = 0
+        frontier = [src]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if row[w] < 0:
+                        row[w] = d
+                        nxt.append(w)
+            frontier = nxt
+        rows.append(row)
+    return rows
+
+
+class DisjointSets:
+    """Union-find whose class root is always the member of least key."""
+
+    __slots__ = ("parent", "key")
+
+    def __init__(self, members: Iterable[Hashable], key: Callable) -> None:
+        self.parent = {m: m for m in members}
+        self.key = key
+
+    def add(self, m: Hashable) -> None:
+        self.parent[m] = m
+
+    def find(self, m: Hashable) -> Hashable:
+        parent = self.parent
+        while parent[m] != m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    def union(self, a: Hashable, b: Hashable) -> Optional[Tuple[Hashable, Hashable]]:
+        """Merge the classes of a and b; return (kept root, dropped root),
+        or None when they already share a class."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return None
+        if self.key(rb) < self.key(ra):
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return ra, rb
 
 
 class GeodesicGraph:
@@ -42,7 +105,12 @@ class GeodesicGraph:
         self.labels = labels
         self.adj = tuple(tuple(sorted(s)) for s in nb)
         self._index = index
-        self.dist = tuple(self._bfs_row(i) for i in range(n))
+        rows = bfs_table(self.adj)
+        # the graph is connected exactly when vertex 0 reaches every vertex
+        if -1 in rows[0]:
+            raise InputError("graph is disconnected: no path %s to %s"
+                             % (labels[0], labels[rows[0].index(-1)]))
+        self.dist = tuple(tuple(row) for row in rows)
 
     @staticmethod
     def _resolve(v, index, n):
@@ -54,25 +122,6 @@ class GeodesicGraph:
             return index[str(v)]
         except KeyError:
             raise InputError("unknown vertex %r" % (v,)) from None
-
-    def _bfs_row(self, src: int) -> Tuple[int, ...]:
-        n = len(self.labels)
-        row = [-1] * n
-        row[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for w in self.adj[u]:
-                if row[w] < 0:
-                    row[w] = du + 1
-                    queue.append(w)
-        if -1 in row:
-            raise InputError(
-                "graph is disconnected: no path %s to %s"
-                % (self.labels[src], self.labels[row.index(-1)])
-            )
-        return tuple(row)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -282,7 +331,10 @@ def min_thinness_witness(X):
     insize.  The result is the largest distance between identified
     points; the witness names (corner, other, other, t, u, v).
     """
-    D = _require_geodesic(X)
+    return _thinness(X, _require_geodesic(X))
+
+
+def _thinness(X: FiniteLambdaSpace, D: Sequence[Sequence[int]]):
     n = len(X)
     levels: Dict[Tuple[int, int, int], List[int]] = {}
 
@@ -327,7 +379,10 @@ def min_rips_witness(X):
     points between the remaining two pairs is taken; the result is the
     maximum, the witness (x, y, z, u) with u between x and y.
     """
-    D = _require_geodesic(X)
+    return _rips(X, _require_geodesic(X))
+
+
+def _rips(X: FiniteLambdaSpace, D: Sequence[Sequence[int]]):
     n = len(X)
     betw: Dict[Tuple[int, int], List[int]] = {}
 
@@ -445,12 +500,12 @@ def delta_relations(X: FiniteLambdaSpace) -> DeltaRelations:
     The expected bounds: thin <= 4 point, point <= 2 thin, rips <= thin,
     thin <= 4 rips, and the two composites rips <= 4 point, point <= 8 rips.
     """
-    _require_geodesic(X)
+    D = _require_geodesic(X)
     dp = QLexElem.zero(X.rank, X.domain)
     for v in range(len(X)):
         dp = qmax(dp, min_delta_at(X, v))
-    dt = min_thinness(X)
-    dr = min_rips(X)
+    dt, _ = _thinness(X, D)
+    dr, _ = _rips(X, D)
     checks = (
         ("thin<=4*point", dt <= dp * 4),
         ("point<=2*thin", dp <= dt * 2),

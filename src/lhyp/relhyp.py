@@ -12,7 +12,6 @@ Everything here is radius-stamped: verdicts speak about the enumerated
 ball only, never about the group as a whole.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
@@ -21,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import Elem, GroupHandle, LengthTable
 from .errors import ConstructionError, InputError
+from .geodspace import DisjointSets, bfs_table
 from .ordgroup import LexElem
 
 
@@ -71,14 +71,7 @@ class RelCayley:
         elements = sorted((g for g in table.elements() if table.l(g) <= rlex),
                           key=group.render)
         kernel = [g for g in elements if table.l(g).is_zero()]
-        parent: Dict[Elem, Elem] = {g: g for g in elements}
-
-        def find(g: Elem) -> Elem:
-            while parent[g] != g:
-                parent[g] = parent[parent[g]]
-                g = parent[g]
-            return g
-
+        cosets = DisjointSets(elements, key=group.render)
         for g in elements:
             for k in kernel:
                 h = group.mul(g, k)
@@ -89,15 +82,12 @@ class RelCayley:
                 if table.l(h) != table.l(g):
                     raise InputError("length is not constant on the coset "
                                      "of %s" % group.render(g))
-                ra, rb = find(g), find(h)
-                if ra != rb:
-                    parent[max(ra, rb, key=group.render)] = min(
-                        ra, rb, key=group.render)
+                cosets.union(g, h)
 
         classes: Dict[Elem, List[Elem]] = {}
         for g in elements:
-            classes.setdefault(find(g), []).append(g)
-        base = find(group.identity())
+            classes.setdefault(cosets.find(g), []).append(g)
+        base = cosets.find(group.identity())
         roots = sorted(classes, key=lambda r: (r != base, group.render(r)))
         self.reps: Tuple[Elem, ...] = tuple(roots)
         self.members: Tuple[Tuple[Elem, ...], ...] = tuple(
@@ -155,21 +145,12 @@ class RelCayley:
         for s in self.gens:
             moves.append(s)
             moves.append(group.inv(s))
-        rel_rows = []
-        for s in range(n):
-            dd = [-1] * n
-            dd[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for mv in moves:
-                    h = group.mul(self.reps[u], mv)
-                    v = self.coset_of.get(h)
-                    if v is not None and dd[v] < 0:
-                        dd[v] = dd[u] + 1
-                        queue.append(v)
-            rel_rows.append(tuple(dd))
-        self.rel_dist: Tuple[Tuple[int, ...], ...] = tuple(rel_rows)
+        # a generator move takes coset u to the coset of rep(u) * move,
+        # when that product lies in the enumerated ball
+        steps = [[self.coset_of[h] for h in (group.mul(rep, mv) for mv in moves)
+                  if h in self.coset_of] for rep in self.reps]
+        self.rel_dist: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(row) for row in bfs_table(steps))
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -378,14 +359,7 @@ def check_Pn(group: GroupHandle, table: LengthTable, n: int, radius: int,
         frontier = nxt
     generates = closure == universe
 
-    parent: Dict[Elem, Elem] = {g: g for g in ball_n}
-
-    def find(g: Elem) -> Elem:
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
+    double = DisjointSets(ball_n, key=group.render)
     in_ball = set(ball_n)
     for g in ball_n:
         for k in kernel:
@@ -401,11 +375,8 @@ def check_Pn(group: GroupHandle, table: LengthTable, n: int, radius: int,
                     raise InputError(
                         "kernel translate %s of %s escaped the enumeration"
                         % (group.render(h), group.render(g)))
-                ra, rb = find(g), find(h)
-                if ra != rb:
-                    parent[max(ra, rb, key=group.render)] = min(
-                        ra, rb, key=group.render)
-    double_cosets = len({find(g) for g in ball_n})
+                double.union(g, h)
+    double_cosets = len({double.find(g) for g in ball_n})
     return PnReport(n, radius, alpha, alpha_ok, generates, double_cosets,
                     pn_threshold(delta), pn_L(delta))
 

@@ -124,3 +124,14 @@ def oracle_tau(n: int, delta: int) -> int:
                   if k1 + k2 <= k + 2 * delta]
         tau.append(max(splits) if k > 2 * delta and splits else k)
     return tau[n]
+
+
+def oracle_central_points(dist: List[List[Raw]], delta: Raw, x: int, y: int,
+                          z: int) -> List[int]:
+    """Points v with d(a,v) + d(v,b) <= d(a,b) + 2 delta for every pair
+    a, b of the triple x, y, z, in index order."""
+    slack = vec_add(delta, delta)
+    return [v for v in range(len(dist))
+            if all(rlex_le(vec_add(dist[a][v], dist[v][b]),
+                           vec_add(dist[a][b], slack))
+                   for a, b in ((x, y), (x, z), (y, z)))]

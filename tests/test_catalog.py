@@ -169,6 +169,31 @@ def test_grp_round_trips():
     assert G3.identity() == D.identity()
 
 
+def test_deep_product_chain_builds_default_generators_once(monkeypatch):
+    # f0 is Z; each f<k> is the product of f<k-1> with Z, nested 150 deep.
+    # Only the outermost file's default generators are built, so the
+    # identity calls grow with the square of the depth, not its cube.
+    depth = 150
+    files = {"f0.grp": "free 1\n"}
+    for k in range(1, depth + 1):
+        files["f%d.grp" % k] = "product f%d.grp f0.grp\n" % (k - 1)
+    calls = [0]
+    identity = FreeGroup.identity
+
+    def counted(self):
+        calls[0] += 1
+        return identity(self)
+
+    monkeypatch.setattr(FreeGroup, "identity", counted)
+    G, gens = read_grp(files["f%d.grp" % depth], loader=files.__getitem__)
+    assert len(gens) == depth + 1
+    assert calls[0] <= depth ** 2
+    # a malformed gens line in a factor file is still read and rejected
+    files["f1.grp"] += "gens a|b\n"
+    with pytest.raises(InputError):
+        read_grp(files["f%d.grp" % depth], loader=files.__getitem__)
+
+
 def test_len_round_trip():
     t = f2_table(2)
     text = write_len(t, "f2.grp")

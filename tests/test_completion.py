@@ -1,3 +1,4 @@
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -9,15 +10,15 @@ from lhyp.completion import (AUXILIARY, ESSENTIAL, NEGLIGIBLE,
                              gamma1, gamma2, hausdorff_const, midpoints,
                              tau_max, write_cg)
 from lhyp.errors import ConstructionError, InputError
-from lhyp.geodspace import is_geodesic
+from lhyp.geodspace import bfs_table, is_geodesic
 from lhyp.isometry import IsoPerm, identity_perm
 from lhyp.lspace import min_delta_4pt
 from lhyp.ordgroup import LexElem, QLexElem
 
-from helpers import (L, ceil_delta_int, cycle_space, random_metric_space,
-                     random_tree_space, random_unit_geodesic_space,
-                     space_rank1)
-from oracles import oracle_tau
+from helpers import (L, ceil_delta_int, cycle_space, random_lex_space,
+                     random_metric_space, random_tree_space,
+                     random_unit_geodesic_space, space_rank1)
+from oracles import floyd, oracle_central_points, oracle_tau
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 
@@ -39,6 +40,12 @@ def graph_fingerprint(g: CompletionGraph):
     return verts, edges
 
 
+def assert_path_metric(g: CompletionGraph, Y):
+    # shortest paths over every edge, chords included
+    want = floyd(len(g.labels), g.edges)
+    assert [[e.coords[0] for e in row] for row in Y.dist] == want
+
+
 # -- midpoints / RS -------------------------------------------------------
 
 
@@ -53,6 +60,31 @@ def test_check_rs_verdicts():
     assert ok1 and table.failing is None
     ok0, table0 = check_RS(triangle(), L(0))
     assert not ok0 and table0.failing == ("x", "y", "z")
+
+
+@given(seeds, st.sampled_from([(1, "Z", 9), (2, "Z", 9), (2, "Z", 10 ** 7),
+                               (2, "Q", 9)]), st.booleans())
+def test_check_rs_matches_oracle(seed, kind, above):
+    rng = Random(seed)
+    rank, domain, low = kind
+    X = random_lex_space(rng, rng.randint(3, 7), rank, domain, low=low)
+    raw = [[e.coords for e in row] for row in X.dist]
+    top = max(c[-1] for row in raw for c in row)
+    # delta above every entry, or small enough that some triples fail
+    last = top + 1 if above else rng.randint(0, 1)
+    delta = LexElem([rng.randint(-low, low) for _ in range(rank - 1)] + [last],
+                    domain)
+    ok, table = check_RS(X, delta)
+    lab = X.labels
+    failing = None
+    for x, y, z in combinations(range(len(X)), 3):
+        want = tuple(lab[v] for v in
+                     oracle_central_points(raw, delta.coords, x, y, z))
+        assert table.entries[(lab[x], lab[y], lab[z])] == want
+        assert midpoints(X, lab[x], lab[y], lab[z], delta) == want
+        if not want and failing is None:
+            failing = (lab[x], lab[y], lab[z])
+    assert table.failing == failing and ok == (failing is None)
 
 
 # -- tau ------------------------------------------------------------------
@@ -161,6 +193,7 @@ def test_stage_one_output_is_geodesic(seed):
     Y = g.derived_space()
     ok, _ = is_geodesic(Y)
     assert ok
+    assert_path_metric(g, Y)
     # essential restriction: the input sits isometrically inside
     for a in X.labels:
         for b in X.labels:
@@ -263,6 +296,21 @@ def test_stage_two_caps_grow_monotonically():
     assert len(full.labels) == 34
 
 
+def test_stage_two_builds_one_table_per_graph(monkeypatch):
+    # stage one, the partial skeleton and the output: three graphs
+    built = []
+
+    def counted(adj):
+        built.append(len(adj))
+        return bfs_table(adj)
+
+    monkeypatch.setattr(completion, "bfs_table", counted)
+    g = gamma2(thin_triangle(), 1)
+    assert len(built) == 3 and built[-1] == len(g.labels)
+    g.derived_space()
+    assert len(built) == 3
+
+
 def test_stage_two_order_invariance():
     X = thin_triangle()
     base = graph_fingerprint(gamma2(X, 1))
@@ -288,6 +336,7 @@ def test_stage_two_sandwich_on_random_rs_instances(seed):
         return
     g = gamma2(X, d)
     Y = g.derived_space()
+    assert_path_metric(g, Y)
     for a in X.labels:
         for b in X.labels:
             dv = X.d(a, b).coords[0]

@@ -62,6 +62,29 @@ def test_f2_coset_graph_golden():
     assert rep.upper_ok and rep.lower_ok and rep.witness is None
 
 
+def test_f2_rel_dist_is_the_reduced_word_length():
+    # the kernel is trivial, so every coset is one reduced word; a word's
+    # geodesic to another runs through their common prefix, inside the ball
+    rc = f2_rc(N=1, radius=3, table_radius=6)
+    assert len(rc) == 53
+
+    def reduced_length(word):
+        out = []
+        for x in word:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+        return len(out)
+
+    words = [mem[0] for mem in rc.members]
+    assert all(len(mem) == 1 for mem in rc.members)
+    for u, wu in enumerate(words):
+        inverse = [-x for x in reversed(wu)]
+        for v, wv in enumerate(words):
+            assert rc.rel_dist[u][v] == reduced_length(inverse + list(wv))
+
+
 def test_kernel_cosets_fold_a_finite_factor():
     G = DirectProduct(FiniteGroup.cyclic(2), Z)
     values = {}

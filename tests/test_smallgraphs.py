@@ -1,4 +1,6 @@
+import importlib.util
 from itertools import combinations
+from pathlib import Path
 
 from lhyp.smallgraphs import canonical_key, connected_graphs, edge_list
 
@@ -44,3 +46,14 @@ def test_edge_list_matches_adjacency():
         assert len(edges) == sum((adj[i] >> j) & 1
                                  for i, j in combinations(range(4), 2))
         assert all((adj[u] >> v) & 1 and (adj[v] >> u) & 1 for u, v in edges)
+
+
+def test_sweep_script_smoke(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "sweep_small_graphs.py"
+    spec = importlib.util.spec_from_file_location("sweep_small_graphs", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.main(["--up-to", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    counts = [int(line.split()[1].split("=")[1]) for line in lines]
+    assert counts == [1, 1, 2, 6, 21]
