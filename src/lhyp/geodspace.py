@@ -5,7 +5,7 @@ joined by a chain of points at consecutive distance one, which makes such
 spaces the path metrics of connected graphs.  This module houses the graph
 type, the geodesicity test, comparison tripods, and the two triangle
 constants (thinness and slimness) together with the report relating them
-to the basepoint triple constant.
+to the triple constant over all basepoints, which is the four-point one.
 
 It also holds the two graph kernels shared with ``completion`` and
 ``relhyp``: ``bfs_table``, the one unit-edge all-pairs routine, and
@@ -20,8 +20,8 @@ from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
                     Optional, Sequence, Tuple)
 
 from .errors import ConstructionError, InputError
-from .lspace import FiniteLambdaSpace, min_delta_at
-from .ordgroup import LexElem, QLexElem, qmax
+from .lspace import FiniteLambdaSpace, min_delta_4pt
+from .ordgroup import LexElem, QLexElem
 
 
 def bfs_table(adj: Sequence[Iterable[int]]) -> List[List[int]]:
@@ -501,9 +501,7 @@ def delta_relations(X: FiniteLambdaSpace) -> DeltaRelations:
     thin <= 4 rips, and the two composites rips <= 4 point, point <= 8 rips.
     """
     D = _require_geodesic(X)
-    dp = QLexElem.zero(X.rank, X.domain)
-    for v in range(len(X)):
-        dp = qmax(dp, min_delta_at(X, v))
+    dp = min_delta_4pt(X)
     dt, _ = _thinness(X, D)
     dr, _ = _rips(X, D)
     checks = (

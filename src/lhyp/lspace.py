@@ -3,10 +3,11 @@
 Distances are exact group elements; hyperbolicity constants live in the
 divisible hull and are reported as exact fractions.  Every kernel runs on
 one table of ints per space, packed once by ``ordgroup.Packing`` for every
-rank and both domains and unpacked only for results.  The two minimal
-constants (triple condition at a basepoint, four-point condition) are
-computed by full scans; the four-point scan can be partitioned across
-worker processes, at most one per core.
+rank and both domains and unpacked only for results.  The triple condition
+at basepoint w, less d(x,w)+d(y,w)+d(z,w) on both sides, is the four-point
+condition (Gromov 1987, 1.1), so one quadruple scan, split across at most
+one worker process per core, yields every constant; ``min_delta_at`` scans
+one basepoint.
 """
 
 import os
@@ -133,16 +134,8 @@ def gromov_product(X: FiniteLambdaSpace, x, y, v) -> QLexElem:
     return QLexElem(X.dist[i][k] + X.dist[j][k] - X.dist[i][j], 2)
 
 
-def _doubled_products(X: FiniteLambdaSpace, v: int):
-    """Matrix of 2(x.y)_v as packed ints."""
-    P = X.packed_table()
-    dv = [row[v] for row in P]
-    return [[a + b - c for b, c in zip(dv, Pa)] for a, Pa in zip(dv, P)]
-
-
 def min_delta_at(X: FiniteLambdaSpace, v) -> QLexElem:
-    value, _ = min_delta_at_witness(X, v)
-    return value
+    return min_delta_at_witness(X, v)[0]
 
 
 def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, str, str]]:
@@ -154,8 +147,10 @@ def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, 
     index order has i <= j, and only those pairs are scanned.  The pair
     i == j has defect >= 0, so the constant is never negative.
     """
-    vi = X.index(v)
-    D = _doubled_products(X, vi)
+    P = X.packed_table()
+    dv = [row[X.index(v)] for row in P]
+    # D[x][y] = 2(x.y)_v
+    D = [[a + b - c for b, c in zip(dv, Pa)] for a, Pa in zip(dv, P)]
     n = len(X)
     best = None
     bi = bj = 0
@@ -172,100 +167,103 @@ def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, 
 
 
 def min_delta_triple(X: FiniteLambdaSpace) -> QLexElem:
-    """Least delta for the triple condition simultaneously at every basepoint."""
-    best = QLexElem.zero(X.rank, X.domain)
-    for v in range(len(X)):
-        dv = min_delta_at(X, v)
-        if dv > best:
-            best = dv
-    return best
+    """Least delta for the triple condition at every basepoint: the four-point one."""
+    return min_delta_4pt(X)
 
 
 _PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
 
 def _scan_quads_num(raw, idxs, n):
-    """Four-point scan over first indices in idxs of a packed table."""
-    best = None
-    wit = None
+    """Four-point scan over first indices idxs of a packed table: the largest
+    defect, its first quadruple (i, j, k, l) in index order, and pm, where
+    pm[v] is the largest defect of a scanned quadruple containing v, or 0."""
+    pm = [0] * n
+    best, wit = -1, None
     for i in idxs:
         di = raw[i]
-        for j in range(i + 1, n):
+        for j in range(i + 1, n - 2):
             dij = di[j]
             dj = raw[j]
-            for k in range(j + 1, n):
+            for k in range(j + 1, n - 1):
                 dik = di[k]
                 djk = dj[k]
                 dk = raw[k]
+                mk = -1
                 for l in range(k + 1, n):
                     s1 = dij + dk[l]
                     s2 = dik + dj[l]
                     s3 = di[l] + djk
-                    if s1 >= s2:
-                        if s2 >= s3:
-                            top, sec, p = s1, s2, 0
-                        elif s1 >= s3:
-                            top, sec, p = s1, s3, 0
-                        else:
-                            top, sec, p = s3, s1, 2
-                    elif s2 >= s3:
-                        top, sec, p = s2, (s1 if s1 >= s3 else s3), 1
+                    if s1 < s2:
+                        s1, s2 = s2, s1
+                    if s3 >= s1:
+                        v = s3 - s1
+                    elif s3 >= s2:
+                        v = s1 - s3
                     else:
-                        top, sec, p = s3, s2, 2
-                    v = top - sec
-                    if best is None or v > best:
-                        best = v
-                        wit = (i, j, k, l, p)
-    return best, wit
+                        v = s1 - s2
+                    # best >= mk throughout, so only a new mk can be a new best
+                    if v > mk:
+                        mk = v
+                        if v > best:
+                            best, wit = v, (i, j, k, l)
+                    if v > pm[l]:
+                        pm[l] = v
+                for t in (i, j, k):
+                    if mk > pm[t]:
+                        pm[t] = mk
+    return best, wit, pm
 
 
 def _chunk_first_indices(n: int, parts: int) -> List[List[int]]:
-    """Greedy balanced split of first indices by quadruple counts."""
-    weights = [(n - 1 - i) * (n - 2 - i) * (n - 3 - i) // 6 for i in range(n - 3)]
-    buckets: List[List[int]] = [[] for _ in range(parts)]
-    loads = [0] * parts
-    for i in sorted(range(n - 3), key=lambda i: -weights[i]):
-        b = loads.index(min(loads))
-        buckets[b].append(i)
-        loads[b] += weights[i]
-    for b in buckets:
-        b.sort()
-    return [b for b in buckets if b]
+    """First indices dealt back and forth, 0..parts-1 then parts-1..0: the
+    work of a first index falls as it grows, so the loads even out."""
+    lap = 2 * parts
+    return [[i for i in range(n - 3) if c in (i % lap, lap - 1 - i % lap)]
+            for c in range(min(parts, n - 3))]
+
+
+def _core_count() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _four_point(X: FiniteLambdaSpace, workers: int):
+    """The four-point constant, its first witness in index order, and the
+    scan's per-point maxima; workers, at most one per core, split the scan."""
+    n = len(X)
+    if n < 4:
+        return QLexElem.zero(X.rank, X.domain), None, [0] * n
+    P = X.packed_table()
+    workers = min(workers, _core_count())
+    if workers <= 1:
+        best, quad, pm = _scan_quads_num(P, range(n - 3), n)
+    else:
+        chunks = _chunk_first_indices(n, workers)
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            results = list(pool.map(_scan_quads_num, [P] * len(chunks), chunks,
+                                    [n] * len(chunks)))
+        # the largest defect; on a tie, the first witness in index order
+        best, quad, _ = min(results, key=lambda r: (-r[0], r[1]))
+        pm = [max(vs) for vs in zip(*(r[2] for r in results))]
+    i, j, k, l = quad
+    # the witness pairs first the two points of the first largest sum
+    sums = (P[i][j] + P[k][l], P[i][k] + P[j][l], P[i][l] + P[j][k])
+    witness = tuple(X.labels[quad[t]] for t in _PAIRINGS[sums.index(max(sums))])
+    return QLexElem(X.unpack(best), 2), witness, pm
 
 
 def min_delta_4pt(X: FiniteLambdaSpace, workers: int = 1) -> QLexElem:
-    value, _ = min_delta_4pt_witness(X, workers)
-    return value
+    return min_delta_4pt_witness(X, workers)[0]
 
 
 def min_delta_4pt_witness(
     X: FiniteLambdaSpace, workers: int = 1
 ) -> Tuple[QLexElem, Optional[Tuple[str, str, str, str]]]:
-    """Least delta for the four-point condition, with first maximizing witness.
-
-    The scan runs over index-sorted quadruples and the three pairings of
-    each; partitioning across workers does not change the result.  A
-    defect is a largest minus a second largest sum, never negative.
-    """
-    n = len(X)
-    if n < 4:
-        return QLexElem.zero(X.rank, X.domain), None
-    P = X.packed_table()
-    workers = min(workers, os.cpu_count() or 1)
-    if workers <= 1:
-        best, wit = _scan_quads_num(P, range(n - 3), n)
-    else:
-        chunks = _chunk_first_indices(n, workers)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = pool.map(_scan_quads_num, [P] * len(chunks), chunks,
-                               [n] * len(chunks))
-            # the largest defect; on a tie, the first witness in index order
-            best, wit = min(results, key=lambda r: (-r[0], r[1]))
-    i, j, k, l, p = wit
-    a, b, c, d = _PAIRINGS[p]
-    quad = (i, j, k, l)
-    witness = tuple(X.labels[quad[t]] for t in (a, b, c, d))
-    return QLexElem(X.unpack(best), 2), witness
+    """Least delta for the four-point condition, with first maximizing witness."""
+    return _four_point(X, workers)[:2]
 
 
 @dataclass
@@ -279,17 +277,21 @@ class HyperbolicityReport:
 
 
 def hyperbolicity_report(X: FiniteLambdaSpace, workers: int = 1) -> HyperbolicityReport:
-    per = {}
-    best = QLexElem.zero(X.rank, X.domain)
-    wt: Tuple[str, ...] = ()
-    bp = ""
-    for v, lab in enumerate(X.labels):
-        val, wit = min_delta_at_witness(X, v)
-        per[lab] = val
-        if val > best:
-            best, wt, bp = val, wit, lab
-    d4, w4 = min_delta_4pt_witness(X, workers)
-    return HyperbolicityReport(per, best, d4, wt, w4 or (), bp)
+    """Every constant of the metric space X from one four-point scan.
+
+    Twice the triple defect min{(x.z)_v,(y.z)_v} - (x.y)_v is d(x,y)+d(z,v)
+    - max{d(x,z)+d(y,v), d(x,v)+d(y,z)}: delta at v is half the largest
+    defect of a quadruple containing v, and the triple constant is the
+    four-point one.  The witness triple is the first at the first basepoint
+    of largest constant; both stay empty when every constant is 0.
+    """
+    d4, w4, pm = _four_point(X, workers)
+    per = {lab: QLexElem(X.unpack(c), 2) for lab, c in zip(X.labels, pm)}
+    report = HyperbolicityReport(per, d4, d4, witness_quad=w4 or ())
+    if max(pm) > 0:
+        report.basepoint_of_witness = bp = X.labels[pm.index(max(pm))]
+        report.witness_triple = min_delta_at_witness(X, bp)[1]
+    return report
 
 
 def subspace_at(X: FiniteLambdaSpace, x, i: int) -> FiniteLambdaSpace:

@@ -5,6 +5,7 @@ arithmetic and brute-force scans, sharing no code with the package, so
 the two sides can disagree honestly.
 """
 
+import heapq
 from fractions import Fraction
 from itertools import product
 from typing import List, Sequence, Tuple
@@ -89,6 +90,34 @@ def floyd(n: int, edges: Sequence[Tuple[int, int, int]]) -> List[List[int]]:
                 if alt < row[j]:
                     row[j] = alt
     return d
+
+
+def dijkstra(n: int, edges: Sequence[Tuple[int, int, int]]) -> List[List[int]]:
+    """Integer shortest paths, one heap search per source.
+
+    Edges are undirected (u, v, w); unreachable entries are 10**9, as in
+    ``floyd``.
+    """
+    INF = 10 ** 9
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    rows = []
+    for src in range(n):
+        dist = [INF] * n
+        dist[src] = 0
+        heap = [(0, src)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            for v, w in adj[u]:
+                if d + w < dist[v]:
+                    dist[v] = d + w
+                    heapq.heappush(heap, (d + w, v))
+        rows.append(dist)
+    return rows
 
 
 def word_lengths_free(rank: int, radius: int) -> dict:

@@ -21,6 +21,17 @@ TRIANGLE = ("lambda Z^1\n"
             "(2) (0) (2)\n"
             "(2) (2) (0)\n")
 
+# the basepoint constants differ: (1)/2 at a, (1) everywhere else
+FIVE = ("lambda Z^1\n"
+        "points 5 a b c d e\n"
+        "(0) (2) (2) (3) (4)\n"
+        "(2) (0) (1) (1) (3)\n"
+        "(2) (1) (0) (2) (2)\n"
+        "(3) (1) (2) (0) (2)\n"
+        "(4) (3) (2) (2) (0)\n")
+
+FIVE_SHA = "sha256:3823fc3b0b2d04cdf5d9b64aabc2f9c8bc88a7441e39918a325f472fb6705c9e"
+
 ASYMMETRIC = ("lambda Z^1\n"
               "points 2 p q\n"
               "(0) (2)\n"
@@ -126,6 +137,41 @@ def test_delta_lists_basepoints(tmp_path, capsys):
     got = lines_of(out)
     assert got["delta_4pt"] == "(0)"
     assert got["witness_4pt"] == "a,c,b,d"
+
+
+def test_delta_golden(tmp_path, capsys):
+    space = put(tmp_path, "five.lms", FIVE)
+    code, out, _ = run(capsys, "delta", "--space", space)
+    assert code == 0
+    assert out == ("command delta\n"
+                   "input_space %s %s\n"
+                   "points 5\n"
+                   "delta_at a (1)/2\n"
+                   "delta_at b (1)\n"
+                   "delta_at c (1)\n"
+                   "delta_at d (1)\n"
+                   "delta_at e (1)\n"
+                   "delta_triple (1)\n"
+                   "witness_triple c,d,e\n"
+                   "basepoint b\n"
+                   "delta_4pt (1)\n"
+                   "witness_4pt b,e,c,d\n" % (space, FIVE_SHA))
+
+
+def test_check_golden(tmp_path, capsys):
+    space = put(tmp_path, "five.lms", FIVE)
+    code, out, _ = run(capsys, "check", "--space", space)
+    assert code == 0
+    assert out == ("command check\n"
+                   "input_space %s %s\n"
+                   "points 5\n"
+                   "rank 1\n"
+                   "domain Z\n"
+                   "metric yes\n"
+                   "delta_triple (1)\n"
+                   "delta_4pt (1)\n"
+                   "doubling_sweep yes\n"
+                   "four_point_sweep yes\n" % (space, FIVE_SHA))
 
 
 # -- complete -------------------------------------------------------------

@@ -18,7 +18,7 @@ from lhyp.ordgroup import LexElem, QLexElem
 from helpers import (L, ceil_delta_int, cycle_space, random_lex_space,
                      random_metric_space, random_tree_space,
                      random_unit_geodesic_space, space_rank1)
-from oracles import floyd, oracle_central_points, oracle_tau
+from oracles import dijkstra, oracle_central_points, oracle_tau
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 
@@ -42,7 +42,7 @@ def graph_fingerprint(g: CompletionGraph):
 
 def assert_path_metric(g: CompletionGraph, Y):
     # shortest paths over every edge, chords included
-    want = floyd(len(g.labels), g.edges)
+    want = dijkstra(len(g.labels), g.edges)
     assert [[e.coords[0] for e in row] for row in Y.dist] == want
 
 

@@ -10,7 +10,7 @@ from lhyp.geodspace import (GeodesicGraph, all_segments, between_set,
                             min_rips_witness, min_thinness,
                             min_thinness_witness, read_gg, tripod_insizes,
                             unit_graph, write_gg)
-from lhyp.lspace import min_delta_4pt
+from lhyp.lspace import min_delta_4pt, min_delta_at
 from lhyp.ordgroup import LexElem, QLexElem
 from lhyp.smallgraphs import connected_graphs, edge_list
 
@@ -165,7 +165,9 @@ def test_relations_on_random_unit_graphs(seed):
     X = space_rank1(random_connected_unit_rows(Random(seed), 7))
     rel = delta_relations(X)
     assert rel.ok
-    assert rel.delta_point <= min_delta_4pt(X) * 2
+    # the constant over all basepoints is the four-point constant
+    per = max(min_delta_at(X, v) for v in range(len(X)))
+    assert rel.delta_point == per == min_delta_4pt(X)
 
 
 def test_gg_round_trip_preserves_structure():

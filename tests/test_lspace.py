@@ -133,32 +133,71 @@ def test_workers_agree_with_serial(seed):
     assert min_delta_4pt(X, workers=1) == min_delta_4pt(X, workers=3)
 
 
+class SerialPool:
+    # records each pool size and maps in this process: no worker starts
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 def test_four_point_pool_is_capped_at_the_core_count(monkeypatch):
-    pools = []
-
-    class SerialPool:
-        # records the pool size and maps in this process: no worker starts
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
+    pools = SerialPool.sizes = []
     X = random_metric_space(Random(7), 12, maxw=9)
     want = min_delta_4pt_witness(X)
     monkeypatch.setattr(lspace, "ProcessPoolExecutor", SerialPool)
+    # the cores this process may run on, not the cores of the machine
+    monkeypatch.setattr(lspace.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(lspace.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert min_delta_4pt_witness(X, workers=10 ** 6) == want
+    assert pools == [3]
+    monkeypatch.setattr(lspace.os, "sched_getaffinity", lambda pid: {1})
+    assert min_delta_4pt_witness(X, workers=8) == want
+    assert pools == [3]
+    # platforms without an affinity call fall back to the core count
+    monkeypatch.delattr(lspace.os, "sched_getaffinity")
     monkeypatch.setattr(lspace.os, "cpu_count", lambda: 3)
     assert min_delta_4pt_witness(X, workers=10 ** 6) == want
-    assert pools == [3]
+    assert pools == [3, 3]
     monkeypatch.setattr(lspace.os, "cpu_count", lambda: None)
     assert min_delta_4pt_witness(X, workers=10 ** 6) == want
-    assert pools == [3]
+    assert pools == [3, 3]
+
+
+@pytest.mark.parametrize("chunked", (False, True))
+@given(seeds, st.integers(min_value=1, max_value=8), kinds)
+def test_report_matches_every_basepoint_scan(chunked, seed, n, kind):
+    X = some_space(seed, n, kind)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunked:
+            # three chunks merged in this process
+            mp.setattr(lspace, "ProcessPoolExecutor", SerialPool)
+            mp.setattr(lspace, "_core_count", lambda: 3)
+        hr = hyperbolicity_report(X, workers=3 if chunked else 1)
+    raw = raw_of(X)
+    per = [min_delta_at_witness(X, v) for v in range(n)]
+    for v, lab in enumerate(X.labels):
+        got = hr.delta_triple_at[lab]
+        assert got == per[v][0]
+        assert tuple(Fraction(c, got.den) for c in got.num.coords) == oracle_delta_at(raw, v)
+    assert hr.delta_triple == hr.delta_4pt == min_delta_4pt(X)
+    top = max(val for val, _ in per)
+    if top.is_zero():
+        assert hr.basepoint_of_witness == "" and hr.witness_triple == ()
+    else:
+        first = next(v for v in range(n) if per[v][0] == top)
+        assert hr.basepoint_of_witness == X.labels[first]
+        assert hr.witness_triple == per[first][1]
 
 
 def test_hyperbolicity_report_shape():
