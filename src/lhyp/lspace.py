@@ -147,8 +147,9 @@ def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, 
     index order has i <= j, and only those pairs are scanned.  The pair
     i == j has defect >= 0, so the constant is never negative.
     """
+    vi = X.index(v)
     P = X.packed_table()
-    dv = [row[X.index(v)] for row in P]
+    dv = [row[vi] for row in P]
     # D[x][y] = 2(x.y)_v
     D = [[a + b - c for b, c in zip(dv, Pa)] for a, Pa in zip(dv, P)]
     n = len(X)
