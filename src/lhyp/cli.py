@@ -300,6 +300,9 @@ def cmd_relcayley(args) -> Report:
     gbase = os.path.dirname(os.path.abspath(args.group))
     group, gens = read_grp(gtext, _len_loader(rep, gbase))
     table = read_len(ltext, _len_loader(rep, os.path.dirname(os.path.abspath(args.len))))
+    if group != table.group:
+        raise InputError("group file holds %r but the length file's group is %r"
+                         % (group, table.group))
     rc = RelCayley(table.group, table, args.N, args.radius,
                    gens=gens if gens else None)
     rep.add("N", args.N)

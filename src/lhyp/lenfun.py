@@ -9,7 +9,9 @@ some needed product fell outside the table.
 
 All comparisons are exact.  Gromov products are half-integers at worst,
 so internally the doubled quantity l(g) + l(h) - l(g^-1 h) is used and
-halved only for display.
+halved only for display.  The scans over a sample index it once: a
+_Sample holds every l(s_a) and l(s_a^-1 s_b), packed once into ints by
+one Packing, so their loops compare ints and multiply no group elements.
 """
 
 from __future__ import annotations
@@ -26,20 +28,47 @@ from .ordgroup import LexElem, Packing, QLexElem, height
 Elem = Any
 
 
-def _c2(l: LengthTable, g: Elem, h: Elem) -> Optional[LexElem]:
-    """Doubled Gromov product 2 c(g,h), or None if l(g^-1 h) is unknown."""
-    w = l.group.mul(l.group.inv(g), h)
-    if not l.has(w):
-        return None
-    return l.values[g] + l.values[h] - l.values[w]
+class _Sample:
+    """A sample indexed 0..m-1, with its lengths packed into ints.
+
+    ``elems[a]`` is the a-th element s_a, ``lengths[a]`` the code of
+    l(s_a) and ``quot[a][b]`` the code of l(s_a^-1 s_b), or None when that
+    element is outside the table; building it takes m^2 multiplications
+    and one inverse per row.  One Packing covers these lengths and
+    ``extra``, the constants a scan compares against, whose codes are
+    ``self.extra``.  Every scan compares signed sums of at most
+    PACK_HEADROOM codes, so integer order is the order of the group.
+    """
+
+    def __init__(self, l: LengthTable, sample: Sequence[Elem],
+                 extra: Sequence[LexElem] = ()):
+        G = l.group
+        get = l.values.get
+        self.elems = list(sample)
+        lengths = [l.l(g) for g in self.elems]
+        quot = []
+        for g in self.elems:
+            gi = G.inv(g)
+            quot.append([get(G.mul(gi, h)) for h in self.elems])
+        self.packing = Packing(lengths + [v for row in quot for v in row if v is not None]
+                               + list(extra))
+        pack = self.packing.pack
+        self.lengths = [pack(v) for v in lengths]
+        self.quot = [[None if v is None else pack(v) for v in row] for row in quot]
+        self.extra = [pack(e) for e in extra]
+
+    def c2(self, a: int, b: int) -> Optional[int]:
+        """Code of 2 c(s_a, s_b), or None if l(s_a^-1 s_b) is unknown."""
+        q = self.quot[a][b]
+        return None if q is None else self.lengths[a] + self.lengths[b] - q
 
 
 def gromov_product(l: LengthTable, g: Elem, h: Elem) -> QLexElem:
-    c2 = _c2(l, g, h)
-    if c2 is None:
-        raise InputError("product %s outside the length table"
-                         % l.group.render(l.group.mul(l.group.inv(g), h)))
-    return QLexElem(c2, 2)
+    G = l.group
+    w = G.mul(G.inv(g), h)
+    if not l.has(w):
+        raise InputError("product %s outside the length table" % G.render(w))
+    return QLexElem(l.values[g] + l.values[h] - l.values[w], 2)
 
 
 @dataclass(frozen=True)
@@ -70,18 +99,12 @@ def _min_delta(l: LengthTable, sample: Sequence[Elem]):
     """Smallest delta making the hyperbolicity axiom hold on the sample.
 
     Returns (delta, witness, checked, skipped); delta is None when no
-    triple had all three Gromov products available.  The doubled Gromov
-    products are scanned as packed ints.
+    triple had all three Gromov products available.  Only the products
+    c(s_i, s_j) with i < j are read.
     """
-    n = len(sample)
-    c2 = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            val = _c2(l, sample[i], sample[j])
-            c2[i][j] = val
-            c2[j][i] = val
-    packing = Packing([LexElem.zero(l.rank)] + [v for row in c2 for v in row if v is not None])
-    c2 = [[None if v is None else packing.pack(v) for v in row] for row in c2]
+    S = _Sample(l, sample, (LexElem.zero(l.rank),))
+    n = len(S.elems)
+    c2 = [[S.c2(i, j) for j in range(n)] for i in range(n)]
     best = None
     witness = None
     checked = 0
@@ -92,21 +115,16 @@ def _min_delta(l: LengthTable, sample: Sequence[Elem]):
             skipped += 1
             continue
         checked += 1
-        for pair, a, b, other in ((cij, cik, cjk, k), (cik, cij, cjk, j),
-                                  (cjk, cij, cik, i)):
+        # witness: the two whose product falls short, then the third
+        for pair, a, b, case in ((cij, cik, cjk, 0), (cik, cij, cjk, 1),
+                                 (cjk, cij, cik, 2)):
             defect = (a if a < b else b) - pair
             if best is None or best < defect:
-                best = defect
-                if other == k:
-                    witness = (i, j, k)
-                elif other == j:
-                    witness = (i, k, j)
-                else:
-                    witness = (j, k, i)
+                best, witness = defect, ((i, j, k), (i, k, j), (j, k, i))[case]
     if best is None:
         return None, None, checked, skipped
-    names = tuple(l.group.render(sample[t]) for t in witness)
-    return QLexElem(packing.unpack(max(best, 0)), 2), names, checked, skipped
+    names = tuple(l.group.render(S.elems[t]) for t in witness)
+    return QLexElem(S.packing.unpack(max(best, 0)), 2), names, checked, skipped
 
 
 def check_axioms(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> AxiomReport:
@@ -261,10 +279,10 @@ def lambda0_kernel(l: LengthTable, i: int,
     skipped = 0
     if delta is not None and not delta.is_zero() and height(delta) > i:
         vacuous_ok = True
-        d2 = delta * 2
-        zero = LexElem((0,) * l.rank)
+        S = _Sample(l, members, (delta * 2,))
+        (d2,) = S.extra
         n = len(members)
-        c2 = [[_c2(l, members[a], members[b]) for b in range(n)] for a in range(n)]
+        c2 = [[S.c2(a, b) for b in range(n)] for a in range(n)]
         for a, b, c in combinations(range(n), 3):
             cab, cac, cbc = c2[a][b], c2[a][c], c2[b][c]
             if cab is None or cac is None or cbc is None:
@@ -273,7 +291,7 @@ def lambda0_kernel(l: LengthTable, i: int,
             checked += 1
             for pair, u, w in ((cab, cac, cbc), (cac, cab, cbc), (cbc, cab, cac)):
                 low = u if u < w else w
-                if not (low - d2 < zero <= pair):
+                if not (low - d2 < 0 <= pair):
                     if vacuous_ok:
                         vacuous_ok = False
                         witness = tuple(l.group.render(members[t]) for t in (a, b, c))
@@ -304,25 +322,24 @@ def to_space(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> CosetSp
     G = l.group
     if G.identity() not in sample:
         raise InputError("sample misses the identity")
+    S = _Sample(l, sample)
+    lv = S.quot
     n = len(sample)
-    lv = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            w = G.mul(G.inv(sample[i]), sample[j])
-            if not l.has(w):
+            if lv[i][j] is None:
+                w = G.mul(G.inv(sample[i]), sample[j])
                 raise InputError("sample is not product closed: l(%s) unknown for "
                                  "the pair (%s, %s)"
                                  % (G.render(w), G.render(sample[i]),
                                     G.render(sample[j])))
-            lv[i][j] = l.values[w]
-    zero = LexElem((0,) * l.rank)
     # zero-distance classes; class representative is the earliest member
     class_of = list(range(n))
     for i in range(n):
         if class_of[i] != i:
             continue
         for j in range(i + 1, n):
-            if class_of[j] == j and lv[i][j] == zero:
+            if class_of[j] == j and lv[i][j] == 0:
                 class_of[j] = i
     reps_idx = sorted(set(class_of))
     members_of: Dict[int, List[int]] = {r: [] for r in reps_idx}
@@ -339,7 +356,8 @@ def to_space(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> CosetSp
                             "l(%s^-1 %s)" % (G.render(sample[a]), G.render(sample[b]),
                                              G.render(sample[i]), G.render(sample[j])))
     labels = [G.render(sample[r]) for r in reps_idx]
-    dist = [[lv[a][b] for b in reps_idx] for a in reps_idx]
+    lex = {c: S.packing.unpack(c) for c in {lv[a][b] for a in reps_idx for b in reps_idx}}
+    dist = [[lex[lv[a][b]] for b in reps_idx] for a in reps_idx]
     space = FiniteLambdaSpace(labels, dist)
     report = validate_metric(space)
     if not report.ok:
@@ -377,42 +395,30 @@ class RegularReport:
 
 def check_regular(l: LengthTable, sample: Sequence[Elem], k: int,
                   delta: LexElem) -> RegularReport:
-    G = l.group
-    sample = list(sample)
-    kd2 = delta * (2 * k)
-    kd2s = delta * (2 * (k + 1))
-    pairs_checked = 0
-    pairs_skipped = 0
-    r1_bad = None
-    r2_bad = None
-    r2s_bad = None
-    inv_cache = {g: G.inv(g) for g in sample}
-    for g in sample:
-        lg = l.values[g]
-        for h in sample:
-            lh = l.values[h]
-            w = G.mul(inv_cache[g], h)
-            if not l.has(w):
+    S = _Sample(l, sample, (delta * (2 * k), delta * (2 * (k + 1))))
+    kd2, kd2s = S.extra
+    name = [l.group.render(g) for g in S.elems]
+    L = S.lengths
+    # cols[a][c] = l(s_c^-1 s_a), what is left of s_a after the prefix s_c
+    cols = list(zip(*S.quot))
+    pairs_checked = pairs_skipped = 0
+    r1_bad = r2_bad = r2s_bad = None
+    for a, lg in enumerate(L):
+        for b, lh in enumerate(L):
+            lw = S.quot[a][b]
+            if lw is None:
                 pairs_skipped += 1
                 continue
-            lw = l.values[w]
             pairs_checked += 1
             c_gh2 = lg + lh - lw          # 2 c(g,h)
             c_g2 = lg + lw - lh           # 2 c(g^-1, g^-1 h)
             c_h2 = lh + lw - lg           # 2 c(h^-1, h^-1 g)
-            need1 = r1_bad is None
-            need2 = r2_bad is None
-            need2s = r2s_bad is None
-            found1 = found2 = found2s = False
-            for u in sample:
-                ui = inv_cache[u]
-                ug = G.mul(ui, g)
-                uh = G.mul(ui, h)
-                if not (l.has(ug) and l.has(uh)):
+            # a condition that already failed needs no further witness
+            found1, found2, found2s = (r1_bad is not None, r2_bad is not None,
+                                       r2s_bad is not None)
+            for lu, lug, luh in zip(L, cols[a], cols[b]):
+                if lug is None or luh is None:
                     continue
-                lu = l.values[u]
-                lug = l.values[ug]
-                luh = l.values[uh]
                 if not found1 and (lu + lug - lg <= kd2 and lu + luh - lh <= kd2
                                    and lug + luh - lw <= kd2):
                     found1 = True
@@ -427,12 +433,12 @@ def check_regular(l: LengthTable, sample: Sequence[Elem], k: int,
                     found2s = True
                 if found1 and found2 and found2s:
                     break
-            if need1 and not found1:
-                r1_bad = (G.render(g), G.render(h))
-            if need2 and not found2:
-                r2_bad = (G.render(g), G.render(h))
-            if need2s and not found2s:
-                r2s_bad = (G.render(g), G.render(h))
+            if not found1:
+                r1_bad = (name[a], name[b])
+            if not found2:
+                r2_bad = (name[a], name[b])
+            if not found2s:
+                r2s_bad = (name[a], name[b])
     r1_ok = r1_bad is None
     r2_ok = r2_bad is None
     r2s_ok = r2s_bad is None
@@ -467,67 +473,57 @@ def check_complete(l: LengthTable, sample: Sequence[Elem],
     if l.rank != 1:
         raise InputError("completeness scan needs Z-valued lengths")
     G = l.group
-    sample = list(sample)
-    by_len: Dict[int, List[Elem]] = {}
-    for u in sample:
-        by_len.setdefault(l.values[u].coords[0], []).append(u)
-    # exact splits g = u (u^-1 g) with no length lost, grouped by l(u)
-    splits: Dict[Elem, Dict[int, List[Elem]]] = {}
-    remainder: Dict[Tuple[Elem, Elem], Elem] = {}
-    for g in sample:
-        lg = l.values[g].coords[0]
-        mine: Dict[int, List[Elem]] = {}
-        for u in sample:
-            ug = G.mul(G.inv(u), g)
-            if not l.has(ug):
-                continue
-            lu = l.values[u].coords[0]
-            if lu + l.values[ug].coords[0] == lg:
-                mine.setdefault(lu, []).append(u)
-                remainder[(u, g)] = ug
-        splits[g] = mine
+    S = _Sample(l, sample, (delta * 4,))
+    (bound,) = S.extra
+    # rank one: the codes are the lengths themselves
+    L, Q = S.lengths, S.quot
+    # splits[b][alpha]: the a with s_b = s_a (s_a^-1 s_b) and no length lost,
+    # that is l(s_a) = alpha and l(s_a) + l(s_a^-1 s_b) = l(s_b)
+    splits: List[Dict[int, List[int]]] = []
+    for b, lg in enumerate(L):
+        mine: Dict[int, List[int]] = {}
+        for a, lu in enumerate(L):
+            rest = Q[a][b]
+            if rest is not None and lu + rest == lg:
+                mine.setdefault(lu, []).append(a)
+        splits.append(mine)
     complete = True
     witness = None
     elements_checked = 0
-    for g in sample:
-        lg = l.values[g].coords[0]
+    for b, lg in enumerate(L):
         elements_checked += 1
         for alpha in range(lg + 1):
-            if not splits[g].get(alpha):
+            if not splits[b].get(alpha):
                 if complete:
                     complete = False
-                    witness = (G.render(g), alpha)
+                    witness = (G.render(S.elems[b]), alpha)
                 break
-    gap_ok = True
-    gap_witness = None
-    gap_max = None
-    bound = delta * 4
-    pairs_checked = 0
-    decomposition_pairs = 0
-    for g, h in combinations(sample, 2):
-        c2 = _c2(l, g, h)
+    gap_ok, gap_witness, gap_max = True, None, None
+    pairs_checked = decomposition_pairs = 0
+    for g, h in combinations(range(len(L)), 2):
+        c2 = S.c2(g, h)
         if c2 is None:
             continue
         pairs_checked += 1
         for alpha, us in splits[g].items():
-            if LexElem((2 * alpha,)) > c2:
+            if 2 * alpha > c2:
                 continue
             vs = splits[h].get(alpha)
             if not vs:
                 continue
             for u in us:
                 for v in vs:
-                    uv = G.mul(G.inv(u), v)
-                    if not l.has(uv):
+                    val = Q[u][v]
+                    if val is None:
                         continue
                     decomposition_pairs += 1
-                    val = l.values[uv]
                     if gap_max is None or gap_max < val:
                         gap_max = val
                     if val > bound and gap_ok:
                         gap_ok = False
-                        gap_witness = (G.render(g), G.render(h),
-                                       G.render(u), G.render(v))
+                        gap_witness = tuple(G.render(S.elems[t]) for t in (g, h, u, v))
+    if gap_max is not None:
+        gap_max = S.packing.unpack(gap_max)
     return CompleteReport(complete, witness, gap_ok, gap_witness, gap_max,
                           elements_checked, pairs_checked, decomposition_pairs)
 
@@ -680,30 +676,25 @@ def axiom4_scan(l: LengthTable, delta: LexElem,
                 sample: Optional[Sequence[Elem]] = None) -> Axiom4Scan:
     """Count pairs (f,g) violating c(f,g) >= min(c(f,h), c(g,h)) - delta.
 
-    The doubled Gromov products and 2*delta are packed into ints whose
+    The doubled Gromov products are sums of packed lengths, ints whose
     order and subtraction are those of the group, so the h scan runs at C
     speed.  Every product l(f^-1 g) must be present; use a table of twice
     the sample radius.
     """
     if sample is None:
         sample = l.elements()
-    sample = list(sample)
     G = l.group
-    n = len(sample)
-    d2 = delta * 2
-    rows: List[List[LexElem]] = []
+    S = _Sample(l, sample, (delta * 2,))
+    n = len(S.elems)
+    keys = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            val = _c2(l, sample[i], sample[j])
-            if val is None:
-                raise InputError("pair (%s, %s) has no Gromov product in the table"
-                                 % (G.render(sample[i]), G.render(sample[j])))
-            row.append(val)
-        rows.append(row)
-    packing = Packing([d2] + [v for row in rows for v in row])
-    keys = [[packing.pack(v) for v in row] for row in rows]
-    slack = packing.pack(d2)
+        row = [S.c2(i, j) for j in range(n)]
+        if None in row:
+            j = row.index(None)
+            raise InputError("pair (%s, %s) has no Gromov product in the table"
+                             % (G.render(S.elems[i]), G.render(S.elems[j])))
+        keys.append(row)
+    (slack,) = S.extra
     violations = 0
     witness = None
     pairs = 0
@@ -717,6 +708,6 @@ def axiom4_scan(l: LengthTable, delta: LexElem,
                 violations += 1
                 if witness is None:
                     h = max(range(n), key=lambda t: min(ki[t], kj[t]))
-                    witness = (G.render(sample[i]), G.render(sample[j]),
-                               G.render(sample[h]))
+                    witness = (G.render(S.elems[i]), G.render(S.elems[j]),
+                               G.render(S.elems[h]))
     return Axiom4Scan(violations, witness, pairs)

@@ -127,7 +127,8 @@ def _render_coord(c: Coord) -> str:
 
 # The longest combination any kernel forms from packed table entries: the
 # basepoint sweep's defect min{2(x.z)_v, 2(z.y)_v} - 2(x.y)_v is a signed
-# sum of six distances.
+# sum of six distances, and so is lenfun.check_regular's test of 2 l(u)
+# against l(g) + l(h) - l(g^-1 h) + 2(k+1) delta.
 PACK_HEADROOM = 6
 
 

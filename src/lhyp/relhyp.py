@@ -57,7 +57,6 @@ class RelCayley:
         self.N = N
         self.radius = radius
         rank = table.rank
-        unit = _unit(rank)
         self.Nlex = _natural(rank, N)
         if gens is None:
             gens = group.gens()
@@ -225,7 +224,6 @@ def check_qi(rc: RelCayley) -> QiReport:
     is the least positive length and alpha = alpha* - 1 the reported
     strict bound.  Cross-multiplied exact comparisons, no division.
     """
-    group = rc.group
     rank = rc.table.rank
     unit = _unit(rank)
     positives = [rc.table.l(g) for g in rc.coset_of

@@ -164,3 +164,124 @@ def oracle_central_points(dist: List[List[Raw]], delta: Raw, x: int, y: int,
             if all(rlex_le(vec_add(dist[a][v], dist[v][b]),
                            vec_add(dist[a][b], slack))
                    for a, b in ((x, y), (x, z), (y, z)))]
+
+
+def scaled(c: int, a: Raw) -> Raw:
+    return tuple(c * x for x in a)
+
+
+def oracle_regular(sample: Sequence, length: dict, mul, inv, k: int,
+                   delta: Raw) -> dict:
+    """Conditions r1, r2 and r2 at k+1 straight from their definitions.
+
+    ``length`` maps elements to raw Z^n tuples and ``mul``, ``inv`` are
+    the group law.  Every ordered pair (g, h) of the sample with g^-1 h
+    in the table is checked; each condition asks for some u in the sample
+    with u^-1 g and u^-1 h in the table.  Witnesses are the first failing
+    pairs as elements.
+    """
+    le = rlex_le
+
+    def r1(lg, lh, lw, lu, lug, luh, slack):
+        return (le(vec_sub(vec_add(lu, lug), lg), slack)
+                and le(vec_sub(vec_add(lu, luh), lh), slack)
+                and le(vec_sub(vec_add(lug, luh), lw), slack))
+
+    def r2(lg, lh, lw, lu, lug, luh, slack):
+        # 2 l(u) <= 2 c(g, h) + slack and the same at g^-1 and at h^-1
+        return (le(scaled(2, lu), vec_add(vec_sub(vec_add(lg, lh), lw), slack))
+                and le(scaled(2, lug), vec_add(vec_sub(vec_add(lg, lw), lh), slack))
+                and le(scaled(2, luh), vec_add(vec_sub(vec_add(lh, lw), lg), slack)))
+
+    slack, slack_s = scaled(2 * k, delta), scaled(2 * (k + 1), delta)
+    bad = {"r1": None, "r2": None, "r2s": None}
+    checked = skipped = 0
+    for g in sample:
+        for h in sample:
+            w = mul(inv(g), h)
+            if w not in length:
+                skipped += 1
+                continue
+            checked += 1
+            lg, lh, lw = length[g], length[h], length[w]
+            found = {"r1": False, "r2": False, "r2s": False}
+            for u in sample:
+                ug, uh = mul(inv(u), g), mul(inv(u), h)
+                if ug not in length or uh not in length:
+                    continue
+                args = (lg, lh, lw, length[u], length[ug], length[uh])
+                found["r1"] |= r1(*args, slack)
+                found["r2"] |= r2(*args, slack)
+                found["r2s"] |= r2(*args, slack_s)
+            for name, ok in found.items():
+                if not ok and bad[name] is None:
+                    bad[name] = (g, h)
+    r1_ok, r2_ok, r2s_ok = (bad[name] is None for name in ("r1", "r2", "r2s"))
+    return dict(k=k, r1_ok=r1_ok, r1_witness=bad["r1"], r2_ok=r2_ok,
+                r2_witness=bad["r2"], r2_shift_ok=r2s_ok,
+                r2_shift_witness=bad["r2s"],
+                implication_r1_to_r2=not r1_ok or r2s_ok,
+                implication_r2_to_r1=not r2_ok or r1_ok,
+                pairs_checked=checked, pairs_skipped=skipped)
+
+
+def oracle_complete(sample: Sequence, length: dict, mul, inv,
+                    delta: Raw) -> dict:
+    """Completeness and the prefix gap bound for Z-valued lengths.
+
+    An exact prefix of g of length alpha is a u in the sample with u^-1 g
+    in the table, l(u) = alpha and l(u) + l(u^-1 g) = l(g).  g is complete when every alpha in 0..l(g) has one; the witness is the
+    first incomplete g with its least missing alpha.  For each pair g, h
+    (sample order, g first) with g^-1 h in the table, every two exact
+    prefixes u of g and v of h of one length alpha, 2 alpha <= 2 c(g, h),
+    with u^-1 v in the table are compared: l(u^-1 v) <= 4 delta.  The
+    prefix lengths of g are taken in the order their first prefix appears
+    in the sample, then u and v in sample order.
+    """
+    def lone(g):
+        (x,) = length[g]
+        return x
+
+    def prefixes(g):
+        out = {}
+        for u in sample:
+            ug = mul(inv(u), g)
+            if ug in length and lone(u) + lone(ug) == lone(g):
+                out.setdefault(lone(u), []).append(u)
+        return out
+
+    pre = {g: prefixes(g) for g in sample}
+    witness = None
+    for g in sample:
+        missing = [a for a in range(lone(g) + 1) if a not in pre[g]]
+        if missing:
+            witness = (g, missing[0])
+            break
+    bound = 4 * delta[0]
+    gap_witness = gap_max = None
+    pairs = decompositions = 0
+    for i, g in enumerate(sample):
+        for h in sample[i + 1:]:
+            w = mul(inv(g), h)
+            if w not in length:
+                continue
+            pairs += 1
+            c2 = lone(g) + lone(h) - lone(w)
+            for alpha, us in pre[g].items():
+                if 2 * alpha > c2:
+                    continue
+                for u in us:
+                    for v in pre[h].get(alpha, []):
+                        uv = mul(inv(u), v)
+                        if uv not in length:
+                            continue
+                        decompositions += 1
+                        gap_max = lone(uv) if gap_max is None else max(gap_max, lone(uv))
+                        if lone(uv) > bound and gap_witness is None:
+                            gap_witness = (g, h, u, v)
+    return dict(complete=witness is None, witness=witness,
+                prefix_gap_ok=gap_witness is None,
+                prefix_gap_witness=gap_witness,
+                prefix_gap_max=None if gap_max is None else (gap_max,),
+                elements_checked=len(sample), pairs_checked=pairs,
+                decomposition_pairs=decompositions)

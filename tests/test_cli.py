@@ -2,7 +2,8 @@ import re
 
 import pytest
 
-from lhyp.catalog import FreeGroup, product_length, write_grp, write_len
+from lhyp.catalog import (FiniteGroup, FreeGroup, product_length, write_grp,
+                          write_len)
 from lhyp.cli import main
 from lhyp.lspace import write_lms
 
@@ -348,6 +349,80 @@ def test_lenfun_group_files_may_share_but_not_cycle(tmp_path, capsys):
     assert error_lines(err) == ["error: group file 'self.grp' refers back to itself"]
 
 
+# l = 0, 3, 2, 3, 4 on a^k, |k| <= 4: every axiom holds, nothing else does
+BUMP = ("group z.grp\nlambda Z^1\n1 0\na 3\nA 3\naa 2\nAA 2\naaa 3\nAAA 3\n"
+        "aaaa 4\nAAAA 4\n")
+BUMP_SHA = "sha256:4472155a9f4bdda803efcf59d0fe754e4212cf5f857f5959fc4a5729eaa27e7c"
+Z_GRP_SHA = "sha256:76e45e287324d0cd5c0f18db421a30afb5c75d4ecd85aab0094e1d067eb620fe"
+
+LEX = ("group z.grp\nlambda Z^2\n1 0 0\na 6 2\nA 6 2\naa 12 2\nAA 12 2\n"
+       "aaa -2 3\nAAA -2 3\n")
+LEX_SHA = "sha256:b5804d40f2c50818cc224902762cd03a20d4b08299ebc97c9ddd0b1e06ffa3b4"
+
+
+def test_lenfun_failing_golden(tmp_path, capsys):
+    put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
+    table = put(tmp_path, "bump.len", BUMP)
+    code, out, _ = run(capsys, "lenfun", "--len", table, "--axioms",
+                       "--regular", "1", "--complete", "--free")
+    assert code == 1
+    assert out == ("command lenfun\n"
+                   "input_len %s %s\n"
+                   "input_group z.grp %s\n"
+                   "elements 9\n"
+                   "rank 1\n"
+                   "axiom_nonneg yes\n"
+                   "axiom_symmetric yes\n"
+                   "axiom_subadditive yes\n"
+                   "delta_min (1)\n"
+                   "delta_witness A,aaa,a\n"
+                   "pairs_checked 61\n"
+                   "triples_checked 34\n"
+                   "regular_k 1\n"
+                   "r1 no\n"
+                   "r1_witness a,A\n"
+                   "r2 no\n"
+                   "r2_witness a,A\n"
+                   "r1_implies_r2 yes\n"
+                   "r2_implies_r1 yes\n"
+                   "complete no\n"
+                   "complete_witness a,1\n"
+                   "prefix_gap yes\n"
+                   "prefix_gap_max (0)\n"
+                   "free no\n"
+                   "free_witness a\n"
+                   "kernel_trivial yes\n" % (table, BUMP_SHA, Z_GRP_SHA))
+
+
+def test_lenfun_rank_two_golden(tmp_path, capsys):
+    put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
+    table = put(tmp_path, "lex.len", LEX)
+    code, out, _ = run(capsys, "lenfun", "--len", table, "--axioms",
+                       "--regular", "0", "--free", "--delta", "(1,0)")
+    assert code == 1
+    assert out == ("command lenfun\n"
+                   "input_len %s %s\n"
+                   "input_group z.grp %s\n"
+                   "elements 7\n"
+                   "rank 2\n"
+                   "axiom_nonneg yes\n"
+                   "axiom_symmetric yes\n"
+                   "axiom_subadditive yes\n"
+                   "delta_min (-20,1)/2\n"
+                   "delta_witness A,aa,a\n"
+                   "pairs_checked 37\n"
+                   "triples_checked 13\n"
+                   "regular_k 0\n"
+                   "r1 no\n"
+                   "r1_witness a,A\n"
+                   "r2 no\n"
+                   "r2_witness a,A\n"
+                   "r1_implies_r2 yes\n"
+                   "r2_implies_r1 yes\n"
+                   "free yes\n"
+                   "kernel_trivial yes\n" % (table, LEX_SHA, Z_GRP_SHA))
+
+
 # -- relcayley ------------------------------------------------------------
 
 
@@ -398,3 +473,18 @@ def test_relcayley_ball_property(tmp_path, capsys):
         "6144*log2(154) + 768 + 2288*0 in [363321/8, 1453287/32)"
     assert got["pn_L"] == \
         "1536*log2(154) + 192 + 572*0 in [363321/32, 1453287/128)"
+
+
+@pytest.mark.parametrize("grp, holds", [
+    (write_grp(FiniteGroup.cyclic(3)), "FiniteGroup(order=3)"),
+    (write_grp(FreeGroup(1)), "FreeGroup(1)"),
+], ids=["finite", "free"])
+def test_relcayley_group_must_match_the_length_file(tmp_path, capsys, grp, holds):
+    put(tmp_path, "f2.grp", write_grp(FreeGroup(2)))
+    table = put(tmp_path, "f2.len", write_len(f2_table(4), "f2.grp"))
+    other = put(tmp_path, "other.grp", grp)
+    code, out, err = run(capsys, "relcayley", "--group", other, "--len", table,
+                         "--N", "1", "--radius", "2", "--K", "1")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: group file holds %s but the length "
+                                "file's group is FreeGroup(2)" % holds]

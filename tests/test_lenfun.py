@@ -1,3 +1,4 @@
+from dataclasses import fields
 from random import Random
 
 import pytest
@@ -15,6 +16,7 @@ from lhyp.lspace import FiniteLambdaSpace, min_delta_4pt, min_delta_at
 from lhyp.ordgroup import LexElem, QLexElem
 
 from helpers import L, f2_table, space_rank1, z_table
+from oracles import oracle_complete, oracle_regular
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 
@@ -259,3 +261,95 @@ def test_axiom4_scan_counts_violations():
     r9 = axiom4_scan(t, L(9), sample)
     assert r0.violating_pairs > 0 and r0.witness is not None
     assert r9.violating_pairs == 0 and r9.witness is None
+
+
+def free_reduce(word):
+    out = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def free_mul(a, b):
+    return free_reduce(a + b)
+
+
+def free_inv(a):
+    return tuple(-x for x in reversed(a))
+
+
+def pair_mul(a, b):
+    return (free_mul(a[0], b[0]), free_mul(a[1], b[1]))
+
+
+def pair_inv(a):
+    return (free_inv(a[0]), free_inv(a[1]))
+
+
+def random_length_table(rng, kind):
+    """A length table with its group law written out for the oracles.
+
+    "f2": the F2 ball of radius 2 with holes and +-1 bumps; "z": lengths
+    on a^k, |k| <= 2..6, of rank 1-3, top coordinate |k| with bumps and
+    lower coordinates up to 2 or 10^7; "f2xf2": the product of two F2
+    balls of radius 1, with holes.
+    """
+    if kind == "f2":
+        values = {g: L(v.coords[0] + (rng.choice((0, 0, 1, -1)) if g else 0))
+                  for g, v in f2_table(2).values.items()
+                  if not g or rng.random() > 0.15}
+        return LengthTable(FreeGroup(2), values), free_mul, free_inv
+    if kind == "z":
+        rank, spread = rng.randint(1, 3), rng.choice((2, 10 ** 7))
+        values = {}
+        for k in range(-rng.randint(2, 6), rng.randint(2, 6) + 1):
+            low = [rng.randint(-spread, spread) if k else 0 for _ in range(rank - 1)]
+            top = abs(k) + rng.choice((0, 0, 1, -1)) if k else 0
+            values[z_power(k)] = LexElem(low + [top])
+        return LengthTable(FreeGroup(1), values), free_mul, free_inv
+    prod = product_length(f2_table(1), f2_table(1))
+    values = {g: v for g, v in prod.values.items()
+              if g == ((), ()) or rng.random() > 0.1}
+    return LengthTable(prod.group, values), pair_mul, pair_inv
+
+
+def as_dict(report):
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
+@given(seeds, st.sampled_from(("f2", "z", "f2xf2")), st.integers(0, 2),
+       st.integers(0, 1))
+def test_regular_and_complete_match_oracles(seed, kind, k, d):
+    rng = Random(seed)
+    t, mul, inv = random_length_table(rng, kind)
+    G = t.group
+    sample = list(t.elements())
+    rng.shuffle(sample)
+    sample = sample[:rng.randint(1, len(sample))]
+    coords = [0] * t.rank
+    coords[rng.randrange(t.rank)] = d
+    delta = LexElem(coords)
+    length = {g: v.coords for g, v in t.values.items()}
+
+    def names(elems):
+        return None if elems is None else tuple(G.render(g) for g in elems)
+
+    want = oracle_regular(sample, length, mul, inv, k, tuple(coords))
+    for key in ("r1_witness", "r2_witness", "r2_shift_witness"):
+        want[key] = names(want[key])
+    assert as_dict(check_regular(t, sample, k, delta)) == want
+    if t.rank != 1:
+        with pytest.raises(InputError):
+            check_complete(t, sample, delta)
+        return
+    want = oracle_complete(sample, length, mul, inv, tuple(coords))
+    if want["witness"] is not None:
+        want["witness"] = (G.render(want["witness"][0]), want["witness"][1])
+    want["prefix_gap_witness"] = names(want["prefix_gap_witness"])
+    got = as_dict(check_complete(t, sample, delta))
+    if got["prefix_gap_max"] is not None:
+        got["prefix_gap_max"] = got["prefix_gap_max"].coords
+    assert got == want
