@@ -586,6 +586,7 @@ def quasigeodesic_check(cs: CosetSpace, delta: LexElem) -> QuasiReport:
     l = cs.table
     G = l.group
     sample = [cs.reps[lab] for lab in cs.space.labels]
+    splits = [(u, G.inv(u), lu) for u, lu in l.values.items()]
     C = delta * 4
     ok = True
     witness = None
@@ -599,16 +600,15 @@ def quasigeodesic_check(cs: CosetSpace, delta: LexElem) -> QuasiReport:
         lw = l.values[w]
         pairs_checked += 1
         stops: List[Tuple[LexElem, str]] = []
-        for u in l.elements():
-            uw = G.mul(G.inv(u), w)
-            if not l.has(uw) or l.values[u] + l.values[uw] != lw:
+        for u, uinv, lu in splits:
+            luw = l.values.get(G.mul(uinv, w))
+            if luw is None or lu + luw != lw:
                 continue
-            stop = G.mul(g, u)
-            lab = cs.members.get(stop)
+            lab = cs.members.get(G.mul(g, u))
             if lab is None:
                 skipped += 1
                 continue
-            stops.append((l.values[u], lab))
+            stops.append((lu, lab))
         for (alpha, pa), (beta, qb) in combinations(stops, 2):
             if beta < alpha:
                 alpha, beta, pa, qb = beta, alpha, qb, pa

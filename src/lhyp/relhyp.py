@@ -10,26 +10,41 @@ family that geodesics based at the kernel must satisfy.
 
 Everything here is radius-stamped: verdicts speak about the enumerated
 ball only, never about the group as a whole.
+
+Weights, path lengths and coset lengths are plain ints.  Under the right
+lexicographic order a length 0 <= l <= (N, 0, ..., 0) has every higher
+coordinate zero, as a nonzero one would have to be positive and would
+put l above N: l lies in the convex subgroup Lambda_1 = Z and its first
+coordinate is its value.  LexElem appears only at the API boundary.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import inf
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .catalog import Elem, GroupHandle, LengthTable
 from .errors import ConstructionError, InputError
 from .geodspace import DisjointSets, bfs_table
-from .ordgroup import LexElem
+from .ordgroup import LexElem, minimal_positive
 
 
-def _unit(rank: int) -> LexElem:
-    return LexElem((1,) + (0,) * (rank - 1))
+def _ball(table: LengthTable, radius: int) -> List[Elem]:
+    bound = minimal_positive(table.rank) * radius
+    return [g for g in table.elements() if table.l(g) <= bound]
 
 
-def _natural(rank: int, n: int) -> LexElem:
-    return LexElem((n,) + (0,) * (rank - 1))
+def _alpha(table: LengthTable, ball: Iterable[Elem]
+           ) -> Tuple[Optional[LexElem], Optional[LexElem]]:
+    """alpha*, the least nonzero length on the ball, and alpha = alpha* - 1."""
+    nonzero = [table.l(g) for g in ball if not table.l(g).is_zero()]
+    if not nonzero:
+        return None, None
+    least = min(nonzero)
+    return least, least - minimal_positive(table.rank)
 
 
 def scale_lengths(table: LengthTable, k: int) -> LengthTable:
@@ -45,7 +60,10 @@ class RelCayley:
     Vertices are kernel cosets of elements with l(g) <= radius; the
     base coset (kernel itself) has index 0.  ``dist`` is the derived
     min-weight metric, ``rel_dist`` the unweighted coset metric in
-    which only generator moves count (kernel moves are free).
+    which only generator moves count (kernel moves are free).  The
+    scans read the int tables: ``adj[u]`` maps each neighbour, in index
+    order, to the edge weight (<= N), ``d`` is ``dist`` and ``lengths``
+    the coset lengths, all as first coordinates.
     """
 
     def __init__(self, group: GroupHandle, table: LengthTable, N: int,
@@ -56,8 +74,8 @@ class RelCayley:
         self.table = table
         self.N = N
         self.radius = radius
-        rank = table.rank
-        self.Nlex = _natural(rank, N)
+        self.one = minimal_positive(table.rank)
+        self.Nlex = self.one * N
         if gens is None:
             gens = group.gens()
         self.gens = tuple(gens)
@@ -66,9 +84,13 @@ class RelCayley:
                 raise InputError("generator %s has length %s beyond N=%d"
                                  % (group.render(s), table.l(s).render(), N))
 
-        rlex = _natural(rank, radius)
-        elements = sorted((g for g in table.elements() if table.l(g) <= rlex),
-                          key=group.render)
+        elements = sorted(_ball(table, radius), key=group.render)
+        zero = self.one * 0
+        for g in elements:
+            if table.l(g) < zero:
+                # a negative weight has no shortest paths to search for
+                raise InputError("length %s of %s is negative"
+                                 % (table.l(g).render(), group.render(g)))
         kernel = [g for g in elements if table.l(g).is_zero()]
         cosets = DisjointSets(elements, key=group.render)
         for g in elements:
@@ -96,49 +118,48 @@ class RelCayley:
         for i, mem in enumerate(self.members):
             for g in mem:
                 self.coset_of[g] = i
+        self.lengths = tuple(table.l(r).coords[0] for r in roots)
 
         n = len(self.reps)
-        self.weights: Dict[Tuple[int, int], LexElem] = {}
+        inverse = [group.inv(r) for r in roots]
+        self.adj: Tuple[Dict[int, int], ...] = tuple({} for _ in range(n))
         for i, j in combinations(range(n), 2):
-            h = group.mul(group.inv(self.reps[i]), self.reps[j])
+            h = group.mul(inverse[i], self.reps[j])
             if not table.has(h):
                 raise InputError(
                     "length table too small: no entry for %s joining cosets "
                     "%s and %s" % (group.render(h), self.labels[i],
                                    self.labels[j]))
             w = table.l(h)
-            back = table.l(group.inv(h)) if table.has(group.inv(h)) else None
+            back = table.values.get(group.inv(h))
             if back != w:
                 raise InputError("length table is not inversion-symmetric "
                                  "at %s" % group.render(h))
             if w <= self.Nlex:
-                self.weights[(i, j)] = w
+                # pairs come in index order, so each adj row is sorted
+                self.adj[i][j] = self.adj[j][i] = w.coords[0]
 
-        adj: List[Dict[int, LexElem]] = [dict() for _ in range(n)]
-        for (i, j), w in self.weights.items():
-            adj[i][j] = w
-            adj[j][i] = w
-        zero = LexElem((0,) * rank)
-        dist_rows = []
+        rows = []
         for s in range(n):
-            dist: List[Optional[LexElem]] = [None] * n
-            dist[s] = zero
-            heap: List[Tuple[LexElem, int]] = [(zero, s)]
+            dist: List[Optional[int]] = [None] * n
+            dist[s] = 0
+            heap: List[Tuple[int, int]] = [(0, s)]
             while heap:
                 du, u = heappop(heap)
                 if du > dist[u]:
                     continue
-                for v, w in adj[u].items():
+                for v, w in self.adj[u].items():
                     nd = du + w
-                    if dist[v] is None or nd < dist[v]:
+                    dv = dist[v]
+                    if dv is None or nd < dv:
                         dist[v] = nd
                         heappush(heap, (nd, v))
-            if any(d is None for d in dist):
+            if None in dist:
                 raise ConstructionError(
                     "coset graph disconnected at N=%d within radius %d"
                     % (N, radius))
-            dist_rows.append(tuple(dist))
-        self.dist: Tuple[Tuple[LexElem, ...], ...] = tuple(dist_rows)
+            rows.append(tuple(dist))
+        self.d: Tuple[Tuple[int, ...], ...] = tuple(rows)
 
         moves = []
         for s in self.gens:
@@ -160,10 +181,14 @@ class RelCayley:
         except ValueError:
             raise InputError("no coset labelled %r" % label) from None
 
+    @cached_property
+    def dist(self) -> Tuple[Tuple[LexElem, ...], ...]:
+        lex = {x: self.one * x for x in set().union(*self.d)}
+        return tuple(tuple(lex[x] for x in row) for row in self.d)
+
     def weight(self, i: int, j: int) -> Optional[LexElem]:
-        if i == j:
-            return LexElem((0,) * self.table.rank)
-        return self.weights.get((min(i, j), max(i, j)))
+        w = 0 if i == j else self.adj[i].get(j)
+        return None if w is None else self.one * w
 
     def coset_length(self, i: int) -> LexElem:
         return self.table.l(self.reps[i])
@@ -178,26 +203,16 @@ class ShortPairReport:
 
 
 def short_pair_report(rc: RelCayley) -> ShortPairReport:
-    n = len(rc)
     checked = 0
-    for u in range(n):
-        for m in range(n):
-            if m == u:
+    for u, row in enumerate(rc.d):
+        for m, w1 in rc.adj[u].items():
+            if 2 * w1 > rc.N:
                 continue
-            w1 = rc.weight(u, m)
-            if w1 is None or w1 * 2 > rc.Nlex:
-                continue
-            for v in range(n):
-                if v == u or v == m:
-                    continue
-                w2 = rc.weight(m, v)
-                if w2 is None or w2 * 2 > rc.Nlex:
-                    continue
-                if w1 + w2 != rc.dist[u][v]:
+            for v, w2 in rc.adj[m].items():
+                if v == u or 2 * w2 > rc.N or w1 + w2 != row[v]:
                     continue
                 checked += 1
-                direct = rc.weight(u, v)
-                if direct is None or direct != rc.dist[u][v]:
+                if rc.adj[u].get(v) != row[v]:
                     return ShortPairReport(checked, False,
                                            (rc.labels[u], rc.labels[m],
                                             rc.labels[v]))
@@ -224,17 +239,10 @@ def check_qi(rc: RelCayley) -> QiReport:
     is the least positive length and alpha = alpha* - 1 the reported
     strict bound.  Cross-multiplied exact comparisons, no division.
     """
-    rank = rc.table.rank
-    unit = _unit(rank)
-    positives = [rc.table.l(g) for g in rc.coset_of
-                 if not rc.table.l(g).is_zero()]
-    alpha_star = min(positives) if positives else None
-    alpha = alpha_star - unit if alpha_star is not None else None
-    N_prime = 0
-    for g, i in rc.coset_of.items():
-        if rc.table.l(g) <= rc.Nlex and rc.rel_dist[0][i] > N_prime:
-            N_prime = rc.rel_dist[0][i]
+    alpha_star, alpha = _alpha(rc.table, rc.coset_of)
+    least = alpha_star.coords[0] if alpha_star is not None else None
     n = len(rc)
+    N_prime = max(rc.rel_dist[0][i] for i in range(n) if rc.lengths[i] <= rc.N)
     checked = 0
     unreachable = 0
     upper_ok = True
@@ -246,11 +254,11 @@ def check_qi(rc: RelCayley) -> QiReport:
             unreachable += 1
             continue
         checked += 1
-        dgamma = rc.dist[u][v]
-        if dgamma > unit * (rc.N * dprime):
+        dgamma = rc.d[u][v]
+        if dgamma > rc.N * dprime:
             upper_ok = False
             witness = witness or (rc.labels[u], rc.labels[v])
-        if alpha_star is not None and alpha_star * dprime > dgamma * (2 * N_prime):
+        if least is not None and least * dprime > dgamma * 2 * N_prime:
             lower_ok = False
             witness = witness or (rc.labels[u], rc.labels[v])
     return QiReport(N_prime, alpha, alpha_star, checked, unreachable,
@@ -325,15 +333,9 @@ def check_Pn(group: GroupHandle, table: LengthTable, n: int, radius: int,
     """
     if n < 0 or radius < n:
         raise InputError("need 0 <= n <= radius")
-    rank = table.rank
-    unit = _unit(rank)
-    rlex = _natural(rank, radius)
-    nlex = _natural(rank, n)
-    elements = sorted((g for g in table.elements() if table.l(g) <= rlex),
-                      key=group.render)
+    elements = sorted(_ball(table, radius), key=group.render)
     kernel = [g for g in elements if table.l(g).is_zero()]
-    positives = [table.l(g) for g in elements if not table.l(g).is_zero()]
-    alpha = (min(positives) - unit) if positives else None
+    _, alpha = _alpha(table, elements)
     alpha_ok = True
     if alpha is not None:
         for g in elements:
@@ -342,6 +344,7 @@ def check_Pn(group: GroupHandle, table: LengthTable, n: int, radius: int,
                 alpha_ok = False
                 break
 
+    nlex = minimal_positive(table.rank) * n
     ball_n = [g for g in elements if table.l(g) <= nlex]
     universe = set(elements)
     closure = {group.identity()}
@@ -408,16 +411,11 @@ def check_proper(group: GroupHandle, table: LengthTable, radius: int,
         rc = RelCayley(group, table, N=radius, radius=radius, gens=gens)
     except ConstructionError:
         rc = None
-    rank = table.rank
-    unit = _unit(rank)
-    rlex = _natural(rank, radius)
-    elements = [g for g in table.elements() if table.l(g) <= rlex]
-    positives = [table.l(g) for g in elements if not table.l(g).is_zero()]
-    alpha = (min(positives) - unit) if positives else None
+    elements = _ball(table, radius)
+    _, alpha = _alpha(table, elements)
     rows = []
     for N in range(1, radius + 1):
-        nlex = _natural(rank, N)
-        ball = [g for g in elements if table.l(g) <= nlex]
+        ball = _ball(table, N)
         diam: Optional[int] = 0
         if rc is not None:
             for g in ball:
@@ -432,6 +430,16 @@ def check_proper(group: GroupHandle, table: LengthTable, radius: int,
             diam = None
         rows.append(ProperRow(N, len(ball), diam))
     return ProperReport(radius, alpha, tuple(rows))
+
+
+def _int_bound(slack: LexElem) -> Union[int, float]:
+    """The bound that x <= slack puts on an x in Lambda_1: the first
+    coordinate if every higher one is zero, else +-inf by the sign of the
+    top nonzero one."""
+    higher = [c for c in slack.coords[1:] if c]
+    if not higher:
+        return slack.coords[0]
+    return inf if higher[-1] > 0 else -inf
 
 
 @dataclass(frozen=True)
@@ -454,39 +462,31 @@ def verify_relhyp_geodesics(rc: RelCayley, k: int,
     """
     if k < 1:
         raise InputError("k must be a positive integer")
-    if len(delta.coords) != rc.table.rank:
-        raise InputError("delta rank does not match the length table")
-    n = len(rc)
-    slack2 = delta * (2 * k)
-    slack5 = delta * (5 * k)
+    if delta.rank != rc.table.rank or delta.domain != "Z":
+        raise InputError("delta must lie in Z^%d, like the length table"
+                         % rc.table.rank)
+    slack2 = _int_bound(delta * (2 * k))
+    slack5 = _int_bound(delta * (5 * k))
     two_checked = two_ok = 0
     three_checked = three_ok = 0
     witness: Optional[Tuple[str, ...]] = None
-    for a in range(1, n):
-        w1 = rc.weight(0, a)
-        if w1 is None:
-            continue
-        for b in range(1, n):
-            if b == a:
-                continue
-            w2 = rc.weight(a, b)
-            if w2 is None or w1 + w2 != rc.dist[0][b]:
+    base = rc.d[0]
+    for a, w1 in rc.adj[0].items():
+        for b, w2 in rc.adj[a].items():
+            if b == 0 or w1 + w2 != base[b]:
                 continue
             two_checked += 1
-            if rc.coset_length(b) + slack2 >= w1 + w2:
+            if base[b] - rc.lengths[b] <= slack2:
                 two_ok += 1
             elif witness is None:
                 witness = ("2-edge", rc.labels[a], rc.labels[b])
-            for c in range(1, n):
-                if c == a or c == b:
-                    continue
-                w3 = rc.weight(b, c)
-                if w3 is None or w1 + w2 + w3 != rc.dist[0][c]:
-                    continue
-                if w2 * 2 >= rc.Nlex:
+            if 2 * w2 >= rc.N:
+                continue
+            for c, w3 in rc.adj[b].items():
+                if c == 0 or c == a or base[b] + w3 != base[c]:
                     continue
                 three_checked += 1
-                if rc.coset_length(c) + slack5 >= w1 + w2 + w3:
+                if base[c] - rc.lengths[c] <= slack5:
                     three_ok += 1
                 elif witness is None:
                     witness = ("3-edge", rc.labels[a], rc.labels[b],

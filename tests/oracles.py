@@ -285,3 +285,112 @@ def oracle_complete(sample: Sequence, length: dict, mul, inv,
                 prefix_gap_max=None if gap_max is None else (gap_max,),
                 elements_checked=len(sample), pairs_checked=pairs,
                 decomposition_pairs=decompositions)
+
+
+def oracle_relcayley(weight: dict, lengths: Sequence[Raw], N: int,
+                     rel_dist, k: int, delta: Raw) -> dict:
+    """The coset metric and the three coset-graph reports, on raw tuples.
+
+    ``weight[(i, j)]``, i < j, is l(rep_i^-1 rep_j) for every pair of
+    cosets; ``lengths`` are the coset lengths, coset 0 the kernel.  An
+    edge is a weight <= (N, 0, ..., 0).  Floyd over the edges gives the
+    metric, None for no path; a disconnected graph returns only
+    ``dist``.  Then, with witnesses as coset indices, first in index order:
+
+    - short pairs: distinct u, m, v with 2 w(u,m) <= N, 2 w(m,v) <= N and
+      w(u,m) + w(m,v) = d(u,v), counted until one whose direct edge is
+      missing or differs from d(u,v);
+    - qi: alpha* is the least nonzero coset length, N' the largest
+      ``rel_dist`` from coset 0 to a coset of length <= N; every pair
+      u < v with d'(u,v) >= 0 must have d(u,v) <= N d'(u,v) and
+      alpha* d'(u,v) <= 2 N' d(u,v);
+    - geodesics from coset 0: 0-a-b with w(0,a) + w(a,b) = d(0,b) needs
+      w(0,a) + w(a,b) <= l(b) + 2k delta; extended to 0-a-b-c along a
+      geodesic, with 2 w(a,b) < N, it needs the three-edge sum
+      <= l(c) + 5k delta.
+    """
+    n = len(lengths)
+    zero = scaled(0, lengths[0])
+    top = (N,) + zero[1:]
+    edge = {}
+    for (i, j), w in weight.items():
+        if rlex_le(w, top):
+            edge[(i, j)] = edge[(j, i)] = w
+    d = [[zero if i == j else edge.get((i, j)) for j in range(n)]
+         for i in range(n)]
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][m] is None or d[m][j] is None:
+                    continue
+                alt = vec_add(d[i][m], d[m][j])
+                if d[i][j] is None or rkey(alt) < rkey(d[i][j]):
+                    d[i][j] = alt
+    if any(x is None for row in d for x in row):
+        return dict(dist=d)
+
+    def short(w):
+        return w is not None and rlex_le(scaled(2, w), top)
+
+    sp_checked, sp_witness = 0, None
+    for u, m, v in product(range(n), repeat=3):
+        if len({u, m, v}) < 3 or not short(edge.get((u, m))) \
+                or not short(edge.get((m, v))) \
+                or vec_add(edge[(u, m)], edge[(m, v)]) != d[u][v]:
+            continue
+        sp_checked += 1
+        if edge.get((u, v)) != d[u][v]:
+            sp_witness = (u, m, v)
+            break
+
+    nonzero = [x for x in lengths if x != zero]
+    alpha_star = min(nonzero, key=rkey) if nonzero else None
+    n_prime = max(rel_dist[0][i] for i in range(n) if rlex_le(lengths[i], top))
+    qi = dict(checked=0, unreachable=0, upper_ok=True, lower_ok=True,
+              witness=None)
+    for u in range(n):
+        for v in range(u + 1, n):
+            dp = rel_dist[u][v]
+            if dp < 0:
+                qi["unreachable"] += 1
+                continue
+            qi["checked"] += 1
+            upper = rlex_le(d[u][v], scaled(dp, top))
+            lower = alpha_star is None or rlex_le(scaled(dp, alpha_star),
+                                                  scaled(2 * n_prime, d[u][v]))
+            qi["upper_ok"] &= upper
+            qi["lower_ok"] &= lower
+            if not (upper and lower) and qi["witness"] is None:
+                qi["witness"] = (u, v)
+
+    slack2, slack5 = scaled(2 * k, delta), scaled(5 * k, delta)
+    geo = dict(two_checked=0, two_bad=0, three_checked=0, three_bad=0,
+               witness=None)
+    for a in range(1, n):
+        if (0, a) not in edge:
+            continue
+        for b in range(1, n):
+            if b == a or (a, b) not in edge:
+                continue
+            two = vec_add(edge[(0, a)], edge[(a, b)])
+            if two != d[0][b]:
+                continue
+            geo["two_checked"] += 1
+            if not rlex_le(two, vec_add(lengths[b], slack2)):
+                geo["two_bad"] += 1
+                geo["witness"] = geo["witness"] or ("2-edge", a, b)
+            for c in range(1, n):
+                if c in (a, b) or (b, c) not in edge:
+                    continue
+                three = vec_add(two, edge[(b, c)])
+                if three != d[0][c] or rlex_le(top, scaled(2, edge[(a, b)])):
+                    continue
+                geo["three_checked"] += 1
+                if not rlex_le(three, vec_add(lengths[c], slack5)):
+                    geo["three_bad"] += 1
+                    geo["witness"] = geo["witness"] or ("3-edge", a, b, c)
+    return dict(dist=d, edge=edge, short_checked=sp_checked,
+                short_witness=sp_witness, alpha_star=alpha_star,
+                alpha=None if alpha_star is None else
+                vec_sub(alpha_star, (1,) + zero[1:]),
+                n_prime=n_prime, qi=qi, geo=geo)

@@ -336,9 +336,12 @@ def test_criterion_11_coset_graphs_and_the_symbolic_threshold():
     t0 = time.perf_counter()
     rcz = RelCayley(FreeGroup(1), z_table(10), 2, 5)
     rcf = RelCayley(FreeGroup(2), f2_table(4), 1, 2)
-    ok = True
-    for rc in (rcz, rcf):
-        geo = verify_relhyp_geodesics(rc, 1, L(0))
+    # Z x Z on its first-factor generator: lengths (|i|, |j|), rank 2
+    zz = product_length(z_table(10), z_table(1))
+    rczz = RelCayley(zz.group, zz, 2, 5, gens=[((1,), ())])
+    ok = len(rczz) == 11 and rczz.table.rank == 2
+    for rc in (rcz, rcf, rczz):
+        geo = verify_relhyp_geodesics(rc, 1, LexElem.zero(rc.table.rank))
         ok = ok and geo.two_edge_ok and geo.three_edge_ok
         ok = ok and geo.witness is None
         qi = check_qi(rc)

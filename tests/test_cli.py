@@ -488,3 +488,107 @@ def test_relcayley_group_must_match_the_length_file(tmp_path, capsys, grp, holds
     assert code == 2 and out == ""
     assert error_lines(err) == ["error: group file holds %s but the length "
                                 "file's group is FreeGroup(2)" % holds]
+
+
+# l(a^k) = 1, 3, 6, 1, 5, 5, 5, 6: aaa leaves the radius-4 ball, so the
+# ball has a hole, and aa is a two-step of short edges with no direct edge
+HOLE = ("group z.grp\nlambda Z^1\n1 0\na 1\nA 1\naa 3\nAA 3\naaa 6\nAAA 6\n"
+        "aaaa 1\nAAAA 1\naaaaa 5\nAAAAA 5\naaaaaa 5\nAAAAAA 5\n"
+        "aaaaaaa 5\nAAAAAAA 5\naaaaaaaa 6\nAAAAAAAA 6\n")
+HOLE_SHA = "sha256:a851ccb3023fb14a1c344b478dd061f9877c85fb51e06852f9aa27a2a1a4c1ce"
+
+# Z x Z on its first-factor generator: l(a^k, 1) = (|k|, 0), and the
+# elements off the first factor lie above every N-ball
+ZZ_GRP = "product z.grp z.grp\ngens a|1\n"
+ZZ_GRP_SHA = "sha256:d548e342242fa61f79946eb412758aa5bf5986726168cfa219be618bb4ca43c3"
+ZZ = ("group zz.grp\nlambda Z^2\n1|1 0 0\n"
+      + "".join("%s|1 %d 0\n%s|1 %d 0\n" % ("a" * k, k, "A" * k, k)
+                for k in range(1, 7))
+      + "1|a -10000000 1\n1|A -10000000 1\na|a 9999999 1\nA|A 9999999 1\n"
+        "A|a -7 1\na|A -7 1\n")
+ZZ_SHA = "sha256:9f5fd9e8376f109d2bcdd7af0a83fa9788a2db3a6ad28f40a23089994ca0921c"
+
+
+def test_relcayley_failing_golden(tmp_path, capsys):
+    grp = put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
+    table = put(tmp_path, "hole.len", HOLE)
+    code, out, _ = run(capsys, "relcayley", "--group", grp, "--len", table,
+                       "--N", "2", "--radius", "4", "--delta", "-1")
+    assert code == 1
+    assert out == ("command relcayley\n"
+                   "input_group %s %s\n"
+                   "input_len %s %s\n"
+                   "input_group z.grp %s\n"
+                   "N 2\n"
+                   "radius 4\n"
+                   "cosets 7\n"
+                   "base 1\n"
+                   "short_pairs_checked 1\n"
+                   "short_pairs no\n"
+                   "short_pairs_witness 1,A,AA\n"
+                   "N_prime 1\n"
+                   "alpha (0)\n"
+                   "alpha_star (1)\n"
+                   "qi_pairs 10\n"
+                   "unreachable 11\n"
+                   "qi_upper yes\n"
+                   "qi_lower no\n"
+                   "qi_lower_witness AA,aa\n"
+                   "geodesic_two_edge_checked 2\n"
+                   "geodesic_two_edge no\n"
+                   "geodesic_two_edge_witness 2-edge,A,AA\n"
+                   "geodesic_three_edge_checked 0\n"
+                   "geodesic_three_edge yes\n"
+                   % (grp, Z_GRP_SHA, table, HOLE_SHA, Z_GRP_SHA))
+
+
+@pytest.mark.parametrize("delta, code, tail", [
+    # a delta above Lambda_1 makes every geodesic inequality hold
+    ("(0,1)", 0, "geodesic_two_edge yes\n"
+                 "geodesic_three_edge_checked 2\n"
+                 "geodesic_three_edge yes\n"),
+    # and one below it makes every one fail, whatever its first coordinate
+    ("(5,-1)", 1, "geodesic_two_edge no\n"
+                  "geodesic_two_edge_witness 2-edge,AA|1,AAA|1\n"
+                  "geodesic_three_edge_checked 2\n"
+                  "geodesic_three_edge no\n"
+                  "geodesic_three_edge_witness 2-edge,AA|1,AAA|1\n"),
+], ids=["above", "below"])
+def test_relcayley_rank_two_golden(tmp_path, capsys, delta, code, tail):
+    put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
+    grp = put(tmp_path, "zz.grp", ZZ_GRP)
+    table = put(tmp_path, "zz.len", ZZ)
+    got, out, _ = run(capsys, "relcayley", "--group", grp, "--len", table,
+                      "--N", "3", "--radius", "3", "--K", "2",
+                      "--delta", delta)
+    assert got == code
+    assert out == ("command relcayley\n"
+                   "input_group %s %s\n"
+                   "input_len %s %s\n"
+                   "input_group z.grp %s\n"
+                   "input_group zz.grp %s\n"
+                   "N 3\n"
+                   "radius 3\n"
+                   "cosets 7\n"
+                   "base 1|1\n"
+                   "short_pairs_checked 10\n"
+                   "short_pairs yes\n"
+                   "N_prime 3\n"
+                   "alpha (0,0)\n"
+                   "alpha_star (1,0)\n"
+                   "qi_pairs 21\n"
+                   "unreachable 0\n"
+                   "qi_upper yes\n"
+                   "qi_lower yes\n"
+                   "geodesic_two_edge_checked 6\n"
+                   % (grp, ZZ_GRP_SHA, table, ZZ_SHA, Z_GRP_SHA, ZZ_GRP_SHA)
+                   + tail)
+
+
+def test_relcayley_rejects_a_negative_length(tmp_path, capsys):
+    grp = put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
+    table = put(tmp_path, "z.len", "group z.grp\nlambda Z^1\n1 0\na -1\nA -1\n")
+    code, out, err = run(capsys, "relcayley", "--group", grp, "--len", table,
+                         "--N", "2", "--radius", "1")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: length (-1) of A is negative"]

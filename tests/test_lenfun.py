@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from lhyp.catalog import (FiniteGroup, FreeGroup, LengthTable, product_length,
                           word_length_table)
 from lhyp.errors import InputError
-from lhyp.lenfun import (axiom4_scan, check_axioms, check_complete,
-                         check_free, check_regular,
+from lhyp.lenfun import (QuasiReport, axiom4_scan, check_axioms,
+                         check_complete, check_free, check_regular,
                          finite_ball_hyperbolic_group_check, from_action,
                          gromov_product, kernel, lambda0_kernel,
                          quasigeodesic_check, to_space)
@@ -222,6 +222,16 @@ def test_quasigeodesic_check_on_tree():
     cs = to_space(t, ball_sample(t, 2))
     qr = quasigeodesic_check(cs, LexElem.zero(1))
     assert qr.ok and qr.pairs_checked > 0
+
+
+def test_quasigeodesic_report_golden():
+    t = f2_table(4)
+    cs = to_space(t, ball_sample(t, 2))
+    assert quasigeodesic_check(cs, LexElem.zero(1)) == QuasiReport(
+        True, None, 136, 862, 0)
+    # a negative slack fails the first pair of path points
+    assert quasigeodesic_check(cs, L(-1)) == QuasiReport(
+        False, ("1", "a", "1", "a"), 136, 862, 0)
 
 
 def test_ball_group_check():

@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lhyp.catalog import (DirectProduct, FiniteGroup, FreeGroup, LengthTable,
                           word_length_table)
 from lhyp.errors import ConstructionError, InputError
 from lhyp.ordgroup import LexElem
-from lhyp.relhyp import (RelCayley, check_Pn, check_proper, check_qi, pn_L,
-                         pn_threshold, scale_lengths, short_pair_report,
+from lhyp.relhyp import (QiReport, RelCayley, RelGeodReport, check_Pn,
+                         check_proper, check_qi, pn_L, pn_threshold,
+                         scale_lengths, short_pair_report,
                          verify_relhyp_geodesics)
 
 from helpers import L, f2_table, z_table
+from oracles import oracle_relcayley
 
 Z = FreeGroup(1)
 F2 = FreeGroup(2)
@@ -294,3 +296,151 @@ def test_relcayley_disconnected_truncation():
     table = z_like_table({1: 1, 2: 7, 4: 9, 5: 5, 6: 11, 10: 15})
     with pytest.raises(ConstructionError):
         RelCayley(Z, table, 2, 5)
+
+
+def test_relcayley_rejects_a_negative_length():
+    # a Dijkstra over a negative 2-cycle would never settle
+    with pytest.raises(InputError, match="negative"):
+        RelCayley(Z, z_like_table({1: -1}), 2, 1)
+
+
+# -- oracle comparison ----------------------------------------------------
+
+
+def power(k):
+    return (1,) * k if k >= 0 else (-1,) * -k
+
+
+def power_case(kind, f, N, radius, low=0, gens=None):
+    """A table with l(a^k) = f[|k|], |k| <= 2 radius, and its coset reps.
+
+    ``kind`` is "z", "c2z" (C2 x Z, whose C2 factor is the kernel) or
+    "zz" (Z x Z on its first-factor generator); the elements of Z x Z
+    off the first factor get lengths (lower, j), lower spread over
+    +-10^7 from ``low``, and stay outside every N-ball.
+    """
+    ks = range(-2 * radius, 2 * radius + 1)
+    reps = [power(k) for k in ks if f[abs(k)] <= radius]
+    if kind == "z":
+        values = {power(k): L(f[abs(k)]) for k in ks}
+        return Z, LengthTable(Z, values), N, radius, gens, reps
+    if kind == "c2z":
+        G = DirectProduct(FiniteGroup.cyclic(2), Z)
+        values = {(c, power(k)): L(f[abs(k)]) for c in range(2) for k in ks}
+        return G, LengthTable(G, values), N, radius, gens, \
+            [(0, r) for r in reps]
+    G = DirectProduct(Z, Z)
+    values = {}
+    for k in ks:
+        values[(power(k), ())] = L(f[abs(k)], 0)
+        for j in (1, 2):
+            lower = (low * (k + 7) * j) % (2 * 10 ** 7 + 1) - 10 ** 7
+            values[(power(k), power(j))] = values[(power(-k), power(-j))] = \
+                L(lower, j)
+    return G, LengthTable(G, values), N, radius, [((1,), ())], \
+        [(r, ()) for r in reps]
+
+
+@st.composite
+def coset_cases(draw):
+    """A coset-graph case: table, N, radius, gens, coset reps, k, delta.
+
+    Lengths of a^k, |k| <= radius, are |k| bumped by -1 to +2 (and
+    l(a) <= N); beyond the radius they stay above it, so the table
+    covers every pair of the ball.  The F2 ball gets the same bumps on
+    its words of length 2 to radius.  delta has height 0 (zero), 1
+    (first coordinate only) or 2, of either sign.
+    """
+    kind = draw(st.sampled_from(["z", "c2z", "f2", "zz"]))
+    N = draw(st.integers(1, 5))
+    radius = draw(st.integers(1, 2 if kind == "f2" else 4))
+    if kind == "f2":
+        values = dict(f2_table(2 * radius).values)
+        for g in sorted(values, key=F2.render):
+            if 2 <= len(g) <= radius and g < F2.inv(g):
+                values[g] = values[F2.inv(g)] = \
+                    L(draw(st.integers(len(g) - 1, len(g) + 2)))
+        reps = [g for g, v in values.items() if v <= L(radius)]
+        case = (F2, LengthTable(F2, values), N, radius, None, reps)
+    else:
+        f = {0: 0, 1: draw(st.integers(1, min(N, 2)))}
+        for i in range(2, 2 * radius + 1):
+            f[i] = draw(st.integers(max(1, i - 1), i + 2) if i <= radius
+                        else st.integers(radius + 1, radius + 2))
+        case = power_case(kind, f, N, radius,
+                          draw(st.integers(-10 ** 7, 10 ** 7)))
+    rank = case[1].rank
+    height = draw(st.integers(0, rank))
+    coords = [0] * rank
+    if height:
+        coords[height - 1] = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        coords[:height - 1] = [draw(st.integers(-5, 5))
+                               for _ in range(height - 1)]
+    return case + (draw(st.integers(1, 2)), LexElem(coords))
+
+
+WORD = {i: i for i in range(9)}
+
+
+@settings(max_examples=200)
+@given(coset_cases())
+# three-edge geodesics, all failing under a negative delta, on Z and on
+# Z x Z with a delta below Lambda_1
+@example(power_case("z", WORD, 4, 3) + (1, L(-1)))
+@example(power_case("zz", WORD, 4, 3, low=5) + (2, L(3, -1)))
+# a three-edge geodesic whose middle edge is exactly N/2
+@example(power_case("z", WORD, 2, 3) + (1, L(0)))
+# alpha* d' = 2 N' d_Gamma holds with equality at (a, aaaa)
+@example(power_case("z", {0: 0, 1: 5, 2: 4, 3: 4, 4: 4, 5: 6, 6: 5, 7: 6,
+                          8: 7}, 6, 4, gens=[power(1), power(3)])
+         + (1, L(0)))
+# a hole in the ball: unreachable pairs, qi_lower fails
+@example(power_case("z", {**WORD, 2: 3, 3: 6, 4: 1, 5: 5, 6: 5, 7: 5,
+                          8: 6}, 2, 4) + (1, L(0)))
+# a^5 has no edge of weight <= N
+@example(power_case("z", {0: 0, 1: 1, 2: 7, 3: 7, 4: 9, 5: 5, 6: 11, 7: 11,
+                          8: 11, 9: 11, 10: 15}, 2, 5) + (1, L(0)))
+def test_reports_match_the_oracle(case):
+    G, table, N, radius, gens, reps, k, delta = case
+
+    def raw(reps):
+        weight = {(i, j): table.l(G.mul(G.inv(reps[i]), reps[j])).coords
+                  for i in range(len(reps)) for j in range(i + 1, len(reps))}
+        return weight, [table.l(r).coords for r in reps]
+
+    try:
+        rc = RelCayley(G, table, N, radius, gens=gens)
+    except ConstructionError:
+        want = oracle_relcayley(*raw(reps), N, None, k, delta.coords)
+        assert any(x is None for row in want["dist"] for x in row)
+        return
+    assert sorted(rc.labels) == sorted(G.render(r) for r in reps)
+    n = len(rc)
+    want = oracle_relcayley(*raw(rc.reps), N, rc.rel_dist, k, delta.coords)
+    assert [[x.coords for x in row] for row in rc.dist] == want["dist"]
+    for i in range(n):
+        for j in range(n):
+            w = rc.weight(i, j)
+            expect = want["dist"][i][i] if i == j else want["edge"].get((i, j))
+            assert (None if w is None else w.coords) == expect
+
+    def names(ids):
+        return ids and tuple(x if isinstance(x, str) else rc.labels[x]
+                             for x in ids)
+
+    def lift(coords):
+        return coords and LexElem(coords)
+
+    sp = short_pair_report(rc)
+    assert (sp.checked, sp.ok, sp.witness) == (
+        want["short_checked"], want["short_witness"] is None,
+        names(want["short_witness"]))
+    wq = want["qi"]
+    assert check_qi(rc) == QiReport(
+        want["n_prime"], lift(want["alpha"]), lift(want["alpha_star"]),
+        wq["checked"], wq["unreachable"], wq["upper_ok"], wq["lower_ok"],
+        names(wq["witness"]))
+    wg = want["geo"]
+    assert verify_relhyp_geodesics(rc, k, delta) == RelGeodReport(
+        k, wg["two_checked"], wg["two_bad"] == 0, wg["three_checked"],
+        wg["three_bad"] == 0, names(wg["witness"]))
