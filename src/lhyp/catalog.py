@@ -131,10 +131,9 @@ class FreeGroup(GroupHandle):
             if abs(x) > self.rank:
                 raise InputError("letter %r outside rank %d" % (ch, self.rank))
             letters.append(x)
-        word = self.mul((), tuple(letters))
-        if len(word) != len(letters):
+        if any(x == -y for x, y in zip(letters, letters[1:])):
             raise InputError("word %r is not reduced" % text)
-        return word
+        return tuple(letters)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FreeGroup) and other.rank == self.rank
@@ -342,8 +341,16 @@ class FreeProduct(GroupHandle):
     def parse(self, text: str):
         if text == "1":
             return ()
+        # split at each * outside parentheses, so nested syllables stay whole
+        tokens, depth, start = [], 0, 0
+        for k, ch in enumerate(text):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "*" and depth == 0:
+                tokens.append(text[start:k])
+                start = k + 1
+        tokens.append(text[start:])
         syllables = []
-        for tok in text.split("*"):
+        for tok in tokens:
             if len(tok) < 4 or tok[0] not in "LR" or tok[1] != "(" or tok[-1] != ")":
                 raise InputError("bad syllable %r, expected L(...) or R(...)" % tok)
             side = 0 if tok[0] == "L" else 1

@@ -11,8 +11,8 @@ the surviving skeleton by short bridges measured in the stage-one graph.
 Both outputs are graphs whose path metric is geodesic by construction:
 every edge is a unit edge except the bookkeeping chords of stage one,
 which restate input distances that unit paths already realize.  So the
-path metric of an output is its unit-edge BFS table, which the output
-builds once, on first use, and keeps for every later step, as it keeps
+path metric of an output is its unit-edge distance table, which the
+output builds one row per source a step reads and keeps, as it keeps
 its unit adjacency and its least geodesics.
 """
 
@@ -24,7 +24,7 @@ from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ConstructionError, InputError
-from .geodspace import DisjointSets, bfs_table
+from .geodspace import DisjointSets, distances_from
 from .isometry import IsoPerm
 from .lspace import FiniteLambdaSpace, min_delta_4pt, validate_metric
 from .ordgroup import LexElem, Packing, QLexElem
@@ -60,22 +60,26 @@ class CompletionGraph:
         return k
 
     @cached_property
-    def unit_adjacency(self) -> List[List[int]]:
-        """Neighbours along unit edges, ascending; built once and kept."""
-        adj: List[List[int]] = [[] for _ in self.labels]
+    def unit_adjacency(self) -> List[Dict[int, int]]:
+        """Unit-edge neighbours, ascending, each at weight 1; built once."""
+        nb: List[List[int]] = [[] for _ in self.labels]
         for u, v, w in self.edges:
             if w == 1:
-                adj[u].append(v)
-                adj[v].append(u)
-        for row in adj:
-            row.sort()
-        return adj
+                nb[u].append(v)
+                nb[v].append(u)
+        return [dict.fromkeys(sorted(row), 1) for row in nb]
 
     @cached_property
-    def unit_table(self) -> List[List[int]]:
-        """Unit-edge distances between all vertices, -1 where there is no
-        path; built once and kept."""
-        return bfs_table(self.unit_adjacency)
+    def _rows(self) -> Dict[int, List[int]]:
+        return {}
+
+    def unit_row(self, src: int) -> List[int]:
+        """Unit-edge distances from src, -1 where there is no path; built
+        once per source and kept."""
+        row = self._rows.get(src)
+        if row is None:
+            row = self._rows[src] = distances_from(self.unit_adjacency, src)
+        return row
 
     @cached_property
     def _geodesics(self) -> Dict[Tuple[int, int], List[int]]:
@@ -86,7 +90,7 @@ class CompletionGraph:
         least index; built once per pair and kept."""
         path = self._geodesics.get((src, dst))
         if path is None:
-            dist_to = self.unit_table[dst]
+            dist_to = self.unit_row(dst)
             if dist_to[src] < 0:
                 raise ConstructionError("no path between %d and %d" % (src, dst))
             path = [src]
@@ -97,7 +101,7 @@ class CompletionGraph:
         return path
 
     def derived_space(self) -> FiniteLambdaSpace:
-        table = self.unit_table
+        table = [self.unit_row(src) for src in range(len(self.labels))]
         if -1 in table[0]:
             raise ConstructionError("completion graph is not connected")
         for u, v, w in self.edges:
@@ -444,12 +448,15 @@ def _verify_stage(out: CompletionGraph, space: FiniteLambdaSpace,
             raise ConstructionError("bridge interior %r has degree %d"
                                     % (out.labels[i], len(unit[i])))
     if chords_expected:
-        table = out.unit_table
         for i, j in combinations(range(n), 2):
-            if table[i][j] != D[i][j]:
+            dij = out.unit_row(i)[j]
+            if dij != D[i][j]:
                 raise ConstructionError(
                     "distance between %s and %s came out %d, input says %d"
-                    % (out.labels[i], out.labels[j], table[i][j], D[i][j]))
+                    % (out.labels[i], out.labels[j], dij, D[i][j]))
+    # the unit graph is connected exactly when vertex 0 reaches every vertex
+    if -1 in out.unit_row(0):
+        raise ConstructionError("completion graph is not connected")
 
 
 def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
@@ -475,7 +482,6 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
         cap = diam
 
     g1 = _stage_one(space, D, delta, order_seed)
-    d1 = g1.unit_table
 
     g = _Builder()
     for lab in space.labels:
@@ -521,15 +527,13 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
                                 _aux_stub(space.labels[i], space.labels[j]))
     surviving = sorted(paths, key=lambda p: (D[p[0]][p[1]], p))
 
-    if not full:
-        return g.finish({}, {"stage": "two-partial", "delta": str(delta),
-                             "cap": str(cap)})
-
     partial = g.finish({}, {"stage": "two-partial", "delta": str(delta),
                             "cap": str(cap)})
+    if not full:
+        return partial
     # connectivity of the skeleton: every removed pair refines through
     # strictly closer witnesses, so the survivors must already connect
-    if -1 in partial.unit_table[0]:
+    if -1 in partial.unit_row(0):
         raise ConstructionError("completion graph is not connected")
 
     H_measured = hausdorff_const(g1, partial)
@@ -550,15 +554,16 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
 
     added: Set[Tuple[int, int]] = set()
     for a in aux_ids:
+        d1 = g1.unit_row(phi[a])
         for pair in surviving:
             verts = paths[pair]
             if a in verts:
                 continue
-            best = min(d1[phi[a]][phi[y]] for y in verts)
+            best = min(d1[phi[y]] for y in verts)
             if best >= B:
                 continue
             for y in verts:
-                if d1[phi[a]][phi[y]] != best:
+                if d1[phi[y]] != best:
                     continue
                 key = (min(a, y), max(a, y))
                 if key in added:
@@ -589,15 +594,13 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
     }
     out = g.finish({}, cert)
     _verify_stage(out, space, D, chords_expected=False)
-    t2 = out.unit_table
     for i, j in combinations(range(n), 2):
-        if t2[i][j] < 0:
-            raise ConstructionError("completion graph is not connected")
+        dij = out.unit_row(i)[j]
         lo, hi = D[i][j], tau_max(D[i][j], delta)
-        if not lo <= t2[i][j] <= hi:
+        if not lo <= dij <= hi:
             raise ConstructionError(
                 "derived distance %d for (%s, %s) escapes [%d, %d]"
-                % (t2[i][j], out.labels[i], out.labels[j], lo, hi))
+                % (dij, out.labels[i], out.labels[j], lo, hi))
     return out
 
 
@@ -608,7 +611,6 @@ def hausdorff_const(g1: CompletionGraph, g2: CompletionGraph) -> int:
     n = g1.essential_count()
     if g2.essential_count() != n or g1.labels[:n] != g2.labels[:n]:
         raise InputError("stage graphs disagree on essential vertices")
-    d1, d2 = g1.unit_table, g2.unit_table
     lab_index1 = {lab: i for i, lab in enumerate(g1.labels)}
 
     def to_stage_one(v: int) -> int:
@@ -621,14 +623,15 @@ def hausdorff_const(g1: CompletionGraph, g2: CompletionGraph) -> int:
 
     worst = 0
     for i, j in combinations(range(n), 2):
-        if d2[i][j] < 0:
+        if g2.unit_row(i)[j] < 0:
             raise ConstructionError("stage-two skeleton is not connected")
         image = [to_stage_one(v) for v in g2.least_geodesic(i, j)]
-        target = g1.least_geodesic(i, j)
+        # the metric is symmetric, so rows of the target serve both ways
+        rows = [g1.unit_row(b) for b in g1.least_geodesic(i, j)]
         for a in image:
-            worst = max(worst, min(d1[a][b] for b in target))
-        for b in target:
-            worst = max(worst, min(d1[b][a] for a in image))
+            worst = max(worst, min(row[a] for row in rows))
+        for row in rows:
+            worst = max(worst, min(row[a] for a in image))
     return worst
 
 

@@ -8,46 +8,49 @@ constants (thinness and slimness) together with the report relating them
 to the triple constant over all basepoints, which is the four-point one.
 
 It also holds the two graph kernels shared with ``completion`` and
-``relhyp``: ``bfs_table``, the one unit-edge all-pairs routine, and
-``DisjointSets``, the one union-find.  ``delta_relations`` checks
-geodesicity once and hands the distance table to the private bodies of
-the thinness and slimness scans.
+``relhyp``: ``distances_from``, the one shortest-path routine, one row
+per call, and ``DisjointSets``, the one union-find.  ``delta_relations``
+checks geodesicity once and hands the distance table to the private
+bodies of the thinness and slimness scans.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple)
+                    Mapping, Optional, Sequence, Tuple)
 
 from .errors import ConstructionError, InputError
 from .lspace import FiniteLambdaSpace, min_delta_4pt
 from .ordgroup import LexElem, QLexElem
 
 
-def bfs_table(adj: Sequence[Iterable[int]]) -> List[List[int]]:
-    """Unit-edge distances from every vertex, -1 where there is no path.
+def distances_from(adj: Sequence[Mapping[int, int]], src: int) -> List[int]:
+    """Shortest-path lengths from src, -1 where there is no path.
 
-    adj[u] lists the heads of the edges leaving u; an undirected graph
-    lists every edge at both ends.
+    adj[u] maps the head of each edge leaving u to its positive int
+    weight; an undirected graph lists every edge at both ends.  Vertices
+    are settled one bucket of equal distance at a time, nearest first
+    (Dial, CACM 1969), which on unit weights is breadth-first search.
     """
-    n = len(adj)
-    rows = []
-    for src in range(n):
-        row = [-1] * n
-        row[src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if row[w] < 0:
-                        row[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        rows.append(row)
-    return rows
+    dist = [-1] * len(adj)
+    dist[src] = 0
+    buckets: Dict[int, List[int]] = defaultdict(list)
+    frontier, d = [src], 0
+    while True:
+        for u in frontier:
+            if dist[u] != d:
+                continue  # reached again later at a shorter distance
+            for v, w in adj[u].items():
+                nd = d + w
+                dv = dist[v]
+                if dv < 0 or nd < dv:
+                    dist[v] = nd
+                    buckets[nd].append(v)
+        if not buckets:
+            return dist
+        d = min(buckets)
+        frontier = buckets.pop(d)
 
 
 class DisjointSets:
@@ -103,14 +106,13 @@ class GeodesicGraph:
             nb[i].add(j)
             nb[j].add(i)
         self.labels = labels
-        self.adj = tuple(tuple(sorted(s)) for s in nb)
+        self.adj = tuple(dict.fromkeys(sorted(s), 1) for s in nb)
         self._index = index
-        rows = bfs_table(self.adj)
+        self.dist = tuple(tuple(distances_from(self.adj, src)) for src in range(n))
         # the graph is connected exactly when vertex 0 reaches every vertex
-        if -1 in rows[0]:
+        if -1 in self.dist[0]:
             raise InputError("graph is disconnected: no path %s to %s"
-                             % (labels[0], labels[rows[0].index(-1)]))
-        self.dist = tuple(tuple(row) for row in rows)
+                             % (labels[0], labels[self.dist[0].index(-1)]))
 
     @staticmethod
     def _resolve(v, index, n):

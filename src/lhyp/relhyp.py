@@ -21,14 +21,13 @@ coordinate is its value.  LexElem appears only at the API boundary.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from heapq import heappop, heappush
 from itertools import combinations
 from math import inf
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .catalog import Elem, GroupHandle, LengthTable
 from .errors import ConstructionError, InputError
-from .geodspace import DisjointSets, bfs_table
+from .geodspace import DisjointSets, distances_from
 from .ordgroup import LexElem, minimal_positive
 
 
@@ -139,27 +138,12 @@ class RelCayley:
                 # pairs come in index order, so each adj row is sorted
                 self.adj[i][j] = self.adj[j][i] = w.coords[0]
 
-        rows = []
-        for s in range(n):
-            dist: List[Optional[int]] = [None] * n
-            dist[s] = 0
-            heap: List[Tuple[int, int]] = [(0, s)]
-            while heap:
-                du, u = heappop(heap)
-                if du > dist[u]:
-                    continue
-                for v, w in self.adj[u].items():
-                    nd = du + w
-                    dv = dist[v]
-                    if dv is None or nd < dv:
-                        dist[v] = nd
-                        heappush(heap, (nd, v))
-            if None in dist:
-                raise ConstructionError(
-                    "coset graph disconnected at N=%d within radius %d"
-                    % (N, radius))
-            rows.append(tuple(dist))
-        self.d: Tuple[Tuple[int, ...], ...] = tuple(rows)
+        self.d: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(distances_from(self.adj, s)) for s in range(n))
+        if -1 in self.d[0]:
+            raise ConstructionError(
+                "coset graph disconnected at N=%d within radius %d"
+                % (N, radius))
 
         moves = []
         for s in self.gens:
@@ -167,10 +151,13 @@ class RelCayley:
             moves.append(group.inv(s))
         # a generator move takes coset u to the coset of rep(u) * move,
         # when that product lies in the enumerated ball
-        steps = [[self.coset_of[h] for h in (group.mul(rep, mv) for mv in moves)
-                  if h in self.coset_of] for rep in self.reps]
+        steps = []
+        for rep in self.reps:
+            heads = [group.mul(rep, mv) for mv in moves]
+            steps.append(dict.fromkeys(
+                (self.coset_of[h] for h in heads if h in self.coset_of), 1))
         self.rel_dist: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(row) for row in bfs_table(steps))
+            tuple(distances_from(steps, s)) for s in range(n))
 
     def __len__(self) -> int:
         return len(self.reps)

@@ -92,6 +92,28 @@ def floyd(n: int, edges: Sequence[Tuple[int, int, int]]) -> List[List[int]]:
     return d
 
 
+def floyd_directed(n: int, arcs: Sequence[Tuple[int, int, int]]) -> List[List[int]]:
+    """Integer shortest paths along arcs (u, v, w) from u to v; unreachable
+    entries are 10**9, as in ``floyd``."""
+    INF = 10 ** 9
+    d = [[0 if i == j else INF for j in range(n)] for i in range(n)]
+    for u, v, w in arcs:
+        if w < d[u][v]:
+            d[u][v] = w
+    for k in range(n):
+        dk = d[k]
+        for i in range(n):
+            dik = d[i][k]
+            if dik == INF:
+                continue
+            row = d[i]
+            for j in range(n):
+                alt = dik + dk[j]
+                if alt < row[j]:
+                    row[j] = alt
+    return d
+
+
 def dijkstra(n: int, edges: Sequence[Tuple[int, int, int]]) -> List[List[int]]:
     """Integer shortest paths, one heap search per source.
 

@@ -35,6 +35,12 @@ def test_free_group_words_reduce():
     assert F.parse("1") == F.identity()
     with pytest.raises(InputError):
         F.parse("c")
+    for word in ("aA", "bAab", "abBB"):
+        with pytest.raises(InputError, match="not reduced"):
+            F.parse(word)
+    # a bad letter is reported before a cancelling pair
+    with pytest.raises(InputError, match="outside rank"):
+        F.parse("aAc")
 
 
 def test_word_lengths_match_oracle():
@@ -192,6 +198,35 @@ def test_deep_product_chain_builds_default_generators_once(monkeypatch):
     files["f1.grp"] += "gens a|b\n"
     with pytest.raises(InputError):
         read_grp(files["f%d.grp" % depth], loader=files.__getitem__)
+
+
+def nested_free_products():
+    C2, C3, Z = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FreeGroup(1)
+    inner = FreeProduct(C2, C3)
+    return (FreeProduct(inner, Z), FreeProduct(Z, inner),
+            FreeProduct(DirectProduct(C2, Z), DirectProduct(Z, C3)))
+
+
+def test_nested_free_products_parse_what_they_render():
+    for G in nested_free_products():
+        for g in ball_of(G, G.gens(), 3).elements:
+            assert G.parse(G.render(g)) == g
+    G = nested_free_products()[0]
+    for bad in ("L(L(r)*R(r)", "L(L(r))*R(a))", "L(L(r)*L(r))"):
+        with pytest.raises(InputError):
+            G.parse(bad)
+
+
+def test_nested_free_product_len_round_trip():
+    G = nested_free_products()[0]
+    files = {"c2.grp": write_grp(FiniteGroup.cyclic(2)),
+             "c3.grp": write_grp(FiniteGroup.cyclic(3)),
+             "z.grp": write_grp(FreeGroup(1)),
+             "c2c3.grp": write_grp(G.factors[0], refs=("c2.grp", "c3.grp")),
+             "g.grp": write_grp(G, refs=("c2c3.grp", "z.grp"))}
+    t = word_length_table(G, G.gens(), 2)
+    back = read_len(write_len(t, "g.grp"), files.__getitem__)
+    assert back.group == G and back.values == t.values
 
 
 def test_len_round_trip():

@@ -2,9 +2,11 @@ import re
 
 import pytest
 
+from lhyp import cli, completion
 from lhyp.catalog import (FiniteGroup, FreeGroup, product_length, write_grp,
                           write_len)
 from lhyp.cli import main
+from lhyp.geodspace import distances_from
 from lhyp.lspace import write_lms
 
 from helpers import cycle_space, f2_table, z_table
@@ -32,6 +34,21 @@ FIVE = ("lambda Z^1\n"
         "(4) (3) (2) (2) (0)\n")
 
 FIVE_SHA = "sha256:3823fc3b0b2d04cdf5d9b64aabc2f9c8bc88a7441e39918a325f472fb6705c9e"
+
+# a weighted path with gaps 3,2,3,9,3,2,3: a tree whose stage-two
+# completion has 816 vertices
+PATH8 = ("lambda Z^1\n"
+         "points 8 a b c d e f g h\n"
+         "(0) (3) (5) (8) (17) (20) (22) (25)\n"
+         "(3) (0) (2) (5) (14) (17) (19) (22)\n"
+         "(5) (2) (0) (3) (12) (15) (17) (20)\n"
+         "(8) (5) (3) (0) (9) (12) (14) (17)\n"
+         "(17) (14) (12) (9) (0) (3) (5) (8)\n"
+         "(20) (17) (15) (12) (3) (0) (2) (5)\n"
+         "(22) (19) (17) (14) (5) (2) (0) (3)\n"
+         "(25) (22) (20) (17) (8) (5) (3) (0)\n")
+
+PATH8_SHA = "sha256:a8de61ee71b17136e0ee4848ebf3084719552da2c4df97ec54f703b38b63bc86"
 
 ASYMMETRIC = ("lambda Z^1\n"
               "points 2 p q\n"
@@ -254,6 +271,65 @@ def test_complete_seed_is_cosmetic(tmp_path, capsys):
     _, seeded, _ = run(capsys, "complete", "--method", "gamma2",
                        "--delta", "1", "--space", space, "--seed", "7")
     assert seeded == base
+
+
+def test_complete_gamma2_path_golden(tmp_path, capsys):
+    space = put(tmp_path, "path8.lms", PATH8)
+    code, out, _ = run(capsys, "complete", "--method", "gamma2",
+                       "--delta", "1", "--space", space)
+    assert code == 0
+    assert out == ("command complete\n"
+                   "input_space %s %s\n"
+                   "method gamma2\n"
+                   "delta 1\n"
+                   "midpoints yes\n"
+                   "vertices 816\n"
+                   "edges 911\n"
+                   "essential 8\n"
+                   "certificate stage-two\n"
+                   "cert_B 58\n"
+                   "cert_H 0\n"
+                   "cert_H_measured 0\n"
+                   "cert_delta 1\n"
+                   "cert_delta_bound 5907466\n"
+                   "cert_delta_prime 29\n"
+                   "cert_geodesic yes\n"
+                   "cert_long_short_k 25230\n"
+                   "cert_qg_add 5944188\n"
+                   "cert_qg_add_variant 5903868\n"
+                   "cert_qg_mult 116\n"
+                   "cert_stage two\n"
+                   "output sha256:0f18165fac7d64f65428523d60461d694e81b3a7988c90ce55cc16cf947a7d47\n"
+                   % (space, PATH8_SHA))
+
+
+@pytest.mark.parametrize("method, text", [("gamma1", TREE),
+                                          ("gamma2", PATH8)])
+def test_complete_reads_at_most_n_rows_of_the_output(tmp_path, capsys,
+                                                      monkeypatch, method,
+                                                      text):
+    built = []
+    outs = []
+
+    def counted(adj, src):
+        built.append((adj, src))
+        return distances_from(adj, src)
+
+    def kept(stage):
+        def run_stage(*args, **kwargs):
+            outs.append(stage(*args, **kwargs))
+            return outs[-1]
+        return run_stage
+
+    monkeypatch.setattr(completion, "distances_from", counted)
+    monkeypatch.setattr(cli, method, kept(getattr(cli, method)))
+    space = put(tmp_path, "x.lms", text)
+    code, out, _ = run(capsys, "complete", "--method", method,
+                       "--delta", "1", "--space", space)
+    assert code == 0
+    (g,) = outs
+    rows = [src for adj, src in built if adj is g.unit_adjacency]
+    assert len(set(rows)) == len(rows) <= g.essential_count()
 
 
 # -- classify -------------------------------------------------------------

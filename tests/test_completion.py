@@ -10,7 +10,7 @@ from lhyp.completion import (AUXILIARY, ESSENTIAL, NEGLIGIBLE,
                              gamma1, gamma2, hausdorff_const, midpoints,
                              tau_max, write_cg)
 from lhyp.errors import ConstructionError, InputError
-from lhyp.geodspace import bfs_table, is_geodesic
+from lhyp.geodspace import distances_from, is_geodesic
 from lhyp.isometry import IsoPerm, identity_perm
 from lhyp.lspace import min_delta_4pt
 from lhyp.ordgroup import LexElem, QLexElem
@@ -296,19 +296,25 @@ def test_stage_two_caps_grow_monotonically():
     assert len(full.labels) == 34
 
 
-def test_stage_two_builds_one_table_per_graph(monkeypatch):
-    # stage one, the partial skeleton and the output: three graphs
+def test_stage_two_builds_each_row_once(monkeypatch):
+    # stage one, the partial skeleton and the output each keep their rows
     built = []
 
-    def counted(adj):
-        built.append(len(adj))
-        return bfs_table(adj)
+    def counted(adj, src):
+        built.append((adj, src))
+        return distances_from(adj, src)
 
-    monkeypatch.setattr(completion, "bfs_table", counted)
+    def out_rows():
+        return [src for adj, src in built if adj is g.unit_adjacency]
+
+    monkeypatch.setattr(completion, "distances_from", counted)
     g = gamma2(thin_triangle(), 1)
-    assert len(built) == 3 and built[-1] == len(g.labels)
+    # the output's own checks read its rows at essential vertices only
+    assert set(out_rows()) <= set(range(g.essential_count()))
     g.derived_space()
-    assert len(built) == 3
+    assert sorted(out_rows()) == list(range(len(g.labels)))
+    keys = [(id(adj), src) for adj, src in built]
+    assert len(set(keys)) == len(keys)
 
 
 def test_stage_two_order_invariance():

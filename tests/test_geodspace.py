@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from lhyp.errors import ConstructionError, InputError
 from lhyp.geodspace import (GeodesicGraph, all_segments, between_set,
                             canonical_segment, delta_relations,
-                            inner_triangle, is_geodesic, level_set, min_rips,
+                            distances_from, inner_triangle, is_geodesic, level_set, min_rips,
                             min_rips_witness, min_thinness,
                             min_thinness_witness, read_gg, tripod_insizes,
                             unit_graph, write_gg)
@@ -16,13 +16,51 @@ from lhyp.smallgraphs import connected_graphs, edge_list
 
 from helpers import (L, cycle_space, random_connected_unit_rows,
                      random_tree_rows, space_rank1)
-from oracles import floyd
+from oracles import floyd, floyd_directed
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 
 
 def unit_space(n, edges):
     return space_rank1(floyd(n, [(u, v, 1) for u, v in edges]))
+
+
+def oracle_rows(rows):
+    # the oracles mark a missing path 10**9, distances_from marks it -1
+    return [[-1 if d == 10 ** 9 else d for d in row] for row in rows]
+
+
+@given(seeds)
+def test_distances_from_matches_floyd_on_weighted_multigraphs(seed):
+    rng = Random(seed)
+    n = rng.randint(1, 9)
+    # parallel edges are kept; vertices past `reach` form separate parts
+    reach = rng.randint(1, n)
+    edges = []
+    for _ in range(rng.randint(0, 3 * n)):
+        part = range(reach) if rng.random() < 0.7 else range(reach, n)
+        if len(part) >= 2:
+            u, v = rng.sample(part, 2)
+            edges.append((u, v, rng.randint(1, 5)))
+    adj = [{} for _ in range(n)]
+    for u, v, w in edges:
+        for a, b in ((u, v), (v, u)):
+            adj[a][b] = min(w, adj[a].get(b, w))
+    want = oracle_rows(floyd(n, edges))
+    assert [distances_from(adj, src) for src in range(n)] == want
+
+
+@given(seeds)
+def test_distances_from_matches_floyd_on_directed_unit_graphs(seed):
+    rng = Random(seed)
+    n = rng.randint(1, 9)
+    arcs = [(u, v, 1) for u in range(n) for v in range(n)
+            if u != v and rng.random() < 0.2]
+    adj = [{} for _ in range(n)]
+    for u, v, _ in arcs:
+        adj[u][v] = 1
+    want = oracle_rows(floyd_directed(n, arcs))
+    assert [distances_from(adj, src) for src in range(n)] == want
 
 
 def test_graph_metric_matches_floyd():

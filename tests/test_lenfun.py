@@ -82,6 +82,20 @@ def test_lambda0_kernel_heights():
     assert high.vacuous_ok is True
 
 
+def test_lambda0_kernel_vacuous_check_scans_triples():
+    t = product_length(z_table(3), z_table(1))
+    r = lambda0_kernel(t, 1, delta=L(0, 1))
+    assert len(r.elements) == 7 and r.triples_checked == 13
+    assert r.vacuous_ok is True and r.witness is None
+    # l(AA) above l(a) + l(A) makes the Gromov product of a and A negative
+    G = t.group
+    values = dict(t.values)
+    values[G.parse("AA|1")] = L(10, 0)
+    broken = lambda0_kernel(LengthTable(G, values), 1, delta=L(0, 1))
+    assert broken.vacuous_ok is False
+    assert broken.witness == ("1|1", "a|1", "A|1")
+
+
 def test_from_action_reads_lengths_off_orbit():
     Z = FreeGroup(1)
     a = Z.gens()[0]
