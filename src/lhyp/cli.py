@@ -24,15 +24,6 @@ from .relhyp import (RelCayley, check_Pn, check_qi, short_pair_report,
                      verify_relhyp_geodesics)
 
 
-def _workers() -> int:
-    raw = os.environ.get("LHYP_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError("LHYP_THREADS must be an integer, got %r" % raw) from None
-    return max(1, n)
-
-
 def _read(path: str) -> Tuple[str, bytes]:
     try:
         with open(path, "rb") as fh:
@@ -120,7 +111,7 @@ def cmd_check(args) -> Report:
     rep.verdict("metric", v.ok, wit)
     if not v.ok:
         return rep
-    hr = hyperbolicity_report(X, _workers())
+    hr = hyperbolicity_report(X)
     rep.add("delta_triple", hr.delta_triple)
     rep.add("delta_4pt", hr.delta_4pt)
     lo, hi = min(hr.delta_triple_at.values()), max(hr.delta_triple_at.values())
@@ -142,7 +133,7 @@ def cmd_delta(args) -> Report:
     if not v.ok:
         rep.verdict("metric", False, "%s at %s" % (v.axiom, ",".join(v.witness)))
         return rep
-    hr = hyperbolicity_report(X, _workers())
+    hr = hyperbolicity_report(X)
     rep.add("points", len(X))
     for lab in X.labels:
         rep.add("delta_at", "%s %s" % (lab, hr.delta_triple_at[lab].render()))

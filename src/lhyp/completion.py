@@ -228,9 +228,10 @@ def tau_max(n: int, delta: int) -> int:
 
 
 class _Builder:
-    """Growing vertex/edge pool with identification support."""
+    """Growing vertex/edge pool with identification support, seeded with
+    the essential vertices of the input labels."""
 
-    def __init__(self) -> None:
+    def __init__(self, essential: Sequence[str]) -> None:
         self.labels: List[str] = []
         self.klass: List[str] = []
         self.records: List[str] = []
@@ -239,6 +240,8 @@ class _Builder:
         # lesser label
         self.sets = DisjointSets(
             (), key=lambda r: (_CLASS_RANK[self.klass[r]], self.labels[r], r))
+        for lab in essential:
+            self.add(lab, ESSENTIAL, lab)
 
     def add(self, label: str, klass: str, record: str) -> int:
         i = len(self.labels)
@@ -351,6 +354,18 @@ def _aux_label(li: str, lj: str, t: int) -> str:
     return "%s:%d" % (_aux_stub(li, lj), t)
 
 
+def _bridge_stub(lu: str, lw: str) -> str:
+    return "b:%s&%s" % (lu, lw)
+
+
+def _record_parts(record: str) -> Tuple[str, str, int]:
+    """The two ends and the step of a creation record: p:a|b:t for step t
+    of the path from a to b, b:u&w:t for step t of the bridge from u to w."""
+    body, t = record[2:].rsplit(":", 1)
+    a, b = body.split("|" if record.startswith("p:") else "&", 1)
+    return a, b, int(t)
+
+
 def gamma1(space: FiniteLambdaSpace, delta: int,
            order_seed: Optional[int] = None) -> CompletionGraph:
     """Stage-one completion: fill in geodesics, then bridge thin tripods.
@@ -368,9 +383,7 @@ def _stage_one(space: FiniteLambdaSpace, D: Sequence[Sequence[int]],
                delta: int, order_seed: Optional[int]) -> CompletionGraph:
     # gamma1 after its input checks, which gamma2 has already made
     n = len(space)
-    g = _Builder()
-    for lab in space.labels:
-        g.add(lab, ESSENTIAL, lab)
+    g = _Builder(space.labels)
 
     pairs = list(combinations(range(n), 2))
     triples = list(combinations(range(n), 3))
@@ -414,7 +427,7 @@ def _stage_one(space: FiniteLambdaSpace, D: Sequence[Sequence[int]],
                     g.identify(u, v)
                 elif not g.connected(u, v, span):
                     lu, lv = sorted((g.labels[u], g.labels[v]))
-                    g.chain(u, v, span, NEGLIGIBLE, "b:%s&%s" % (lu, lv))
+                    g.chain(u, v, span, NEGLIGIBLE, _bridge_stub(lu, lv))
 
     cert = {
         "stage": "one",
@@ -483,9 +496,7 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
 
     g1 = _stage_one(space, D, delta, order_seed)
 
-    g = _Builder()
-    for lab in space.labels:
-        g.add(lab, ESSENTIAL, lab)
+    g = _Builder(space.labels)
 
     pairs = [(i, j) for i, j in combinations(range(n), 2) if 1 <= D[i][j] <= cap]
     pairs.sort(key=lambda p: (D[p[0]][p[1]], p))
@@ -502,26 +513,19 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
             # carry the distance; a fresh basic path would keep geodesic
             # inputs from coming back unchanged
             continue
-        removed = False
-        for z in range(n):
-            if z == i or z == j:
-                continue
-            for v in range(n):
-                if (D[i][v] + D[v][j] <= D[i][j] + two
-                        and D[i][v] + D[v][z] <= D[i][z] + two
-                        and D[j][v] + D[v][z] <= D[j][z] + two
-                        and D[i][v] > two and D[j][v] > two):
-                    # a removal witness must sit strictly inside the pair
-                    if not (D[i][v] < d and D[j][v] < d):
-                        raise ConstructionError(
-                            "removal witness %s for (%s, %s) is not strictly"
-                            " closer to both ends"
-                            % (space.labels[v], space.labels[i], space.labels[j]))
-                    removed = True
-                    break
-            if removed:
-                break
-        if removed:
+        # the first 2*delta-central point of a triple (i, j, z) that lies
+        # farther than 2*delta from both ends removes the pair
+        Di, Dj = D[i], D[j]
+        v = next((v for z in range(n) if z != i and z != j
+                  for v in _central(D, two, i, j, z)
+                  if Di[v] > two and Dj[v] > two), None)
+        if v is not None:
+            # a removal witness must sit strictly inside the pair
+            if not (Di[v] < d and Dj[v] < d):
+                raise ConstructionError(
+                    "removal witness %s for (%s, %s) is not strictly"
+                    " closer to both ends"
+                    % (space.labels[v], space.labels[i], space.labels[j]))
             continue
         paths[(i, j)] = g.chain(i, j, d, AUXILIARY,
                                 _aux_stub(space.labels[i], space.labels[j]))
@@ -575,7 +579,7 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
                     continue
                 else:
                     la, ly = sorted((g.labels[a], g.labels[y]))
-                    g.chain(a, y, best, NEGLIGIBLE, "b:%s&%s" % (la, ly))
+                    g.chain(a, y, best, NEGLIGIBLE, _bridge_stub(la, ly))
 
     dpp = 240 * dp ** 3 + 64 * dp ** 2 + 48 * delta ** 2 + 8 * H + 8 * dp + 2
     cert = {
@@ -616,10 +620,8 @@ def hausdorff_const(g1: CompletionGraph, g2: CompletionGraph) -> int:
     def to_stage_one(v: int) -> int:
         if g2.klass[v] == ESSENTIAL:
             return lab_index1[g2.labels[v]]
-        record = g2.provenance[v][0]
-        body, t = record[2:].rsplit(":", 1)
-        a, b = body.split("|", 1)
-        return g1.least_geodesic(lab_index1[a], lab_index1[b])[int(t)]
+        a, b, t = _record_parts(g2.provenance[v][0])
+        return g1.least_geodesic(lab_index1[a], lab_index1[b])[t]
 
     worst = 0
     for i, j in combinations(range(n), 2):
@@ -653,11 +655,9 @@ def extend_isometry(graph: CompletionGraph, pi: IsoPerm) -> IsoPerm:
     eidx = {lab: i for i, lab in enumerate(pi.space.labels)}
 
     def image_of_path_record(record: str) -> str:
-        body, t = record[2:].rsplit(":", 1)
-        a, b = body.split("|", 1)
+        a, b, t = _record_parts(record)
         ia, ib = eidx[pi.apply(a)], eidx[pi.apply(b)]
         d = int(pi.space.dist[ia][ib].coords[0])
-        t = int(t)
         if ia < ib:
             return _aux_label(pi.space.labels[ia], pi.space.labels[ib], t)
         return _aux_label(pi.space.labels[ib], pi.space.labels[ia], d - t)
@@ -667,22 +667,20 @@ def extend_isometry(graph: CompletionGraph, pi: IsoPerm) -> IsoPerm:
     for v, recs in enumerate(graph.provenance):
         if graph.klass[v] != NEGLIGIBLE:
             continue
-        body, _ = recs[0][2:].rsplit(":", 1)
-        u, w = body.split("&", 1)
+        u, w, _ = _record_parts(recs[0])
         bridge_len[(u, w)] = bridge_len.get((u, w), 0) + 1
 
     def image_record(record: str) -> str:
         if record.startswith("p:"):
             return image_of_path_record(record)
         if record.startswith("b:"):
-            body, t = record[2:].rsplit(":", 1)
-            u, w = body.split("&", 1)
+            u, w, t = _record_parts(record)
             iu = image_of_aux_label(u)
             iw = image_of_aux_label(w)
-            lu, lw = sorted((iu, iw))
-            if (lu, lw) == (iu, iw):
-                return "b:%s&%s:%s" % (lu, lw, t)
-            return "b:%s&%s:%d" % (lu, lw, bridge_len[(u, w)] + 1 - int(t))
+            if iu > iw:
+                # the image bridge runs the other way
+                iu, iw, t = iw, iu, bridge_len[(u, w)] + 1 - t
+            return "%s:%d" % (_bridge_stub(iu, iw), t)
         return pi.apply(record)
 
     def image_of_aux_label(label: str) -> str:

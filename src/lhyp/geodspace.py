@@ -21,7 +21,7 @@ from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
                     Mapping, Optional, Sequence, Tuple)
 
 from .errors import ConstructionError, InputError
-from .lspace import FiniteLambdaSpace, min_delta_4pt
+from .lspace import FiniteLambdaSpace, _tokens, min_delta_4pt
 from .ordgroup import LexElem, QLexElem
 
 
@@ -142,9 +142,7 @@ class GeodesicGraph:
 
 def read_gg(text: str) -> GeodesicGraph:
     """Parse the .gg format: 'graph k' then edge lines 'u v' (0-based)."""
-    toks = []
-    for line in text.splitlines():
-        toks.extend(line.split("#", 1)[0].split())
+    toks = _tokens(text)
     if len(toks) < 2 or toks[0] != "graph":
         raise InputError("expected 'graph k' header")
     try:

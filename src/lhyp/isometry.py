@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import ConstructionError, InputError
-from .lspace import (FiniteLambdaSpace, convex_classes, min_delta_4pt,
+from .lspace import (FiniteLambdaSpace, _tokens, convex_classes, min_delta_4pt,
                      quotient_by_convex)
 from .ordgroup import LexElem, QLexElem, height
 
@@ -325,13 +325,8 @@ def isometries_extending(space: FiniteLambdaSpace, fixed: Mapping[str, str],
 
 def read_perm(text: str) -> Tuple[int, ...]:
     """One line of space-separated image indices."""
-    tokens = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
     try:
-        perm = tuple(int(t) for t in tokens)
+        perm = tuple(int(t) for t in _tokens(text))
     except ValueError:
         raise InputError("permutation file must contain integers") from None
     if sorted(perm) != list(range(len(perm))):

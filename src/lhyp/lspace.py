@@ -5,15 +5,17 @@ divisible hull and are reported as exact fractions.  Every kernel runs on
 one table of ints per space, packed once by ``ordgroup.Packing`` for every
 rank and both domains and unpacked only for results.  The triple condition
 at basepoint w, less d(x,w)+d(y,w)+d(z,w) on both sides, is the four-point
-condition (Gromov 1987, 1.1), so one quadruple scan, split across at most
-one worker process per core, yields every constant; ``min_delta_at`` scans
-one basepoint.
+condition (Gromov 1987, 1.1), so one quadruple scan yields every constant;
+``min_delta_at`` scans one basepoint.  The scan runs in this process unless
+its quadruple count repays starting workers: then it starts one worker per
+``_QUADS_PER_WORKER`` quadruples, at most one per core.
 """
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -224,6 +226,11 @@ def _chunk_first_indices(n: int, parts: int) -> List[List[int]]:
             for c in range(min(parts, n - 3))]
 
 
+# quadruples a worker must scan to repay starting it: two workers lost to
+# one process up to 64 points and won from 68 on (timings in CHANGES.md)
+_QUADS_PER_WORKER = 350_000
+
+
 def _core_count() -> int:
     """Cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -231,13 +238,17 @@ def _core_count() -> int:
     return os.cpu_count() or 1
 
 
-def _four_point(X: FiniteLambdaSpace, workers: int):
+def _four_point(X: FiniteLambdaSpace, workers: Optional[int] = None):
     """The four-point constant, its first witness in index order, and the
-    scan's per-point maxima; workers, at most one per core, split the scan."""
+    scan's per-point maxima.  At most ``workers`` workers split the scan, or
+    when that is None one per ``_QUADS_PER_WORKER`` quadruples, so a short
+    scan runs here; never more than one per core."""
     n = len(X)
     if n < 4:
         return QLexElem.zero(X.rank, X.domain), None, [0] * n
     P = X.packed_table()
+    if workers is None:
+        workers = comb(n, 4) // _QUADS_PER_WORKER
     workers = min(workers, _core_count())
     if workers <= 1:
         best, quad, pm = _scan_quads_num(P, range(n - 3), n)
@@ -256,12 +267,12 @@ def _four_point(X: FiniteLambdaSpace, workers: int):
     return QLexElem(X.unpack(best), 2), witness, pm
 
 
-def min_delta_4pt(X: FiniteLambdaSpace, workers: int = 1) -> QLexElem:
+def min_delta_4pt(X: FiniteLambdaSpace, workers: Optional[int] = None) -> QLexElem:
     return min_delta_4pt_witness(X, workers)[0]
 
 
 def min_delta_4pt_witness(
-    X: FiniteLambdaSpace, workers: int = 1
+    X: FiniteLambdaSpace, workers: Optional[int] = None
 ) -> Tuple[QLexElem, Optional[Tuple[str, str, str, str]]]:
     """Least delta for the four-point condition, with first maximizing witness."""
     return _four_point(X, workers)[:2]
@@ -277,7 +288,8 @@ class HyperbolicityReport:
     basepoint_of_witness: str = ""
 
 
-def hyperbolicity_report(X: FiniteLambdaSpace, workers: int = 1) -> HyperbolicityReport:
+def hyperbolicity_report(X: FiniteLambdaSpace,
+                         workers: Optional[int] = None) -> HyperbolicityReport:
     """Every constant of the metric space X from one four-point scan.
 
     Twice the triple defect min{(x.z)_v,(y.z)_v} - (x.y)_v is d(x,y)+d(z,v)

@@ -33,7 +33,8 @@ from .ordgroup import LexElem, minimal_positive
 
 def _ball(table: LengthTable, radius: int) -> List[Elem]:
     bound = minimal_positive(table.rank) * radius
-    return [g for g in table.elements() if table.l(g) <= bound]
+    # one __lt__ per element: total_ordering's __le__ would add an __eq__
+    return [g for g, v in table.values.items() if not bound < v]
 
 
 def _alpha(table: LengthTable, ball: Iterable[Elem]

@@ -136,14 +136,15 @@ def test_argparse_failures_exit_two(tmp_path, capsys):
 
 
 def test_threads_env(tmp_path, capsys, monkeypatch):
-    space = put(tmp_path, "tree.lms", TREE)
-    _, base, _ = run(capsys, "check", "--space", space)
-    monkeypatch.setenv("LHYP_THREADS", "3")
-    _, threaded, _ = run(capsys, "check", "--space", space)
-    assert threaded == base
-    monkeypatch.setenv("LHYP_THREADS", "many")
-    code, _, err = run(capsys, "check", "--space", space)
-    assert code == 2 and err.startswith("error: ")
+    # the scan sizes its own pool and reads no environment variable
+    space = put(tmp_path, "five.lms", FIVE)
+    for cmd in ("check", "delta"):
+        monkeypatch.delenv("LHYP_THREADS", raising=False)
+        code, base, _ = run(capsys, cmd, "--space", space)
+        assert code == 0
+        for value in ("3", "many"):
+            monkeypatch.setenv("LHYP_THREADS", value)
+            assert run(capsys, cmd, "--space", space)[:2] == (code, base)
 
 
 def test_delta_lists_basepoints(tmp_path, capsys):

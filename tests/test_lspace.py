@@ -174,6 +174,38 @@ def test_four_point_pool_is_capped_at_the_core_count(monkeypatch):
     assert pools == [3, 3]
 
 
+def test_short_scans_start_no_pool(monkeypatch):
+    pools = SerialPool.sizes = []
+    monkeypatch.setattr(lspace, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(lspace, "_core_count", lambda: 8)
+    X = random_metric_space(Random(48), 48, maxw=20)
+    want = lspace._four_point(X, workers=1)
+    assert lspace._four_point(X) == want
+    assert pools == []
+    # 12 points hold 495 quadruples: at 150 a worker, three workers
+    Y = random_metric_space(Random(12), 12, maxw=9)
+    want = lspace._four_point(Y, workers=1)
+    monkeypatch.setattr(lspace, "_QUADS_PER_WORKER", 150)
+    assert lspace._four_point(Y) == want
+    assert pools == [3]
+    # however many the count repays, never more than the cores
+    monkeypatch.setattr(lspace, "_QUADS_PER_WORKER", 1)
+    assert lspace._four_point(Y) == want
+    assert pools == [3, 8]
+
+
+def test_every_pool_size_gives_the_serial_results(monkeypatch):
+    X = random_metric_space(Random(11), 11, maxw=9)
+    want = hyperbolicity_report(X, workers=1), min_delta_4pt_witness(X, workers=1)
+    for workers in (None, 2):
+        got = hyperbolicity_report(X, workers), min_delta_4pt_witness(X, workers)
+        assert got == want
+    monkeypatch.setattr(lspace, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(lspace, "_core_count", lambda: 3)
+    got = hyperbolicity_report(X, 3), min_delta_4pt_witness(X, 3)
+    assert got == want
+
+
 @pytest.mark.parametrize("chunked", (False, True))
 @given(seeds, st.integers(min_value=1, max_value=8), kinds)
 def test_report_matches_every_basepoint_scan(chunked, seed, n, kind):
