@@ -10,8 +10,11 @@ to the triple constant over all basepoints, which is the four-point one.
 It also holds the two graph kernels shared with ``completion`` and
 ``relhyp``: ``distances_from``, the one shortest-path routine, one row
 per call, and ``DisjointSets``, the one union-find.  ``delta_relations``
-checks geodesicity once and hands the distance table to the private
-bodies of the thinness and slimness scans.
+checks geodesicity once and builds, from the distance table, the sphere
+and ball bitmasks of every point that both triangle scans read.  Between
+sets and level sets are then unions and intersections of spheres, and a
+point is tested against the running maximum by one ball mask rather than
+by a loop over the other points.
 """
 
 from collections import defaultdict
@@ -136,7 +139,8 @@ class GeodesicGraph:
 
     def as_space(self) -> FiniteLambdaSpace:
         """All-pairs shortest-path table as a rank-one Z-metric space."""
-        table = [[LexElem((d,), "Z") for d in row] for row in self.dist]
+        lex = {d: LexElem((d,), "Z") for d in set().union(*self.dist)}
+        table = [[lex[d] for d in row] for row in self.dist]
         return FiniteLambdaSpace(self.labels, table, "Z")
 
 
@@ -317,6 +321,42 @@ def tripod_insizes(X: FiniteLambdaSpace, x, y, z) -> Tripod:
     )
 
 
+class _Masks:
+    """Sphere and ball bitmasks of every point, read off the int table.
+
+    Bit z of ``sphere[u][r]`` is set when d(u, z) = r, and of
+    ``ball[u][r]`` when d(u, z) <= r; both lists run up to the diameter.
+    """
+
+    __slots__ = ("D", "sphere", "ball")
+
+    def __init__(self, D: Sequence[Sequence[int]]) -> None:
+        top = max(map(max, D)) + 1
+        self.D = D
+        self.sphere = []
+        self.ball = []
+        for row in D:
+            sph = [0] * top
+            for z, d in enumerate(row):
+                sph[d] |= 1 << z
+            acc = 0
+            ball = []
+            for s in sph:
+                acc |= s
+                ball.append(acc)
+            self.sphere.append(sph)
+            self.ball.append(ball)
+
+    def between(self, i: int, j: int) -> int:
+        """Mask of the points z with d(i,z) + d(z,j) = d(i,j)."""
+        Si, Sj = self.sphere[i], self.sphere[j]
+        d = self.D[i][j]
+        out = 0
+        for t in range(d + 1):
+            out |= Si[t] & Sj[d - t]
+        return out
+
+
 def min_thinness(X: FiniteLambdaSpace) -> QLexElem:
     value, _ = min_thinness_witness(X)
     return value
@@ -331,33 +371,38 @@ def min_thinness_witness(X):
     insize.  The result is the largest distance between identified
     points; the witness names (corner, other, other, t, u, v).
     """
-    return _thinness(X, _require_geodesic(X))
+    return _thinness(X, _Masks(_require_geodesic(X)))
 
 
-def _thinness(X: FiniteLambdaSpace, D: Sequence[Sequence[int]]):
-    n = len(X)
-    levels: Dict[Tuple[int, int, int], List[int]] = {}
-
-    def level(c, a, t):
-        key = (c, a, t)
-        got = levels.get(key)
-        if got is None:
-            got = levels[key] = _level(D, c, a, t)
-        return got
-
+def _thinness(X: FiniteLambdaSpace, M: _Masks):
+    # the level set at parameter t from corner c toward a is
+    # sphere[c][t] & sphere[a][d(c,a) - t]; u can raise the running best
+    # only when some v of the other level lies outside ball[u][best], and
+    # then the first v at the largest distance is the witness
+    D, S, B = M.D, M.sphere, M.ball
+    n = len(D)
     best = 0
     wit = None
     for a, b, c in combinations(range(n), 3):
         for corner, p, q in ((a, b, c), (b, a, c), (c, a, b)):
-            Dc = D[corner]
-            half = (Dc[p] + Dc[q] - D[p][q]) // 2
-            for t in range(1, half + 1):
-                for u in level(corner, p, t):
-                    Du = D[u]
-                    for v in level(corner, q, t):
-                        if Du[v] > best:
-                            best = Du[v]
-                            wit = (corner, p, q, t, u, v)
+            Dc, Sc = D[corner], S[corner]
+            dcp, dcq = Dc[p], Dc[q]
+            Sp, Sq = S[p], S[q]
+            for t in range(1, (dcp + dcq - D[p][q]) // 2 + 1):
+                level_q = Sc[t] & Sq[dcq - t]
+                level_p = Sc[t] & Sp[dcp - t]
+                while level_p:
+                    low = level_p & -level_p
+                    level_p ^= low
+                    u = low.bit_length() - 1
+                    Bu = B[u]
+                    if level_q & ~Bu[best]:
+                        r = best + 1
+                        while level_q & ~Bu[r]:
+                            r += 1
+                        best = r
+                        v = level_q & S[u][r]
+                        wit = (corner, p, q, t, u, (v & -v).bit_length() - 1)
     value = QLexElem(LexElem((best,), "Z"))
     if wit is None:
         return value, None
@@ -379,31 +424,55 @@ def min_rips_witness(X):
     points between the remaining two pairs is taken; the result is the
     maximum, the witness (x, y, z, u) with u between x and y.
     """
-    return _rips(X, _require_geodesic(X))
+    return _rips(X, _Masks(_require_geodesic(X)))
 
 
-def _rips(X: FiniteLambdaSpace, D: Sequence[Sequence[int]]):
-    n = len(X)
-    betw: Dict[Tuple[int, int], List[int]] = {}
+def _rips(X: FiniteLambdaSpace, M: _Masks):
+    # u beats the running best exactly when ball[u][best] misses the
+    # union of the two other sides, that is when u lies outside near[i][j],
+    # the points within best of some point between i and j, for both of
+    # them; its distance to the union is the least radius whose ball
+    # meets it.  near is rebuilt each time best grows.
+    B = M.ball
+    n = len(M.D)
+    pairs = list(combinations(range(n), 2))
+    betw = [[0] * n for _ in range(n)]
+    for i, j in pairs:
+        betw[i][j] = betw[j][i] = M.between(i, j)
 
-    def between(i, j):
-        key = (i, j) if i < j else (j, i)
-        got = betw.get(key)
-        if got is None:
-            got = betw[key] = _between(D, key[0], key[1])
-        return got
+    def within(r):
+        near = [[0] * n for _ in range(n)]
+        for i, j in pairs:
+            m = betw[i][j]
+            acc = 0
+            while m:
+                low = m & -m
+                m ^= low
+                acc |= B[low.bit_length() - 1][r]
+            near[i][j] = near[j][i] = acc
+        return near
 
     best = 0
+    near = betw
     wit = None
     for a, b, c in combinations(range(n), 3):
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-            other = set(between(x, z)) | set(between(y, z))
-            for u in between(x, y):
-                Du = D[u]
-                dmin = min(Du[w] for w in other)
-                if dmin > best:
-                    best = dmin
+            far = betw[x][y] & ~(near[x][z] | near[y][z])
+            if not far:
+                continue
+            other = betw[x][z] | betw[y][z]
+            while far:
+                low = far & -far
+                far ^= low
+                u = low.bit_length() - 1
+                Bu = B[u]
+                if not Bu[best] & other:
+                    r = best + 1
+                    while not Bu[r] & other:
+                        r += 1
+                    best = r
                     wit = (x, y, z, u)
+            near = within(best)
     value = QLexElem(LexElem((best,), "Z"))
     if wit is None:
         return value, None
@@ -502,8 +571,9 @@ def delta_relations(X: FiniteLambdaSpace) -> DeltaRelations:
     """
     D = _require_geodesic(X)
     dp = min_delta_4pt(X)
-    dt, _ = _thinness(X, D)
-    dr, _ = _rips(X, D)
+    M = _Masks(D)
+    dt, _ = _thinness(X, M)
+    dr, _ = _rips(X, M)
     checks = (
         ("thin<=4*point", dt <= dp * 4),
         ("point<=2*thin", dp <= dt * 2),

@@ -4,33 +4,51 @@ Representatives are produced by vertex augmentation: every connected
 graph on n vertices arises from a connected graph on n-1 vertices by
 adding one vertex joined to a nonempty subset (delete any non-cut vertex
 to see this), so augmenting all representatives and deduplicating by a
-canonical form covers everything.  The canonical form is the largest
-row-major adjacency bitstring over all labellings, found by partition
-refinement with individualization.
+canonical form covers everything.  Subsets in one orbit of the parent's
+automorphism group give isomorphic children, so each parent is extended
+only by the subsets that are least in their orbit.  The first (parent,
+subset) pair to reach a class is always such a subset, so the
+representatives and their order are those of augmenting by every subset.
+
+The canonical key is the largest row-major adjacency bitstring over the
+leaves of a search tree: partition refinement by neighbor counts, then
+individualization of each vertex of the first non-singleton cell in turn.
+Refinement commutes with relabelling, so relabelling the graph permutes
+the leaves and leaves the key unchanged.  Two leaves with equal keys give
+an automorphism; a node skips every vertex of its target cell that lies
+in the orbit of an already-visited one under the automorphisms found so
+far that fix the node's individualized vertices (McKay & Piperno,
+"Practical graph isomorphism, II", JSC 2014).  A pruned subtree is the
+image of a visited one under such an automorphism, so its leaves carry
+the same keys and the maximum is unchanged.
 
 Counts for n = 1..8: 1, 1, 2, 6, 21, 112, 853, 11117.
 """
 
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Dict, List, Set, Tuple
 
 Adj = Tuple[int, ...]  # neighbor bitmask per vertex
+Perm = Tuple[int, ...]  # image of each vertex
 
 
-def _refine(n: int, adj: Adj, cells: List[List[int]]) -> List[List[int]]:
-    """Split cells by neighbor counts to every cell until stable."""
+def _refine(adj: Adj, cells: List[int]) -> List[int]:
+    """Split cells (vertex masks) by neighbor counts to every cell until stable."""
     while True:
-        masks = [sum(1 << v for v in c) for c in cells]
-        out: List[List[int]] = []
+        out: List[int] = []
         changed = False
         for cell in cells:
-            if len(cell) == 1:
+            if not cell & (cell - 1):
                 out.append(cell)
                 continue
-            groups: dict = {}
-            for v in cell:
-                sig = tuple(bin(adj[v] & m).count("1") for m in masks)
-                groups.setdefault(sig, []).append(v)
+            groups: Dict[Tuple[int, ...], int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                av = adj[low.bit_length() - 1]
+                sig = tuple([(av & m).bit_count() for m in cells])
+                groups[sig] = groups.get(sig, 0) | low
             if len(groups) == 1:
                 out.append(cell)
             else:
@@ -51,28 +69,93 @@ def _key_of(n: int, adj: Adj, perm: List[int]) -> int:
     return key
 
 
-def canonical_key(n: int, adj: Adj) -> int:
-    """Isomorphism-invariant integer key of the graph."""
-    if n == 1:
-        return 0
-    best = -1
+def _in_orbit(v: int, visited: int, gens: List[Perm]) -> bool:
+    """Whether the group generated by gens maps v into the mask visited."""
+    orbit = 1 << v
+    stack = [v]
+    while stack:
+        w = stack.pop()
+        for g in gens:
+            x = g[w]
+            if not orbit >> x & 1:
+                if visited >> x & 1:
+                    return True
+                orbit |= 1 << x
+                stack.append(x)
+    return False
 
-    def descend(cells: List[List[int]]) -> None:
+
+def _search(n: int, adj: Adj) -> Tuple[int, Set[Perm]]:
+    """The canonical key and the automorphisms met on the way to it."""
+    best = -1
+    first: Dict[int, List[int]] = {}  # key -> first leaf with that key
+    auts: Set[Perm] = set()
+
+    def descend(cells: List[int], fixed: List[int]) -> None:
         nonlocal best
-        cells = _refine(n, adj, cells)
-        at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        cells = _refine(adj, cells)
+        at = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if at is None:
-            key = _key_of(n, adj, [v for c in cells for v in c])
-            if key > best:
-                best = key
+            leaf = [c.bit_length() - 1 for c in cells]
+            key = _key_of(n, adj, leaf)
+            seen = first.get(key)
+            if seen is None:
+                first[key] = leaf
+                best = max(best, key)
+            else:
+                sigma = [0] * n
+                for p, q in zip(seen, leaf):
+                    sigma[p] = q
+                auts.add(tuple(sigma))
             return
         cell = cells[at]
-        for v in cell:
-            rest = [w for w in cell if w != v]
-            descend(cells[:at] + [[v], rest] + cells[at + 1 :])
+        visited = 0
+        rest = cell
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if visited:
+                gens = [g for g in auts if all(g[w] == w for w in fixed)]
+                if gens and _in_orbit(v, visited, gens):
+                    continue
+            visited |= low
+            descend(cells[:at] + [low, cell ^ low] + cells[at + 1 :], fixed + [v])
 
-    descend([list(range(n))])
-    return best
+    descend([(1 << n) - 1], [])
+    return best, auts
+
+
+def canonical_key(n: int, adj: Adj) -> int:
+    """Isomorphism-invariant integer key of the graph."""
+    return _search(n, adj)[0]
+
+
+def _least_subsets(m: int, auts: Set[Perm]) -> List[int]:
+    """Nonempty vertex masks on m vertices least in their orbit, ascending."""
+    images = []
+    for g in auts:
+        img = [0] * (1 << m)
+        for s in range(1, 1 << m):
+            low = s & -s
+            img[s] = img[s ^ low] | 1 << g[low.bit_length() - 1]
+        images.append(img)
+    seen = bytearray(1 << m)
+    least = []
+    for sub in range(1, 1 << m):
+        if seen[sub]:
+            continue
+        least.append(sub)
+        seen[sub] = 1
+        stack = [sub]
+        while stack:
+            s = stack.pop()
+            for img in images:
+                t = img[s]
+                if not seen[t]:
+                    seen[t] = 1
+                    stack.append(t)
+    return least
 
 
 @lru_cache(maxsize=None)
@@ -85,7 +168,7 @@ def connected_graphs(n: int) -> Tuple[Adj, ...]:
     reps: List[Adj] = []
     seen = set()
     for parent in connected_graphs(n - 1):
-        for sub in range(1, 1 << (n - 1)):
+        for sub in _least_subsets(n - 1, _search(n - 1, parent)[1]):
             adj = tuple(
                 parent[v] | ((sub >> v & 1) << (n - 1)) for v in range(n - 1)
             ) + (sub,)

@@ -7,7 +7,7 @@ the two sides can disagree honestly.
 
 import heapq
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import List, Sequence, Tuple
 
 Raw = Tuple[int, ...]
@@ -416,3 +416,81 @@ def oracle_relcayley(weight: dict, lengths: Sequence[Raw], N: int,
                 alpha=None if alpha_star is None else
                 vec_sub(alpha_star, (1,) + zero[1:]),
                 n_prime=n_prime, qi=qi, geo=geo)
+
+
+def oracle_thinness(dist: List[List[int]]) -> Tuple[int, object]:
+    """Largest distance between points identified on a comparison tripod.
+
+    For each triple a < b < c, each corner with its two other points p, q
+    (corners a, b, c in turn), and each t from 1 to the floor of the
+    Gromov product at the corner, every u at parameter t toward p is
+    paired with every v at parameter t toward q, both in index order.
+    Returns (value, (corner, p, q, t, u, v)) for the first pair that
+    raised the maximum, or (0, None).
+    """
+    n = len(dist)
+    best, wit = 0, None
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                for k, p, q in ((a, b, c), (b, a, c), (c, a, b)):
+                    dk = dist[k]
+                    half = (dk[p] + dk[q] - dist[p][q]) // 2
+                    for t in range(1, half + 1):
+                        for u in range(n):
+                            if dk[u] != t or dist[u][p] != dk[p] - t:
+                                continue
+                            for v in range(n):
+                                if dk[v] != t or dist[v][q] != dk[q] - t:
+                                    continue
+                                if dist[u][v] > best:
+                                    best, wit = dist[u][v], (k, p, q, t, u, v)
+    return best, wit
+
+
+def oracle_rips(dist: List[List[int]]) -> Tuple[int, object]:
+    """Largest distance from a side point to the union of the other sides.
+
+    For each triple a < b < c and each side (x, y) opposite z, taken as
+    (a, b; c), (a, c; b), (b, c; a), every u between x and y in index
+    order is measured against all points between x and z or y and z.
+    Returns (value, (x, y, z, u)) for the first u that raised the
+    maximum, or (0, None).
+    """
+    n = len(dist)
+
+    def between(i, j):
+        return [w for w in range(n) if dist[i][w] + dist[w][j] == dist[i][j]]
+
+    best, wit = 0, None
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(b + 1, n):
+                for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+                    other = set(between(x, z)) | set(between(y, z))
+                    for u in between(x, y):
+                        gap = min(dist[u][w] for w in other)
+                        if gap > best:
+                            best, wit = gap, (x, y, z, u)
+    return best, wit
+
+
+def oracle_labelling_keys(adj: Sequence[int]) -> set:
+    """Row-major upper-triangle adjacency bitstrings of all n! labellings;
+    adj[v] is the neighbor bitmask of v.  Two graphs are isomorphic
+    exactly when their sets meet, and then the sets are equal."""
+    n = len(adj)
+    keys = set()
+    for perm in permutations(range(n)):
+        key = 0
+        for p in range(n):
+            for q in range(p + 1, n):
+                key = key * 2 + (adj[perm[p]] >> perm[q] & 1)
+        keys.add(key)
+    return keys
+
+
+def oracle_canonical_key(adj: Sequence[int]) -> int:
+    """The largest bitstring over all n! labellings: equal exactly on
+    isomorphic graphs."""
+    return max(oracle_labelling_keys(adj))

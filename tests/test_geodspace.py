@@ -16,7 +16,7 @@ from lhyp.smallgraphs import connected_graphs, edge_list
 
 from helpers import (L, cycle_space, random_connected_unit_rows,
                      random_tree_rows, space_rank1)
-from oracles import floyd, floyd_directed
+from oracles import floyd, floyd_directed, oracle_rips, oracle_thinness
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 
@@ -196,6 +196,37 @@ def test_delta_relations_small_graph_sweep():
             X = unit_space(n, edge_list(adj))
             rel = delta_relations(X)
             assert rel.ok, (n, adj, rel.failures)
+
+
+def _oracle_triangle_constants(X, rows):
+    # the oracles name points by index, the package by label
+    lab = X.labels
+    thin, twit = oracle_thinness(rows)
+    rips, rwit = oracle_rips(rows)
+    if twit is not None:
+        c, p, q, t, u, v = twit
+        twit = (lab[c], lab[p], lab[q], t, lab[u], lab[v])
+    if rwit is not None:
+        rwit = tuple(lab[v] for v in rwit)
+    return (QLexElem(L(thin)), twit), (QLexElem(L(rips)), rwit)
+
+
+def test_triangle_constants_match_the_oracles_on_small_graphs():
+    for n in range(1, 7):
+        for adj in connected_graphs(n):
+            rows = floyd(n, [(u, v, 1) for u, v in edge_list(adj)])
+            X = space_rank1(rows)
+            want = _oracle_triangle_constants(X, rows)
+            assert (min_thinness_witness(X), min_rips_witness(X)) == want, adj
+
+
+@given(seeds)
+def test_triangle_constants_match_the_oracles_on_random_unit_graphs(seed):
+    rng = Random(seed)
+    rows = random_connected_unit_rows(rng, rng.randint(7, 14), rng.random() * 0.5)
+    X = space_rank1(rows)
+    want = _oracle_triangle_constants(X, rows)
+    assert (min_thinness_witness(X), min_rips_witness(X)) == want
 
 
 @given(seeds)

@@ -1,11 +1,50 @@
 import importlib.util
 from itertools import combinations
 from pathlib import Path
+from random import Random
+
+from hypothesis import given, strategies as st
 
 from lhyp.smallgraphs import canonical_key, connected_graphs, edge_list
 
+from oracles import oracle_canonical_key, oracle_labelling_keys
+
 # OEIS A001349 without the empty graph
-COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+
+seeds = st.integers(min_value=0, max_value=10 ** 6)
+
+
+def from_edges(n, edges):
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return tuple(adj)
+
+
+def relabel(adj, perm):
+    # vertex v of adj becomes perm[v]
+    n = len(adj)
+    return from_edges(n, [(perm[u], perm[v]) for u in range(n)
+                          for v in range(u + 1, n) if adj[u] >> v & 1])
+
+
+def cycle(n):
+    return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete(n):
+    return from_edges(n, list(combinations(range(n), 2)))
+
+
+# K_{3,3} and the triangular prism: vertex-transitive, so every cell of
+# the search holds automorphic vertices
+K33 = from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+PRISM = from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                       (0, 3), (1, 4), (2, 5)])
+SYMMETRIC = ([cycle(n) for n in range(3, 8)] + [complete(n) for n in range(1, 8)]
+             + [K33, PRISM])
 
 
 def test_connected_counts():
@@ -37,6 +76,64 @@ def test_canonical_key_is_isomorphism_invariant():
     triangle = (0b110, 0b101, 0b011)
     assert canonical_key(3, path_mid1) == canonical_key(3, path_mid0)
     assert canonical_key(3, path_mid1) != canonical_key(3, triangle)
+
+
+def random_graph(rng, n):
+    p = rng.random()
+    return from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def assert_canonical(adj, rng, relabellings=3):
+    # the key is the bitstring of one labelling of adj and the same for
+    # every labelling, so it is equal exactly on isomorphic graphs
+    n = len(adj)
+    key = canonical_key(n, adj)
+    assert key in oracle_labelling_keys(adj), adj
+    perm = list(range(n))
+    for _ in range(relabellings):
+        rng.shuffle(perm)
+        assert canonical_key(n, relabel(adj, perm)) == key, (adj, perm)
+
+
+@given(seeds)
+def test_canonical_key_matches_the_oracle(seed):
+    rng = Random(seed)
+    n = rng.randint(1, 7)
+    adj = random_graph(rng, n)
+    assert_canonical(adj, rng)
+    # a second graph with as many edges is isomorphic to the first
+    # exactly when the oracle says so
+    m = sum(a.bit_count() for a in adj) // 2
+    other = from_edges(n, rng.sample(list(combinations(range(n), 2)), m))
+    same = canonical_key(n, adj) == canonical_key(n, other)
+    assert same == (oracle_canonical_key(adj) == oracle_canonical_key(other))
+
+
+def test_canonical_key_on_symmetric_graphs():
+    rng = Random(11)
+    for adj in SYMMETRIC:
+        assert_canonical(adj, rng)
+
+
+def plain_augmentation(n):
+    """Every parent extended by every nonempty subset, first of each class kept."""
+    if n == 1:
+        return ((0,),)
+    reps, seen = [], set()
+    for parent in plain_augmentation(n - 1):
+        for sub in range(1, 1 << (n - 1)):
+            adj = tuple(parent[v] | (sub >> v & 1) << (n - 1)
+                        for v in range(n - 1)) + (sub,)
+            key = canonical_key(n, adj)
+            if key not in seen:
+                seen.add(key)
+                reps.append(adj)
+    return tuple(reps)
+
+
+def test_orbit_pruned_augmentation_keeps_every_representative_in_order():
+    for n in range(1, 7):
+        assert connected_graphs(n) == plain_augmentation(n)
 
 
 def test_edge_list_matches_adjacency():
