@@ -18,6 +18,8 @@ from __future__ import annotations
 import string
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import add
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
@@ -67,6 +69,16 @@ class GroupHandle:
         raise NotImplementedError
 
 
+@lru_cache(maxsize=None)
+def _letter_codes(rank: int) -> Dict[str, int]:
+    """The letters of the free group of that rank, mapped to their ints."""
+    codes = {}
+    for i in range(rank):
+        codes[string.ascii_lowercase[i]] = i + 1
+        codes[string.ascii_uppercase[i]] = -(i + 1)
+    return codes
+
+
 class FreeGroup(GroupHandle):
     """Free group of rank r; elements are reduced words.
 
@@ -88,19 +100,26 @@ class FreeGroup(GroupHandle):
 
     def word(self, letters: Sequence[int]) -> Tuple[int, ...]:
         """Validate letters and return the freely reduced word."""
+        out: List[int] = []
         for x in letters:
             if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
                 raise InputError("letter %r outside rank %d" % (x, self.rank))
-        return self.mul((), tuple(letters))
-
-    def mul(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-        out = list(a)
-        for x in b:
             if out and out[-1] == -x:
                 out.pop()
             else:
                 out.append(x)
         return tuple(out)
+
+    def mul(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
+        # a and b are reduced, so only the letters where they meet cancel
+        if not a or not b or a[-1] != -b[0]:
+            return a + b
+        n = len(a)
+        k = 1
+        top = min(n, len(b))
+        while k < top and a[n - 1 - k] == -b[k]:
+            k += 1
+        return a[:n - k] + b[k:]
 
     def inv(self, a: Tuple[int, ...]) -> Tuple[int, ...]:
         return tuple(-x for x in reversed(a))
@@ -120,6 +139,17 @@ class FreeGroup(GroupHandle):
     def parse(self, text: str) -> Tuple[int, ...]:
         if text == "1":
             return ()
+        codes = _letter_codes(self.rank)
+        try:
+            letters = tuple([codes[ch] for ch in text])
+        except KeyError:
+            # the slow loop names the first letter the table lacks
+            letters = self._letters(text)
+        if 0 in map(add, letters, letters[1:]):
+            raise InputError("word %r is not reduced" % text)
+        return letters
+
+    def _letters(self, text: str) -> Tuple[int, ...]:
         letters = []
         for ch in text:
             if ch in string.ascii_lowercase:
@@ -131,8 +161,6 @@ class FreeGroup(GroupHandle):
             if abs(x) > self.rank:
                 raise InputError("letter %r outside rank %d" % (ch, self.rank))
             letters.append(x)
-        if any(x == -y for x, y in zip(letters, letters[1:])):
-            raise InputError("word %r is not reduced" % text)
         return tuple(letters)
 
     def __eq__(self, other: object) -> bool:
@@ -733,6 +761,8 @@ def read_len(text: str, loader: Callable[[str], str]) -> LengthTable:
             raise InputError("bad radius %r" % rows[0][1]) from None
         rows = rows[1:]
     values: Dict[Elem, LexElem] = {}
+    # one LexElem per distinct length, shared by every element holding it
+    lex: Dict[Tuple[int, ...], LexElem] = {}
     for row in rows:
         if len(row) != 1 + rank:
             raise InputError("value line %r needs a form and %d coordinates"
@@ -744,5 +774,8 @@ def read_len(text: str, loader: Callable[[str], str]) -> LengthTable:
             coords = tuple(int(v) for v in row[1:])
         except ValueError:
             raise InputError("bad coordinates in %r" % " ".join(row)) from None
-        values[g] = LexElem(coords)
+        value = lex.get(coords)
+        if value is None:
+            value = lex[coords] = LexElem(coords)
+        values[g] = value
     return LengthTable(group, values, radius=radius)

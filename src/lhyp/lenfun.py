@@ -11,14 +11,19 @@ All comparisons are exact.  Gromov products are half-integers at worst,
 so internally the doubled quantity l(g) + l(h) - l(g^-1 h) is used and
 halved only for display.  The scans over a sample index it once: a
 _Sample holds every l(s_a) and l(s_a^-1 s_b), packed once into ints by
-one Packing, so their loops compare ints and multiply no group elements.
+one Packing, and the index of each s_a^-1 in the sample, so their loops
+compare ints and multiply no group elements.  The triple scans walk
+only the triples whose three products are known, by intersecting
+bitmasks of known columns, and count the rest as skipped.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from math import comb
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .catalog import GroupHandle, LengthTable
 from .errors import ConstructionError, InputError
@@ -33,11 +38,14 @@ class _Sample:
 
     ``elems[a]`` is the a-th element s_a, ``lengths[a]`` the code of
     l(s_a) and ``quot[a][b]`` the code of l(s_a^-1 s_b), or None when that
-    element is outside the table; building it takes m^2 multiplications
-    and one inverse per row.  One Packing covers these lengths and
-    ``extra``, the constants a scan compares against, whose codes are
-    ``self.extra``.  Every scan compares signed sums of at most
-    PACK_HEADROOM codes, so integer order is the order of the group.
+    element is outside the table; ``inverse[a]`` is an index of s_a^-1
+    in the sample, or None when it is not there.  So for g = s_a with
+    ``inverse[a]`` = c, l(g s_b) is ``quot[c][b]``.  Building it takes
+    m^2 multiplications and one inverse per row.  One Packing covers
+    these lengths and ``extra``, the constants a scan compares against,
+    whose codes are ``self.extra``.  Every scan compares signed sums of
+    at most PACK_HEADROOM codes, so integer order is the order of the
+    group.
     """
 
     def __init__(self, l: LengthTable, sample: Sequence[Elem],
@@ -45,10 +53,13 @@ class _Sample:
         G = l.group
         get = l.values.get
         self.elems = list(sample)
+        index = {g: a for a, g in enumerate(self.elems)}
         lengths = [l.l(g) for g in self.elems]
         quot = []
+        self.inverse: List[Optional[int]] = []
         for g in self.elems:
             gi = G.inv(g)
+            self.inverse.append(index.get(gi))
             quot.append([get(G.mul(gi, h)) for h in self.elems])
         self.packing = Packing(lengths + [v for row in quot for v in row if v is not None]
                                + list(extra))
@@ -61,6 +72,36 @@ class _Sample:
         """Code of 2 c(s_a, s_b), or None if l(s_a^-1 s_b) is unknown."""
         q = self.quot[a][b]
         return None if q is None else self.lengths[a] + self.lengths[b] - q
+
+    def known_triples(self) -> Iterator[Tuple[int, int, int, int, int, int]]:
+        """(i, j, k, 2c(i,j), 2c(i,k), 2c(j,k)) for every i < j < k whose
+        three doubled Gromov products are known, in combinations order.
+
+        Row i keeps a bitmask of the columns k > i with 2c(i,k) known; for
+        each known pair i < j the k are the bits of the two rows' masks
+        taken together, lowest first.
+        """
+        n = len(self.elems)
+        c2 = [[self.c2(i, j) for j in range(n)] for i in range(n)]
+        known = []
+        for i, row in enumerate(c2):
+            bits = "".join("0" if v is None else "1" for v in reversed(row[i + 1:]))
+            known.append(int(bits or "0", 2) << (i + 1))
+        for i, ci in enumerate(c2):
+            ki = known[i]
+            js = ki
+            while js:
+                low = js & -js
+                js ^= low
+                j = low.bit_length() - 1
+                cj = c2[j]
+                cij = ci[j]
+                ks = ki & known[j]
+                while ks:
+                    low = ks & -ks
+                    ks ^= low
+                    k = low.bit_length() - 1
+                    yield i, j, k, cij, ci[k], cj[k]
 
 
 def gromov_product(l: LengthTable, g: Elem, h: Elem) -> QLexElem:
@@ -95,25 +136,17 @@ class AxiomReport:
         return self.nonneg_ok and self.symmetric_ok and self.subadditive_ok
 
 
-def _min_delta(l: LengthTable, sample: Sequence[Elem]):
+def _min_delta(l: LengthTable, S: _Sample):
     """Smallest delta making the hyperbolicity axiom hold on the sample.
 
     Returns (delta, witness, checked, skipped); delta is None when no
     triple had all three Gromov products available.  Only the products
-    c(s_i, s_j) with i < j are read.
+    c(s_i, s_j) with i < j are read.  S must pack zero among its extras.
     """
-    S = _Sample(l, sample, (LexElem.zero(l.rank),))
-    n = len(S.elems)
-    c2 = [[S.c2(i, j) for j in range(n)] for i in range(n)]
     best = None
     witness = None
     checked = 0
-    skipped = 0
-    for i, j, k in combinations(range(n), 3):
-        cij, cik, cjk = c2[i][j], c2[i][k], c2[j][k]
-        if cij is None or cik is None or cjk is None:
-            skipped += 1
-            continue
+    for i, j, k, cij, cik, cjk in S.known_triples():
         checked += 1
         # witness: the two whose product falls short, then the third
         for pair, a, b, case in ((cij, cik, cjk, 0), (cik, cij, cjk, 1),
@@ -121,6 +154,7 @@ def _min_delta(l: LengthTable, sample: Sequence[Elem]):
             defect = (a if a < b else b) - pair
             if best is None or best < defect:
                 best, witness = defect, ((i, j, k), (i, k, j), (j, k, i))[case]
+    skipped = comb(len(S.elems), 3) - checked
     if best is None:
         return None, None, checked, skipped
     names = tuple(l.group.render(S.elems[t]) for t in witness)
@@ -128,46 +162,69 @@ def _min_delta(l: LengthTable, sample: Sequence[Elem]):
 
 
 def check_axioms(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> AxiomReport:
+    """Non-negativity, symmetry, subadditivity and the least delta.
+
+    Everything is read off one _Sample.  A row whose inverse lies outside
+    the sample multiplies for its l(g^-1) and l(gh), in the same order,
+    so the witnesses and counts do not depend on which rows do.
+    """
     if sample is None:
         sample = l.elements()
     G = l.group
-    zero = LexElem((0,) * l.rank)
+    zero = LexElem.zero(l.rank)
+    S = _Sample(l, sample, (zero,))
+    elems, lengths, values = S.elems, S.lengths, l.values
     nonneg_ok, nonneg_witness = True, None
-    if l.values[G.identity()] != zero:
+    if values[G.identity()] != zero:
         nonneg_ok, nonneg_witness = False, G.render(G.identity())
     if nonneg_ok:
-        for g in sample:
-            if l.l(g) < zero:
-                nonneg_ok, nonneg_witness = False, G.render(g)
-                break
+        a = next((a for a, lg in enumerate(lengths) if lg < 0), None)
+        if a is not None:
+            nonneg_ok, nonneg_witness = False, G.render(elems[a])
     symmetric_ok, symmetric_witness = True, None
     inv_skipped = 0
-    for g in sample:
-        gi = G.inv(g)
-        if not l.has(gi):
-            inv_skipped += 1
-            continue
-        if l.values[g] != l.values[gi]:
-            symmetric_ok, symmetric_witness = False, G.render(g)
+    for a, c in enumerate(S.inverse):
+        if c is not None:
+            same = lengths[a] == lengths[c]
+        else:
+            li = values.get(G.inv(elems[a]))
+            if li is None:
+                inv_skipped += 1
+                continue
+            same = li == values[elems[a]]
+        if not same:
+            symmetric_ok, symmetric_witness = False, G.render(elems[a])
             break
-    subadditive_ok, subadditive_witness = True, None
+    bad = None
+    m = len(elems)
     pairs_checked = 0
-    pairs_skipped = 0
-    for g in sample:
-        for h in sample:
-            gh = G.mul(g, h)
-            if not l.has(gh):
-                pairs_skipped += 1
+    for a, c in enumerate(S.inverse):
+        if c is not None:
+            # l(g h) for g = s_a is l(s_c^-1 h)
+            row = S.quot[c]
+            pairs_checked += m - row.count(None)
+            if bad is None:
+                lg = lengths[a]
+                b = next((b for b, (lh, q) in enumerate(zip(lengths, row))
+                          if q is not None and lg + lh < q), None)
+                if b is not None:
+                    bad = (a, b)
+            continue
+        g = elems[a]
+        lg = values[g]
+        for b, h in enumerate(elems):
+            lgh = values.get(G.mul(g, h))
+            if lgh is None:
                 continue
             pairs_checked += 1
-            if l.values[g] + l.values[h] < l.values[gh]:
-                if subadditive_ok:
-                    subadditive_ok = False
-                    subadditive_witness = (G.render(g), G.render(h))
-    delta, delta_witness, triples_checked, triples_skipped = _min_delta(l, sample)
+            if bad is None and lg + values[h] < lgh:
+                bad = (a, b)
+    subadditive_ok = bad is None
+    subadditive_witness = None if bad is None else tuple(G.render(elems[t]) for t in bad)
+    delta, delta_witness, triples_checked, triples_skipped = _min_delta(l, S)
     return AxiomReport(nonneg_ok, nonneg_witness, symmetric_ok, symmetric_witness,
                        subadditive_ok, subadditive_witness, delta, delta_witness,
-                       inv_skipped, pairs_checked, pairs_skipped,
+                       inv_skipped, pairs_checked, m * m - pairs_checked,
                        triples_checked, triples_skipped, l.radius)
 
 
@@ -281,20 +338,17 @@ def lambda0_kernel(l: LengthTable, i: int,
         vacuous_ok = True
         S = _Sample(l, members, (delta * 2,))
         (d2,) = S.extra
-        n = len(members)
-        c2 = [[S.c2(a, b) for b in range(n)] for a in range(n)]
-        for a, b, c in combinations(range(n), 3):
-            cab, cac, cbc = c2[a][b], c2[a][c], c2[b][c]
-            if cab is None or cac is None or cbc is None:
-                skipped += 1
-                continue
+        for a, b, c, cab, cac, cbc in S.known_triples():
             checked += 1
+            if not vacuous_ok:
+                continue
             for pair, u, w in ((cab, cac, cbc), (cac, cab, cbc), (cbc, cab, cac)):
                 low = u if u < w else w
                 if not (low - d2 < 0 <= pair):
-                    if vacuous_ok:
-                        vacuous_ok = False
-                        witness = tuple(l.group.render(members[t]) for t in (a, b, c))
+                    vacuous_ok = False
+                    witness = tuple(l.group.render(members[t]) for t in (a, b, c))
+                    break
+        skipped = comb(len(members), 3) - checked
     return Lambda0Report(members, i, vacuous_ok, witness, checked, skipped)
 
 
@@ -658,7 +712,8 @@ def finite_ball_hyperbolic_group_check(l: LengthTable,
                 reached.add(h)
                 frontier.append(h)
     unreached = next((G.render(g) for g in sample if g not in reached), None)
-    delta, dwit, checked, skipped = _min_delta(l, sample)
+    S = _Sample(l, sample, (LexElem.zero(l.rank),))
+    delta, dwit, checked, skipped = _min_delta(l, S)
     return BallGroupReport(len(short), unreached is None, unreached,
                            delta, dwit, checked, skipped)
 
@@ -676,10 +731,14 @@ def axiom4_scan(l: LengthTable, delta: LexElem,
                 sample: Optional[Sequence[Elem]] = None) -> Axiom4Scan:
     """Count pairs (f,g) violating c(f,g) >= min(c(f,h), c(g,h)) - delta.
 
-    The doubled Gromov products are sums of packed lengths, ints whose
-    order and subtraction are those of the group, so the h scan runs at C
-    speed.  Every product l(f^-1 g) must be present; use a table of twice
-    the sample radius.
+    The pair (s_i, s_j), i < j, violates exactly when some column t has
+    both 2c(s_i, s_t) and 2c(s_j, s_t) above 2c(s_i, s_j) + 2 delta.  Each
+    row keeps its distinct doubled products in increasing order and, for
+    each, the bitmask of the columns at or above it; bisection finds the
+    two masks above the threshold and the pair violates when they meet.
+    The witness h, a column maximising min(c(f,h), c(g,h)), is found for
+    the first violation only.  Every product l(f^-1 g) must be present;
+    use a table of twice the sample radius.
     """
     if sample is None:
         sample = l.elements()
@@ -695,19 +754,34 @@ def axiom4_scan(l: LengthTable, delta: LexElem,
                              % (G.render(S.elems[i]), G.render(S.elems[j])))
         keys.append(row)
     (slack,) = S.extra
+    # levels[i]: the distinct keys of row i, increasing; above[i][p]: the
+    # columns whose key is at least levels[i][p], and 0 past the top
+    levels, above = [], []
+    for ki in keys:
+        vals, masks, mask = [], [], 0
+        for t in sorted(range(n), key=ki.__getitem__, reverse=True):
+            mask |= 1 << t
+            if vals and vals[-1] == ki[t]:
+                masks[-1] = mask
+            else:
+                vals.append(ki[t])
+                masks.append(mask)
+        vals.reverse()
+        masks.reverse()
+        masks.append(0)
+        levels.append(vals)
+        above.append(masks)
     violations = 0
     witness = None
-    pairs = 0
     for i in range(n):
-        ki = keys[i]
+        ki, li, ai = keys[i], levels[i], above[i]
         for j in range(i + 1, n):
-            kj = keys[j]
-            pairs += 1
-            bar = max(map(min, ki, kj)) - slack
-            if ki[j] < bar:
+            bar = ki[j] + slack
+            if ai[bisect_right(li, bar)] & above[j][bisect_right(levels[j], bar)]:
                 violations += 1
                 if witness is None:
+                    kj = keys[j]
                     h = max(range(n), key=lambda t: min(ki[t], kj[t]))
                     witness = (G.render(S.elems[i]), G.render(S.elems[j]),
                                G.render(S.elems[h]))
-    return Axiom4Scan(violations, witness, pairs)
+    return Axiom4Scan(violations, witness, n * (n - 1) // 2)

@@ -24,7 +24,9 @@ def labels_for(n: int) -> List[str]:
 def space_rank1(rows, labels=None) -> FiniteLambdaSpace:
     n = len(rows)
     labels = list(labels) if labels else labels_for(n)
-    dist = [[LexElem((v,)) for v in row] for row in rows]
+    # one LexElem per distinct distance, shared by every entry holding it
+    lex = {v: LexElem((v,)) for v in set().union(*rows)}
+    dist = [[lex[v] for v in row] for row in rows]
     return FiniteLambdaSpace(labels, dist)
 
 

@@ -7,7 +7,7 @@ the two sides can disagree honestly.
 
 import heapq
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import List, Sequence, Tuple
 
 Raw = Tuple[int, ...]
@@ -307,6 +307,146 @@ def oracle_complete(sample: Sequence, length: dict, mul, inv,
                 prefix_gap_max=None if gap_max is None else (gap_max,),
                 elements_checked=len(sample), pairs_checked=pairs,
                 decomposition_pairs=decompositions)
+
+
+
+def oracle_doubled_product(length: dict, mul, inv, x, y):
+    """2 c(x, y) = l(x) + l(y) - l(x^-1 y), or None when x^-1 y has no length."""
+    w = mul(inv(x), y)
+    if w not in length:
+        return None
+    return vec_sub(vec_add(length[x], length[y]), length[w])
+
+
+def oracle_axioms(sample: Sequence, length: dict, mul, inv) -> dict:
+    """The length function axioms on a sample, straight from the definitions.
+
+    ``length`` maps elements to raw Z^n tuples and ``mul``, ``inv`` are
+    the group law; witnesses are elements.
+    - Non-negativity: l(1) = 0, then l(g) >= 0 for g in sample order.
+    - Symmetry: l(g^-1) = l(g) for g in sample order; a g whose inverse
+      has no length is skipped, and the scan stops at the first failure.
+    - Subadditivity: l(gh) <= l(g) + l(h) over every ordered pair of the
+      sample with gh in the table.
+    - Delta: over the triples of sample positions i < j < k whose three
+      products c(s_i, s_j), c(s_i, s_k), c(s_j, s_k) are known, the
+      largest min(c(x, z), c(y, z)) - c(x, y), clipped at 0 and halved;
+      the witness (x, y, z) is the first triple and order reaching it.
+    """
+    e = mul(inv(sample[0]), sample[0])
+    zero = tuple(0 for _ in length[e])
+    negative = [g for g in sample if not rlex_le(zero, length[g])]
+    nonneg_witness = e if length[e] != zero else (negative[0] if negative else None)
+    symmetric_witness = None
+    inv_skipped = 0
+    for g in sample:
+        if inv(g) not in length:
+            inv_skipped += 1
+        elif length[inv(g)] != length[g]:
+            symmetric_witness = g
+            break
+    subadditive_witness = None
+    pairs_checked = pairs_skipped = 0
+    for g in sample:
+        for h in sample:
+            gh = mul(g, h)
+            if gh not in length:
+                pairs_skipped += 1
+                continue
+            pairs_checked += 1
+            if (subadditive_witness is None
+                    and not rlex_le(length[gh], vec_add(length[g], length[h]))):
+                subadditive_witness = (g, h)
+    best = delta_witness = None
+    triples_checked = triples_skipped = 0
+    for x, y, z in combinations(sample, 3):
+        cs = [oracle_doubled_product(length, mul, inv, a, b)
+              for a, b in ((x, y), (x, z), (y, z))]
+        if None in cs:
+            triples_skipped += 1
+            continue
+        triples_checked += 1
+        cxy, cxz, cyz = cs
+        # each product against the smaller of the other two; the pair of
+        # the product is named first
+        for pair, u, w, named in ((cxy, cxz, cyz, (x, y, z)),
+                                  (cxz, cxy, cyz, (x, z, y)),
+                                  (cyz, cxy, cxz, (y, z, x))):
+            defect = vec_sub(u if rlex_le(u, w) else w, pair)
+            if best is None or rkey(best) < rkey(defect):
+                best, delta_witness = defect, named
+    delta = None if best is None else half(best if rlex_le(zero, best) else zero)
+    return dict(nonneg_ok=nonneg_witness is None, nonneg_witness=nonneg_witness,
+                symmetric_ok=symmetric_witness is None,
+                symmetric_witness=symmetric_witness,
+                subadditive_ok=subadditive_witness is None,
+                subadditive_witness=subadditive_witness,
+                delta=delta, delta_witness=delta_witness, inv_skipped=inv_skipped,
+                pairs_checked=pairs_checked, pairs_skipped=pairs_skipped,
+                triples_checked=triples_checked, triples_skipped=triples_skipped)
+
+
+def oracle_axiom4(sample: Sequence, length: dict, mul, inv, delta: Raw):
+    """Pairs f, g (sample order, f first) with c(f, g) < min(c(f, h), c(g, h))
+    - delta for some h in the sample.
+
+    Returns None when some ordered pair of the sample has no Gromov
+    product.  The witness is the first violating pair with the first h
+    maximising min(c(f, h), c(g, h)).
+    """
+    c2 = {(x, y): oracle_doubled_product(length, mul, inv, x, y)
+          for x in sample for y in sample}
+    if None in c2.values():
+        return None
+    slack = scaled(2, delta)
+    violating = 0
+    witness = None
+    pairs = 0
+    for f, g in combinations(sample, 2):
+        pairs += 1
+        mins = [c2[f, h] if rlex_le(c2[f, h], c2[g, h]) else c2[g, h] for h in sample]
+        top = max(mins, key=rkey)
+        if rkey(c2[f, g]) < rkey(vec_sub(top, slack)):
+            violating += 1
+            if witness is None:
+                witness = (f, g, sample[mins.index(top)])
+    return dict(violating_pairs=violating, witness=witness, pairs_checked=pairs)
+
+
+def oracle_lambda0(elements: Sequence, length: dict, mul, inv, i: int,
+                   delta: Raw) -> dict:
+    """Elements whose length has no nonzero coordinate past the i-th.
+
+    When delta is nonzero with a nonzero coordinate past the i-th, every
+    triple of them (listing order) whose three Gromov products are known
+    must have each product >= 0 and each min(c(x, z), c(y, z)) < delta;
+    the witness is the first triple that does not.
+    """
+    def height(v):
+        return max((t + 1 for t, c in enumerate(v) if c), default=0)
+
+    members = tuple(g for g in elements if height(length[g]) <= i)
+    vacuous_ok = witness = None
+    checked = skipped = 0
+    if height(delta) > i:
+        vacuous_ok = True
+        zero = tuple(0 for _ in delta)
+        for x, y, z in combinations(members, 3):
+            cs = [oracle_doubled_product(length, mul, inv, a, b)
+                  for a, b in ((x, y), (x, z), (y, z))]
+            if None in cs:
+                skipped += 1
+                continue
+            checked += 1
+            cxy, cxz, cyz = cs
+            lows = [u if rlex_le(u, w) else w
+                    for u, w in ((cxz, cyz), (cxy, cyz), (cxy, cxz))]
+            fine = (all(rlex_le(zero, c) for c in cs)
+                    and all(rkey(low) < rkey(scaled(2, delta)) for low in lows))
+            if not fine and vacuous_ok:
+                vacuous_ok, witness = False, (x, y, z)
+    return dict(elements=members, height_bound=i, vacuous_ok=vacuous_ok,
+                witness=witness, triples_checked=checked, triples_skipped=skipped)
 
 
 def oracle_relcayley(weight: dict, lengths: Sequence[Raw], N: int,

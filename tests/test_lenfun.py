@@ -1,4 +1,5 @@
 from dataclasses import fields
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -16,7 +17,8 @@ from lhyp.lspace import FiniteLambdaSpace, min_delta_4pt, min_delta_at
 from lhyp.ordgroup import LexElem, QLexElem
 
 from helpers import L, f2_table, space_rank1, z_table
-from oracles import oracle_complete, oracle_regular
+from oracles import (oracle_axiom4, oracle_axioms, oracle_complete, oracle_lambda0,
+                     oracle_regular)
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 
@@ -344,6 +346,10 @@ def as_dict(report):
     return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
+def rendered(G, elems):
+    return None if elems is None else tuple(G.render(g) for g in elems)
+
+
 @given(seeds, st.sampled_from(("f2", "z", "f2xf2")), st.integers(0, 2),
        st.integers(0, 1))
 def test_regular_and_complete_match_oracles(seed, kind, k, d):
@@ -357,13 +363,9 @@ def test_regular_and_complete_match_oracles(seed, kind, k, d):
     coords[rng.randrange(t.rank)] = d
     delta = LexElem(coords)
     length = {g: v.coords for g, v in t.values.items()}
-
-    def names(elems):
-        return None if elems is None else tuple(G.render(g) for g in elems)
-
     want = oracle_regular(sample, length, mul, inv, k, tuple(coords))
     for key in ("r1_witness", "r2_witness", "r2_shift_witness"):
-        want[key] = names(want[key])
+        want[key] = rendered(G, want[key])
     assert as_dict(check_regular(t, sample, k, delta)) == want
     if t.rank != 1:
         with pytest.raises(InputError):
@@ -372,8 +374,75 @@ def test_regular_and_complete_match_oracles(seed, kind, k, d):
     want = oracle_complete(sample, length, mul, inv, tuple(coords))
     if want["witness"] is not None:
         want["witness"] = (G.render(want["witness"][0]), want["witness"][1])
-    want["prefix_gap_witness"] = names(want["prefix_gap_witness"])
+    want["prefix_gap_witness"] = rendered(G, want["prefix_gap_witness"])
     got = as_dict(check_complete(t, sample, delta))
     if got["prefix_gap_max"] is not None:
         got["prefix_gap_max"] = got["prefix_gap_max"].coords
     assert got == want
+
+
+def fractions(q):
+    return None if q is None else tuple(Fraction(c, q.den) for c in q.num.coords)
+
+
+def product_closed(sample, length, mul, inv):
+    """The longest prefix-greedy subsample with every l(x^-1 y) known."""
+    kept = []
+    for g in sample:
+        if all(mul(inv(x), y) in length for x in kept + [g] for y in kept + [g]):
+            kept.append(g)
+    return kept
+
+
+@given(seeds, st.sampled_from(("f2", "z", "f2xf2")), st.integers(0, 1))
+def test_axiom_scans_match_oracles(seed, kind, d):
+    # random tables with holes; a subsample is rarely closed under
+    # inverses, so check_axioms also runs the rows that multiply
+    rng = Random(seed)
+    t, mul, inv = random_length_table(rng, kind)
+    G = t.group
+    sample = list(t.elements())
+    rng.shuffle(sample)
+    if rng.random() < 0.7:
+        sample = sample[:rng.randint(1, len(sample))]
+    length = {g: v.coords for g, v in t.values.items()}
+
+    want = oracle_axioms(sample, length, mul, inv)
+    for key in ("subadditive_witness", "delta_witness"):
+        want[key] = rendered(G, want[key])
+    for key in ("nonneg_witness", "symmetric_witness"):
+        if want[key] is not None:
+            want[key] = G.render(want[key])
+    got = as_dict(check_axioms(t, sample))
+    assert got.pop("radius") == t.radius
+    got["delta"] = fractions(got["delta"])
+    assert got == want
+    if t.rank == 1:
+        ball = finite_ball_hyperbolic_group_check(t, sample)
+        assert (fractions(ball.delta), ball.delta_witness, ball.triples_checked,
+                ball.triples_skipped) == (want["delta"], want["delta_witness"],
+                                          want["triples_checked"], want["triples_skipped"])
+
+    coords = [0] * t.rank
+    coords[rng.randrange(t.rank)] = d
+    for part in (product_closed(sample, length, mul, inv), sample[:8]):
+        want4 = oracle_axiom4(part, length, mul, inv, tuple(coords))
+        if want4 is None:
+            with pytest.raises(InputError):
+                axiom4_scan(t, LexElem(coords), part)
+            continue
+        want4["witness"] = rendered(G, want4["witness"])
+        assert as_dict(axiom4_scan(t, LexElem(coords), part)) == want4
+
+    # F2 x Z lengths with holes and bumps in the F2 coordinate: the
+    # subgroup below height 1 is F2, with many triples to scan
+    prod = product_length(f2_table(2), z_table(1))
+    values = {g: v + L(rng.choice((0, 0, 0, 1, -1)) if g != ((), ()) else 0, 0)
+              for g, v in prod.values.items() if g == ((), ()) or rng.random() > 0.1}
+    for t, mul, inv in ((t, mul, inv), (LengthTable(prod.group, values), pair_mul, pair_inv)):
+        length = {g: v.coords for g, v in t.values.items()}
+        i = rng.randint(0, t.rank)
+        delta = [rng.randint(0, 2) for _ in range(t.rank)]
+        want0 = oracle_lambda0(t.elements(), length, mul, inv, i, tuple(delta))
+        want0["witness"] = rendered(t.group, want0["witness"])
+        assert as_dict(lambda0_kernel(t, i, LexElem(delta))) == want0

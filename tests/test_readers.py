@@ -6,6 +6,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhyp.catalog import read_grp, read_len
@@ -142,10 +143,9 @@ def mutated_runs(draw):
     return dict(files, **{name: draw(mutants(files[name]))}), argv
 
 
-@settings(max_examples=120)
-@given(mutated_runs())
-def test_main_on_mutated_inputs(run):
-    files, argv = run
+def run_main(files, argv):
+    """Exit code, stdout and the error lines of main on files in a fresh
+    directory; a file's name in argv stands for its path."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
@@ -156,8 +156,35 @@ def test_main_on_mutated_inputs(run):
         # raised inside fails the test
         with redirect_stdout(out), redirect_stderr(err):
             code = main(args)
+    return code, out.getvalue(), [line for line in err.getvalue().splitlines()
+                                  if line.startswith("error:")]
+
+
+@settings(max_examples=120)
+@given(mutated_runs())
+def test_main_on_mutated_inputs(run):
+    code, out, errors = run_main(*run)
     assert code in (0, 1, 2)
-    errors = [line for line in err.getvalue().splitlines()
-              if line.startswith("error:")]
     if code == 2:
-        assert len(errors) == 1 and out.getvalue() == ""
+        assert len(errors) == 1 and out == ""
+
+
+@pytest.mark.parametrize("grp, word, error", [
+    ("f2.grp", "a1", "bad letter '1' in word 'a1'"),
+    ("f2.grp", "b-a", "bad letter '-' in word 'b-a'"),
+    ("f2.grp", "\u00e9", "bad letter '\u00e9' in word '\u00e9'"),
+    ("f2.grp", "abc", "letter 'c' outside rank 2"),
+    ("f2.grp", "aZ", "letter 'Z' outside rank 2"),
+    ("z.grp", "B", "letter 'B' outside rank 1"),
+    ("f2.grp", "abBa", "word 'abBa' is not reduced"),
+    ("z.grp", "Aa", "word 'Aa' is not reduced"),
+    # a bad letter is reported before a cancelling pair
+    ("f2.grp", "aA1", "bad letter '1' in word 'aA1'"),
+    ("f2.grp", "aAc", "letter 'c' outside rank 2"),
+    ("zc.grp", "b|e", "letter 'b' outside rank 1"),
+])
+def test_lenfun_names_the_bad_word(grp, word, error):
+    text = "group %s\nlambda Z^1\n%s 1\n" % (grp, word)
+    code, out, errors = run_main(dict(GROUPS, **{"w.len": text}),
+                                 "lenfun --len w.len --axioms")
+    assert (code, out, errors) == (2, "", ["error: " + error])
