@@ -615,6 +615,50 @@ def oracle_rips(dist: List[List[int]]) -> Tuple[int, object]:
     return best, wit
 
 
+def oracle_between(dist: List[List[int]], i: int, j: int) -> List[int]:
+    """Points w with d(i,w) + d(w,j) = d(i,j), in index order."""
+    return [w for w in range(len(dist)) if dist[i][w] + dist[w][j] == dist[i][j]]
+
+
+def oracle_level(dist: List[List[int]], i: int, j: int, t: int) -> List[int]:
+    """Points w at parameter t from i toward j: d(i,w) = t and
+    d(w,j) = d(i,j) - t, in index order."""
+    return [w for w in range(len(dist))
+            if dist[i][w] == t and dist[w][j] == dist[i][j] - t]
+
+
+def oracle_geodesic_gap(dist: List[List[int]]):
+    """The first (i, j, t), i < j and 0 < t < d(i,j), whose level set is
+    empty, or None when every pair has points at every parameter."""
+    n = len(dist)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for t in range(1, dist[i][j]):
+                if not oracle_level(dist, i, j, t):
+                    return i, j, t
+    return None
+
+
+def oracle_segments(dist: List[List[int]], i: int, j: int) -> List[List[int]]:
+    """Every chain i = z_0, z_1, ..., z_d with z_t at parameter t from i
+    toward j and d(z_t, z_t+1) = 1, where d = d(i,j), in lexicographic
+    order of the index lists."""
+    d = dist[i][j]
+    levels = [oracle_level(dist, i, j, t) for t in range(d + 1)]
+    out = []
+
+    def grow(chain):
+        if len(chain) == d + 1:
+            out.append(list(chain))
+            return
+        for w in levels[len(chain)]:
+            if dist[chain[-1]][w] == 1:
+                grow(chain + [w])
+
+    grow([i])
+    return out
+
+
 def oracle_labelling_keys(adj: Sequence[int]) -> set:
     """Row-major upper-triangle adjacency bitstrings of all n! labellings;
     adj[v] is the neighbor bitmask of v.  Two graphs are isomorphic

@@ -3,6 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
+from lhyp.completion import gamma1
 from lhyp.errors import ConstructionError, InputError
 from lhyp.geodspace import (GeodesicGraph, all_segments, between_set,
                             canonical_segment, delta_relations,
@@ -14,9 +15,12 @@ from lhyp.lspace import min_delta_4pt, min_delta_at
 from lhyp.ordgroup import LexElem, QLexElem
 from lhyp.smallgraphs import connected_graphs, edge_list
 
-from helpers import (L, cycle_space, random_connected_unit_rows,
-                     random_tree_rows, space_rank1)
-from oracles import floyd, floyd_directed, oracle_rips, oracle_thinness
+from helpers import (L, ceil_delta_int, cycle_rows, cycle_space,
+                     random_connected_unit_rows, random_metric_rows,
+                     random_metric_space, random_tree_rows, space_rank1)
+from oracles import (floyd, floyd_directed, oracle_between,
+                     oracle_geodesic_gap, oracle_level, oracle_rips,
+                     oracle_segments, oracle_thinness)
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 
@@ -140,6 +144,63 @@ def test_segments_realize_the_distance(seed):
     for seg in all_segments(X, xs[0], xs[1]):
         assert len(seg) == d + 1
         assert all(X.d(seg[t], seg[t + 1]) == L(1) for t in range(d))
+
+
+def _geodesic_rows(kind, rng):
+    if kind == "unit":
+        return random_connected_unit_rows(rng, rng.randint(1, 9))
+    if kind == "metric":
+        # weights from 1 leave some gaps, weights from 2 leave many
+        return random_metric_rows(rng, rng.randint(2, 8), maxw=rng.randint(2, 8),
+                                  minw=rng.randint(1, 2))
+    if kind == "cycle":
+        return cycle_rows(rng.randint(1, 12))
+    X = random_metric_space(rng, rng.randint(2, 5), maxw=6)
+    g = gamma1(X, ceil_delta_int(X))
+    return [list(g.unit_row(src)) for src in range(len(g.labels))]
+
+
+def _greedy_segment(rows, i, j):
+    # the least next point at each parameter, or the parameter that has none
+    chain = [i]
+    for t in range(1, rows[i][j] + 1):
+        step = [w for w in oracle_level(rows, i, j, t) if rows[chain[-1]][w] == 1]
+        if not step:
+            return t
+        chain.append(step[0])
+    return chain
+
+
+@pytest.mark.parametrize("kind", ["unit", "metric", "cycle", "derived"])
+@given(seeds)
+def test_geodesic_helpers_match_the_oracles(kind, seed):
+    rows = _geodesic_rows(kind, Random(seed))
+    X = space_rank1(rows)
+    lab = X.labels
+    n = len(rows)
+
+    def names(points):
+        return tuple(lab[w] for w in points)
+
+    gap = oracle_geodesic_gap(rows)
+    want = (True, None) if gap is None else (False, names(gap[:2]) + (gap[2],))
+    assert is_geodesic(X) == want
+    for i in range(n):
+        for j in range(n):
+            x, y, d = lab[i], lab[j], rows[i][j]
+            assert between_set(X, x, y) == names(oracle_between(rows, i, j))
+            for t in range(-1, d + 2):
+                assert level_set(X, x, y, t) == names(oracle_level(rows, i, j, t))
+            greedy = _greedy_segment(rows, i, j)
+            if isinstance(greedy, int):
+                msg = ("no unit chain from %s to %s at parameter %d; space is not geodesic"
+                       % (x, y, greedy))
+                with pytest.raises(InputError) as err:
+                    canonical_segment(X, x, y)
+                assert str(err.value) == msg
+            else:
+                assert canonical_segment(X, x, y) == names(greedy)
+            assert list(all_segments(X, x, y)) == [names(s) for s in oracle_segments(rows, i, j)]
 
 
 def test_tripod_insizes_sum_along_sides():
