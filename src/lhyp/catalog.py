@@ -143,25 +143,14 @@ class FreeGroup(GroupHandle):
         try:
             letters = tuple([codes[ch] for ch in text])
         except KeyError:
-            # the slow loop names the first letter the table lacks
-            letters = self._letters(text)
+            # name the first character the table lacks
+            ch = next(ch for ch in text if ch not in codes)
+            if ch not in string.ascii_letters:
+                raise InputError("bad letter %r in word %r" % (ch, text)) from None
+            raise InputError("letter %r outside rank %d" % (ch, self.rank)) from None
         if 0 in map(add, letters, letters[1:]):
             raise InputError("word %r is not reduced" % text)
         return letters
-
-    def _letters(self, text: str) -> Tuple[int, ...]:
-        letters = []
-        for ch in text:
-            if ch in string.ascii_lowercase:
-                x = ord(ch) - ord("a") + 1
-            elif ch in string.ascii_uppercase:
-                x = -(ord(ch) - ord("A") + 1)
-            else:
-                raise InputError("bad letter %r in word %r" % (ch, text))
-            if abs(x) > self.rank:
-                raise InputError("letter %r outside rank %d" % (ch, self.rank))
-            letters.append(x)
-        return tuple(letters)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FreeGroup) and other.rank == self.rank

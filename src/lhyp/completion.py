@@ -24,7 +24,7 @@ from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ConstructionError, InputError
-from .geodspace import DisjointSets, distances_from
+from .geodspace import DisjointSets, _Masks, distances_from
 from .isometry import IsoPerm
 from .lspace import FiniteLambdaSpace, min_delta_4pt, validate_metric
 from .ordgroup import LexElem, Packing, QLexElem
@@ -53,11 +53,7 @@ class CompletionGraph:
     certificate: Dict[str, str] = field(compare=False)
 
     def essential_count(self) -> int:
-        k = 0
-        for c in self.klass:
-            if c == ESSENTIAL:
-                k += 1
-        return k
+        return self.klass.count(ESSENTIAL)
 
     @cached_property
     def unit_adjacency(self) -> List[Dict[int, int]]:
@@ -115,7 +111,8 @@ class CompletionGraph:
         return FiniteLambdaSpace(self.labels, [[lex[d] for d in row] for row in table])
 
 
-def _int_table(space: FiniteLambdaSpace) -> Sequence[Sequence[int]]:
+def _input_masks(space: FiniteLambdaSpace) -> _Masks:
+    """The sphere masks of a checked input, whose int table is ``.D``."""
     if space.rank != 1 or space.domain != "Z":
         raise InputError("completion needs integer distances (rank-1 Z table)")
     for lab in space.labels:
@@ -128,7 +125,7 @@ def _int_table(space: FiniteLambdaSpace) -> Sequence[Sequence[int]]:
         raise InputError("input is not a metric space: %s at %s"
                          % (report.axiom, report.witness))
     # over rank-one Z the packed table holds the distances themselves
-    return space.packed_table()
+    return _Masks(space.packed_table())
 
 
 def _require_delta(space: FiniteLambdaSpace, delta: int) -> None:
@@ -234,20 +231,18 @@ class _Builder:
     def __init__(self, essential: Sequence[str]) -> None:
         self.labels: List[str] = []
         self.klass: List[str] = []
-        self.records: List[str] = []
         self.adj: List[Set[int]] = []
         # identified copies share a root: the stronger class, then the
         # lesser label
         self.sets = DisjointSets(
             (), key=lambda r: (_CLASS_RANK[self.klass[r]], self.labels[r], r))
         for lab in essential:
-            self.add(lab, ESSENTIAL, lab)
+            self.add(lab, ESSENTIAL)
 
-    def add(self, label: str, klass: str, record: str) -> int:
+    def add(self, label: str, klass: str) -> int:
         i = len(self.labels)
         self.labels.append(label)
         self.klass.append(klass)
-        self.records.append(record)
         self.adj.append(set())
         self.sets.add(i)
         return i
@@ -269,8 +264,7 @@ class _Builder:
         vertices and v, in path order."""
         path = [u]
         for t in range(1, length):
-            w = self.add("%s:%d" % (label_stub, t), klass,
-                         "%s:%d" % (label_stub, t))
+            w = self.add("%s:%d" % (label_stub, t), klass)
             self.edge(path[-1], w)
             path.append(w)
         self.edge(path[-1], v)
@@ -321,7 +315,7 @@ class _Builder:
             final_of[root] = f
             labels.append(self.labels[members[0]])
             klass.append(self.klass[members[0]])
-            prov.append(tuple(self.records[m] for m in members))
+            prov.append(tuple(self.labels[m] for m in members))
         edges: Set[Tuple[int, int, int]] = set()
         for root in roots:
             fu = final_of[root]
@@ -336,14 +330,6 @@ class _Builder:
                 edges.add((min(fu, fv), max(fu, fv), w))
         return CompletionGraph(tuple(labels), tuple(klass), tuple(prov),
                                tuple(sorted(edges)), certificate)
-
-
-def _between_blocked(D: Sequence[Sequence[int]], n: int, i: int, j: int) -> bool:
-    d = D[i][j]
-    for k in range(n):
-        if k != i and k != j and D[i][k] + D[k][j] == d:
-            return True
-    return False
 
 
 def _aux_stub(li: str, lj: str) -> str:
@@ -374,14 +360,15 @@ def gamma1(space: FiniteLambdaSpace, delta: int,
     unit paths and through weight-d chords; a mismatch between the two
     would mean an illegal shortcut and aborts the construction.
     """
-    D = _int_table(space)
+    M = _input_masks(space)
     _require_delta(space, delta)
-    return _stage_one(space, D, delta, order_seed)
+    return _stage_one(space, M, delta, order_seed)
 
 
-def _stage_one(space: FiniteLambdaSpace, D: Sequence[Sequence[int]],
-               delta: int, order_seed: Optional[int]) -> CompletionGraph:
+def _stage_one(space: FiniteLambdaSpace, M: _Masks, delta: int,
+               order_seed: Optional[int]) -> CompletionGraph:
     # gamma1 after its input checks, which gamma2 has already made
+    D = M.D
     n = len(space)
     g = _Builder(space.labels)
 
@@ -398,7 +385,8 @@ def _stage_one(space: FiniteLambdaSpace, D: Sequence[Sequence[int]],
         d = D[i][j]
         if d >= 2:
             chords[(i, j)] = d
-        if d == 1 or not _between_blocked(D, n, i, j):
+        # a pair with no point strictly between it gets a path
+        if d == 1 or not M.between(i, j) & ~(1 << i | 1 << j):
             path = g.chain(i, j, d, AUXILIARY,
                            _aux_stub(space.labels[i], space.labels[j]))
             for t in range(1, d):
@@ -482,7 +470,8 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
     (no bridges, no certificate beyond the stage marker); successive
     caps grow monotonically, which the tests rely on.
     """
-    D = _int_table(space)
+    M = _input_masks(space)
+    D = M.D
     _require_delta(space, delta)
     ok, table = check_RS(space, LexElem((delta,)))
     if not ok:
@@ -494,7 +483,7 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
     if cap is None:
         cap = diam
 
-    g1 = _stage_one(space, D, delta, order_seed)
+    g1 = _stage_one(space, M, delta, order_seed)
 
     g = _Builder(space.labels)
 
@@ -508,7 +497,7 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
     two = 2 * delta
     for i, j in pairs:
         d = D[i][j]
-        if d >= 2 and _between_blocked(D, n, i, j):
+        if d >= 2 and M.between(i, j) & ~(1 << i | 1 << j):
             # an essential vertex splits the pair exactly, so its halves
             # carry the distance; a fresh basic path would keep geodesic
             # inputs from coming back unchanged

@@ -9,17 +9,21 @@ to the triple constant over all basepoints, which is the four-point one.
 
 It also holds the two graph kernels shared with ``completion`` and
 ``relhyp``: ``distances_from``, the one shortest-path routine, one row
-per call, and ``DisjointSets``, the one union-find.  ``delta_relations``
-checks geodesicity once and builds, from the distance table, the sphere
-and ball bitmasks of every point that both triangle scans read.  Between
-sets and level sets are then unions and intersections of spheres, and a
-point is tested against the running maximum by one ball mask rather than
-by a loop over the other points.
+per call, and ``DisjointSets``, the one union-find.
+
+Every set the geodesic layer scans, here and in ``completion``, is read
+off the sphere and ball bitmasks of every point (``_Masks``), built once
+per space from a table checked to be non-negative and symmetric.  Level
+sets are meets of two spheres and between sets unions of levels; the
+geodesicity test looks for an empty level, and the triangle scans test a
+point against the running maximum by one ball mask.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import accumulate, combinations
+from operator import or_
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
                     Mapping, Optional, Sequence, Tuple)
 
@@ -202,96 +206,158 @@ def unit_graph(X: FiniteLambdaSpace, check: bool = True) -> GeodesicGraph:
     return G
 
 
+class _Masks:
+    """Sphere and ball bitmasks of every point, read off the int table.
+
+    Bit z of ``sphere[u][r]`` is set when d(u, z) = r, and of
+    ``ball[u][r]`` when d(u, z) <= r; both lists run up to the diameter,
+    so the table must be non-negative.  The level set at parameter t from
+    i toward j is sphere[i][t] & sphere[j][d(i,j) - t], and the between
+    set of i and j the union of its levels.
+    """
+
+    __slots__ = ("D", "sphere", "ball")
+
+    def __init__(self, D: Sequence[Sequence[int]]) -> None:
+        top = max(map(max, D)) + 1
+        self.D = D
+        self.sphere = []
+        self.ball = []
+        for row in D:
+            sph = [0] * top
+            for z, d in enumerate(row):
+                sph[d] |= 1 << z
+            self.sphere.append(sph)
+            self.ball.append(list(accumulate(sph, or_)))
+
+    def level(self, i: int, j: int, t: int) -> int:
+        """Mask of the points z with d(i,z) = t and d(z,j) = d(i,j) - t."""
+        d = self.D[i][j]
+        if not 0 <= t <= d:
+            return 0
+        return self.sphere[i][t] & self.sphere[j][d - t]
+
+    def between(self, i: int, j: int) -> int:
+        """Mask of the points z with d(i,z) + d(z,j) = d(i,j)."""
+        Si, Sj = self.sphere[i], self.sphere[j]
+        d = self.D[i][j]
+        out = 0
+        for t in range(d + 1):
+            out |= Si[t] & Sj[d - t]
+        return out
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The points of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _names(X: FiniteLambdaSpace, points: Iterable[int]) -> Tuple[str, ...]:
+    return tuple(X.labels[z] for z in points)
+
+
+@lru_cache(maxsize=1)
+def _space_masks(X: FiniteLambdaSpace) -> _Masks:
+    """The masks of X, whose table must be non-negative and symmetric; the
+    last space's are kept, so per-set calls on one space build them once."""
+    D = _int_table(X)
+    L = X.labels
+    n = len(D)
+    if min(map(min, D)) < 0:
+        i, j = next((i, j) for i in range(n) for j in range(n) if D[i][j] < 0)
+        raise InputError("distance d(%s,%s)=%d is negative" % (L[i], L[j], D[i][j]))
+    if tuple(zip(*D)) != D:
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                    if D[i][j] != D[j][i])
+        raise InputError("distance table is not symmetric: d(%s,%s)=%d but d(%s,%s)=%d"
+                         % (L[i], L[j], D[i][j], L[j], L[i], D[j][i]))
+    return _Masks(D)
+
+
+def _gap(X: FiniteLambdaSpace, M: _Masks) -> Optional[Tuple[str, str, int]]:
+    # the first pair i < j and parameter 0 < t < d(i,j) whose level set
+    # is empty, by labels
+    D, S = M.D, M.sphere
+    n = len(D)
+    for i in range(n):
+        Di, Si = D[i], S[i]
+        for j in range(i + 1, n):
+            d = Di[j]
+            Sj = S[j]
+            for t in range(1, d):
+                if not Si[t] & Sj[d - t]:
+                    return X.labels[i], X.labels[j], t
+    return None
+
+
 def is_geodesic(X: FiniteLambdaSpace) -> Tuple[bool, Optional[Tuple[str, str, int]]]:
     """Whether every pair admits points at every intermediate parameter.
 
     Returns (True, None), or (False, (x, y, t)) naming a pair and a
     parameter 0 < t < d(x,y) with no point z at d(x,z)=t, d(z,y)=d-t.
     """
-    D = _int_table(X)
-    n = len(X)
-    for i in range(n):
-        Di = D[i]
-        for j in range(i + 1, n):
-            dij = Di[j]
-            Dj = D[j]
-            for t in range(1, dij):
-                if not any(Di[z] == t and Dj[z] == dij - t for z in range(n)):
-                    return False, (X.labels[i], X.labels[j], t)
-    return True, None
+    gap = _gap(X, _space_masks(X))
+    return gap is None, gap
 
 
-def _require_geodesic(X: FiniteLambdaSpace) -> Sequence[Sequence[int]]:
-    ok, wit = is_geodesic(X)
-    if not ok:
-        raise InputError("space is not geodesic: gap at (%s,%s,t=%d)" % wit)
-    return _int_table(X)
+def _require_geodesic(X: FiniteLambdaSpace) -> _Masks:
+    M = _space_masks(X)
+    gap = _gap(X, M)
+    if gap is not None:
+        raise InputError("space is not geodesic: gap at (%s,%s,t=%d)" % gap)
+    return M
 
 
 def between_set(X: FiniteLambdaSpace, x, y) -> Tuple[str, ...]:
     """Points z with d(x,z) + d(z,y) = d(x,y), endpoints included."""
-    D = _int_table(X)
-    i, j = X.index(x), X.index(y)
-    return tuple(X.labels[z] for z in _between(D, i, j))
-
-
-def _between(D, i, j) -> List[int]:
-    dij = D[i][j]
-    return [z for z in range(len(D)) if D[i][z] + D[z][j] == dij]
-
-
-def _level(D, c, a, t) -> List[int]:
-    dca = D[c][a]
-    return [z for z in range(len(D)) if D[c][z] == t and D[z][a] == dca - t]
+    M = _space_masks(X)
+    return _names(X, _bits(M.between(X.index(x), X.index(y))))
 
 
 def level_set(X: FiniteLambdaSpace, x, y, t: int) -> Tuple[str, ...]:
     """Points z at parameter t between x and y: d(x,z)=t and d(z,y)=d(x,y)-t."""
-    D = _int_table(X)
-    return tuple(X.labels[z] for z in _level(D, X.index(x), X.index(y), t))
+    M = _space_masks(X)
+    return _names(X, _bits(M.level(X.index(x), X.index(y), t)))
 
 
 def canonical_segment(X: FiniteLambdaSpace, x, y) -> Tuple[str, ...]:
     """The least unit-step chain from x to y, greedy by point index."""
-    D = _int_table(X)
-    i, j = X.index(x), X.index(y)
-    dij = D[i][j]
+    M = _space_masks(X)
+    return _names(X, _canonical(X, M, X.index(x), X.index(y)))
+
+
+def _canonical(X: FiniteLambdaSpace, M: _Masks, i: int, j: int) -> List[int]:
     chain = [i]
-    cur = i
-    for t in range(1, dij + 1):
-        Dc = D[cur]
-        nxt = next(
-            (z for z in range(len(D)) if Dc[z] == 1 and D[i][z] == t and D[z][j] == dij - t),
-            None,
-        )
-        if nxt is None:
+    for t in range(1, M.D[i][j] + 1):
+        step = M.sphere[chain[-1]][1] & M.level(i, j, t)
+        if not step:
             raise InputError(
                 "no unit chain from %s to %s at parameter %d; space is not geodesic"
                 % (X.labels[i], X.labels[j], t)
             )
-        chain.append(nxt)
-        cur = nxt
-    return tuple(X.labels[z] for z in chain)
+        chain.append((step & -step).bit_length() - 1)
+    return chain
 
 
 def all_segments(X: FiniteLambdaSpace, x, y) -> Iterator[Tuple[str, ...]]:
     """Every unit-step distance-realizing chain from x to y, in index order."""
-    D = _int_table(X)
+    M = _space_masks(X)
     i, j = X.index(x), X.index(y)
-    dij = D[i][j]
+    levels = [M.level(i, j, t) for t in range(M.D[i][j] + 1)]
 
-    def extend(prefix: List[int], t: int) -> Iterator[Tuple[str, ...]]:
-        if t == dij:
-            yield tuple(X.labels[z] for z in prefix)
+    def extend(prefix: List[int]) -> Iterator[Tuple[str, ...]]:
+        if len(prefix) == len(levels):
+            yield _names(X, prefix)
             return
-        cur = prefix[-1]
-        for z in range(len(D)):
-            if D[cur][z] == 1 and D[i][z] == t + 1 and D[z][j] == dij - t - 1:
-                prefix.append(z)
-                yield from extend(prefix, t + 1)
-                prefix.pop()
+        for z in _bits(M.sphere[prefix[-1]][1] & levels[len(prefix)]):
+            prefix.append(z)
+            yield from extend(prefix)
+            prefix.pop()
 
-    return extend([i], 0)
+    return extend([i])
 
 
 @dataclass(frozen=True)
@@ -321,42 +387,6 @@ def tripod_insizes(X: FiniteLambdaSpace, x, y, z) -> Tripod:
     )
 
 
-class _Masks:
-    """Sphere and ball bitmasks of every point, read off the int table.
-
-    Bit z of ``sphere[u][r]`` is set when d(u, z) = r, and of
-    ``ball[u][r]`` when d(u, z) <= r; both lists run up to the diameter.
-    """
-
-    __slots__ = ("D", "sphere", "ball")
-
-    def __init__(self, D: Sequence[Sequence[int]]) -> None:
-        top = max(map(max, D)) + 1
-        self.D = D
-        self.sphere = []
-        self.ball = []
-        for row in D:
-            sph = [0] * top
-            for z, d in enumerate(row):
-                sph[d] |= 1 << z
-            acc = 0
-            ball = []
-            for s in sph:
-                acc |= s
-                ball.append(acc)
-            self.sphere.append(sph)
-            self.ball.append(ball)
-
-    def between(self, i: int, j: int) -> int:
-        """Mask of the points z with d(i,z) + d(z,j) = d(i,j)."""
-        Si, Sj = self.sphere[i], self.sphere[j]
-        d = self.D[i][j]
-        out = 0
-        for t in range(d + 1):
-            out |= Si[t] & Sj[d - t]
-        return out
-
-
 def min_thinness(X: FiniteLambdaSpace) -> QLexElem:
     value, _ = min_thinness_witness(X)
     return value
@@ -371,7 +401,7 @@ def min_thinness_witness(X):
     insize.  The result is the largest distance between identified
     points; the witness names (corner, other, other, t, u, v).
     """
-    return _thinness(X, _Masks(_require_geodesic(X)))
+    return _thinness(X, _require_geodesic(X))
 
 
 def _thinness(X: FiniteLambdaSpace, M: _Masks):
@@ -424,7 +454,7 @@ def min_rips_witness(X):
     points between the remaining two pairs is taken; the result is the
     maximum, the witness (x, y, z, u) with u between x and y.
     """
-    return _rips(X, _Masks(_require_geodesic(X)))
+    return _rips(X, _require_geodesic(X))
 
 
 def _rips(X: FiniteLambdaSpace, M: _Masks):
@@ -443,12 +473,9 @@ def _rips(X: FiniteLambdaSpace, M: _Masks):
     def within(r):
         near = [[0] * n for _ in range(n)]
         for i, j in pairs:
-            m = betw[i][j]
             acc = 0
-            while m:
-                low = m & -m
-                m ^= low
-                acc |= B[low.bit_length() - 1][r]
+            for w in _bits(betw[i][j]):
+                acc |= B[w][r]
             near[i][j] = near[j][i] = acc
         return near
 
@@ -461,10 +488,7 @@ def _rips(X: FiniteLambdaSpace, M: _Masks):
             if not far:
                 continue
             other = betw[x][z] | betw[y][z]
-            while far:
-                low = far & -far
-                far ^= low
-                u = low.bit_length() - 1
+            for u in _bits(far):
                 Bu = B[u]
                 if not Bu[best] & other:
                     r = best + 1
@@ -510,14 +534,12 @@ def inner_triangle(X: FiniteLambdaSpace, x, y, z, sides=None, delta=None) -> Inn
     y for the third).  With delta set, a diameter above 4*delta raises
     ConstructionError.
     """
-    D = _require_geodesic(X)
+    M = _require_geodesic(X)
+    D = M.D
     i, j, k = X.index(x), X.index(y), X.index(z)
     if sides is None:
-        sides = (
-            canonical_segment(X, x, y),
-            canonical_segment(X, x, z),
-            canonical_segment(X, y, z),
-        )
+        sides = tuple(_names(X, _canonical(X, M, a, b))
+                      for a, b in ((i, j), (i, k), (j, k)))
     sxy = _check_side(X, D, sides[0], x, y)
     sxz = _check_side(X, D, sides[1], x, z)
     syz = _check_side(X, D, sides[2], y, z)
@@ -569,9 +591,8 @@ def delta_relations(X: FiniteLambdaSpace) -> DeltaRelations:
     The expected bounds: thin <= 4 point, point <= 2 thin, rips <= thin,
     thin <= 4 rips, and the two composites rips <= 4 point, point <= 8 rips.
     """
-    D = _require_geodesic(X)
+    M = _require_geodesic(X)
     dp = min_delta_4pt(X)
-    M = _Masks(D)
     dt, _ = _thinness(X, M)
     dr, _ = _rips(X, M)
     checks = (

@@ -203,6 +203,32 @@ def test_geodesic_helpers_match_the_oracles(kind, seed):
             assert list(all_segments(X, x, y)) == [names(s) for s in oracle_segments(rows, i, j)]
 
 
+@pytest.mark.parametrize("rows, error", [
+    # the gap test passes, and the negative entry used to index the masks
+    # from the end
+    ([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], "distance d(v0,v2)=-1 is negative"),
+    ([[0, 1, 2], [1, 0, 1], [1, 1, 0]],
+     "distance table is not symmetric: d(v0,v2)=2 but d(v2,v0)=1"),
+])
+def test_geodesic_helpers_reject_non_metric_tables(rows, error):
+    X = space_rank1(rows)
+    calls = [
+        lambda: is_geodesic(X),
+        lambda: between_set(X, "v0", "v2"),
+        lambda: level_set(X, "v0", "v2", 1),
+        lambda: canonical_segment(X, "v0", "v2"),
+        lambda: all_segments(X, "v0", "v2"),
+        lambda: min_thinness_witness(X),
+        lambda: min_rips_witness(X),
+        lambda: delta_relations(X),
+        lambda: inner_triangle(X, "v0", "v1", "v2"),
+    ]
+    for call in calls:
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == error
+
+
 def test_tripod_insizes_sum_along_sides():
     X = cycle_space(4)
     tp = tripod_insizes(X, "v0", "v1", "v2")
