@@ -13,10 +13,10 @@ per call, and ``DisjointSets``, the one union-find.
 
 Every set the geodesic layer scans, here and in ``completion``, is read
 off the sphere and ball bitmasks of every point (``_Masks``), built once
-per space from a table checked to be non-negative and symmetric.  Level
-sets are meets of two spheres and between sets unions of levels; the
-geodesicity test looks for an empty level, and the triangle scans test a
-point against the running maximum by one ball mask.
+per space from a table checked to be non-negative and symmetric with a
+zero diagonal.  Level sets are meets of two spheres and between sets
+unions of levels; the geodesicity test looks for an empty level, and the
+triangle scans test a point against the running maximum by one ball mask.
 """
 
 from collections import defaultdict
@@ -261,8 +261,9 @@ def _names(X: FiniteLambdaSpace, points: Iterable[int]) -> Tuple[str, ...]:
 
 @lru_cache(maxsize=1)
 def _space_masks(X: FiniteLambdaSpace) -> _Masks:
-    """The masks of X, whose table must be non-negative and symmetric; the
-    last space's are kept, so per-set calls on one space build them once."""
+    """The masks of X, whose table must be non-negative and symmetric with a
+    zero diagonal; the last space's are kept, so per-set calls on one space
+    build them once."""
     D = _int_table(X)
     L = X.labels
     n = len(D)
@@ -274,6 +275,12 @@ def _space_masks(X: FiniteLambdaSpace) -> _Masks:
                     if D[i][j] != D[j][i])
         raise InputError("distance table is not symmetric: d(%s,%s)=%d but d(%s,%s)=%d"
                          % (L[i], L[j], D[i][j], L[j], L[i], D[j][i]))
+    # a point off its own zero sphere can leave a between set empty, and
+    # the slimness scan would then walk its balls past the diameter
+    i = next((i for i in range(n) if D[i][i]), None)
+    if i is not None:
+        raise InputError("distance d(%s,%s)=%d from a point to itself is not zero"
+                         % (L[i], L[i], D[i][i]))
     return _Masks(D)
 
 

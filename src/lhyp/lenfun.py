@@ -27,7 +27,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .catalog import GroupHandle, LengthTable
 from .errors import ConstructionError, InputError
-from .lspace import FiniteLambdaSpace, validate_metric
+from .lspace import FiniteLambdaSpace, level_masks, validate_metric
 from .ordgroup import LexElem, Packing, QLexElem, height
 
 Elem = Any
@@ -754,23 +754,7 @@ def axiom4_scan(l: LengthTable, delta: LexElem,
                              % (G.render(S.elems[i]), G.render(S.elems[j])))
         keys.append(row)
     (slack,) = S.extra
-    # levels[i]: the distinct keys of row i, increasing; above[i][p]: the
-    # columns whose key is at least levels[i][p], and 0 past the top
-    levels, above = [], []
-    for ki in keys:
-        vals, masks, mask = [], [], 0
-        for t in sorted(range(n), key=ki.__getitem__, reverse=True):
-            mask |= 1 << t
-            if vals and vals[-1] == ki[t]:
-                masks[-1] = mask
-            else:
-                vals.append(ki[t])
-                masks.append(mask)
-        vals.reverse()
-        masks.reverse()
-        masks.append(0)
-        levels.append(vals)
-        above.append(masks)
+    levels, above = zip(*map(level_masks, keys)) if keys else ((), ())
     violations = 0
     witness = None
     for i in range(n):

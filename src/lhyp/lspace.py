@@ -1,26 +1,33 @@
 """Finite metric spaces with distances in Z^n or Q^n.
 
 Distances are exact group elements; hyperbolicity constants live in the
-divisible hull and are reported as exact fractions.  Every kernel runs on
-one table of ints per space, packed once by ``ordgroup.Packing`` for every
-rank and both domains and unpacked only for results.  The triple condition
-at basepoint w, less d(x,w)+d(y,w)+d(z,w) on both sides, is the four-point
-condition (Gromov 1987, 1.1), so one quadruple scan yields every constant;
-``min_delta_at`` scans one basepoint.  The scan runs in this process unless
-its quadruple count repays starting workers: then it starts one worker per
-``_QUADS_PER_WORKER`` quadruples, at most one per core.
+divisible hull and are reported as exact fractions.  A table holds few
+distinct values, so each is handled once: ``read_lms`` parses each
+distinct token once and shares its element, and a space checks each
+distinct element object once and packs it into an int once.  Every kernel
+runs on one table of ints per space, packed by ``ordgroup.Packing`` for
+every rank and both domains and unpacked only for results.  The triple
+condition at basepoint w, less d(x,w)+d(y,w)+d(z,w) on both sides, is the
+four-point condition (Gromov 1987, 1.1), so one quadruple scan yields
+every constant; ``min_delta_at`` scans one basepoint, testing each pair
+against the running maximum by threshold bitmasks.  The scan runs in this
+process unless its quadruple count repays starting workers: then it
+starts one worker per ``_QUADS_PER_WORKER`` quadruples, at most one per
+core.
 """
 
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
-from .ordgroup import LexElem, Packing, QLexElem, parse_lex
+from .ordgroup import LexElem, Packing, QLexElem, distinct, parse_lex
 
 
 class FiniteLambdaSpace:
@@ -37,14 +44,14 @@ class FiniteLambdaSpace:
         if len(dist) != len(labels) or any(len(row) != len(labels) for row in dist):
             raise InputError("distance table is not %d x %d" % (len(labels), len(labels)))
         rank = None
-        for row in dist:
-            for e in row:
-                if not isinstance(e, LexElem) or e.domain != domain:
-                    raise InputError("table entry %r not in the declared group" % (e,))
-                if rank is None:
-                    rank = e.rank
-                elif e.rank != rank:
-                    raise InputError("mixed ranks in distance table")
+        # a repeated object passes or fails where it first appears
+        for e in distinct(chain.from_iterable(dist)):
+            if not isinstance(e, LexElem) or e.domain != domain:
+                raise InputError("table entry %r not in the declared group" % (e,))
+            if rank is None:
+                rank = e.rank
+            elif e.rank != rank:
+                raise InputError("mixed ranks in distance table")
         self.labels = labels
         self.dist = tuple(tuple(row) for row in dist)
         self.domain = domain
@@ -78,8 +85,11 @@ class FiniteLambdaSpace:
         Built on first use and shared by every caller.
         """
         if self._packed is None:
-            packing = Packing(e for row in self.dist for e in row)
-            self._packed = tuple(tuple(packing.pack(e) for e in row) for row in self.dist)
+            elems = distinct(chain.from_iterable(self.dist))
+            packing = Packing(elems)
+            # each distinct element is packed once and its code shared
+            code = {id(e): packing.pack(e) for e in elems}.__getitem__
+            self._packed = tuple(tuple(map(code, map(id, row))) for row in self.dist)
             self._packing = packing
         return self._packed
 
@@ -106,23 +116,24 @@ def validate_metric(X: FiniteLambdaSpace) -> ValidationReport:
     n = len(X)
     P = X.packed_table()
     labels = X.labels
-    for i in range(n):
-        for j in range(n):
-            if P[i][j] < 0:
-                return ValidationReport(False, "LM1", (labels[i], labels[j]))
-    for i in range(n):
-        for j in range(n):
-            if (i == j) != (P[i][j] == 0):
-                return ValidationReport(False, "LM2", (labels[i], labels[j]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if P[i][j] != P[j][i]:
-                return ValidationReport(False, "LM3", (labels[i], labels[j]))
+    # each axiom is tested on whole rows first and located only if it fails
+    if min(map(min, P)) < 0:
+        i, j = next((i, j) for i in range(n) for j in range(n) if P[i][j] < 0)
+        return ValidationReport(False, "LM1", (labels[i], labels[j]))
+    for i, Pi in enumerate(P):
+        if Pi[i] != 0 or Pi.count(0) != 1:
+            j = next(j for j in range(n) if (i == j) != (Pi[j] == 0))
+            return ValidationReport(False, "LM2", (labels[i], labels[j]))
+    if tuple(zip(*P)) != P:
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if P[i][j] != P[j][i])
+        return ValidationReport(False, "LM3", (labels[i], labels[j]))
+    # the table is symmetric by now, so row j holds d(k, j), and (j, i)
+    # violates the triangle exactly when (i, j) does; the diagonal, 0
+    # under non-negative sums, never does
     for i in range(n):
         Pi = P[i]
-        for j in range(n):
+        for j in range(i + 1, n):
             dij = Pi[j]
-            # the table is symmetric by now, so row j holds d(k, j)
             Pj = P[j]
             if min(map(add, Pi, Pj)) < dij:
                 k = next(k for k in range(n) if Pi[k] + Pj[k] < dij)
@@ -140,6 +151,24 @@ def min_delta_at(X: FiniteLambdaSpace, v) -> QLexElem:
     return min_delta_at_witness(X, v)[0]
 
 
+def level_masks(row: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The distinct values of row, increasing, and for each the bitmask of
+    the columns at or above it, with 0 appended past the top: the columns
+    of row above a threshold t are ``masks[bisect_right(values, t)]``."""
+    values, masks, mask = [], [], 0
+    for t in sorted(range(len(row)), key=row.__getitem__, reverse=True):
+        mask |= 1 << t
+        if values and values[-1] == row[t]:
+            masks[-1] = mask
+        else:
+            values.append(row[t])
+            masks.append(mask)
+    values.reverse()
+    masks.reverse()
+    masks.append(0)
+    return values, masks
+
+
 def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, str, str]]:
     """Least delta making the triple condition at basepoint v hold.
 
@@ -148,6 +177,12 @@ def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, 
     The defect is symmetric in x and y, so the first maximizing pair in
     index order has i <= j, and only those pairs are scanned.  The pair
     i == j has defect >= 0, so the constant is never negative.
+
+    A pair beats the running best exactly when some column z has both
+    2(x.z)_v and 2(y.z)_v above best + 2(x.y)_v, that is when the two
+    rows' masks of the columns above that threshold meet; only then is
+    its defect computed.  The best starts at -1, below the defect of the
+    pair (0, 0), and only a strictly larger defect replaces it.
     """
     vi = X.index(v)
     P = X.packed_table()
@@ -155,14 +190,14 @@ def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, 
     # D[x][y] = 2(x.y)_v
     D = [[a + b - c for b, c in zip(dv, Pa)] for a, Pa in zip(dv, P)]
     n = len(X)
-    best = None
-    bi = bj = 0
+    levels, above = zip(*map(level_masks, D))
+    best, bi, bj = -1, 0, 0
     for i in range(n):
-        Di = D[i]
+        Di, li, ai = D[i], levels[i], above[i]
         for j in range(i, n):
-            defect = max(map(min, Di, D[j])) - Di[j]
-            if best is None or defect > best:
-                best, bi, bj = defect, i, j
+            bar = best + Di[j]
+            if ai[bisect_right(li, bar)] & above[j][bisect_right(levels[j], bar)]:
+                best, bi, bj = max(map(min, Di, D[j])) - Di[j], i, j
     Di, Dj = D[bi], D[bj]
     target = best + Di[bj]
     bk = next(k for k in range(n) if min(Di[k], Dj[k]) == target)
@@ -438,9 +473,14 @@ def read_lms(text: str) -> FiniteLambdaSpace:
         raise InputError("expected %d tokens, got %d" % (need, len(toks)))
     labels = toks[4 : 4 + k]
     entries = toks[4 + k :]
-    dist = []
-    for i in range(k):
-        dist.append([parse_lex(entries[i * k + j], rank, domain) for j in range(k)])
+    # each distinct token is parsed once, at its first place in row-major
+    # order, so the first bad token raises as it would parsed in place
+    elems = {}
+    for tok in entries:
+        if tok not in elems:
+            elems[tok] = parse_lex(tok, rank, domain)
+    table = list(map(elems.__getitem__, entries))
+    dist = [table[i * k:(i + 1) * k] for i in range(k)]
     return FiniteLambdaSpace(labels, dist, domain)
 
 

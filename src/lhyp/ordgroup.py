@@ -8,7 +8,7 @@ the divisible hull and carry the induced order.
 from fractions import Fraction
 from functools import reduce, total_ordering
 from math import gcd, lcm
-from typing import Iterable, Tuple, Union
+from typing import Iterable, List, Tuple, Union
 
 from .errors import InputError
 
@@ -132,13 +132,22 @@ def _render_coord(c: Coord) -> str:
 PACK_HEADROOM = 6
 
 
+def distinct(elems: Iterable) -> List:
+    """The distinct objects among elems, by identity, in order of first
+    appearance.  Tables that share one object per value shrink to their
+    values, so a check or a conversion of each costs little."""
+    elems = list(elems)
+    return list(dict(zip(map(id, elems), elems)).values())
+
+
 class Packing:
     """Exact encoding of elements of one Z^n or Q^n as Python ints.
 
-    Built from a set of elements.  Each coordinate, scaled by the LCM of
-    the denominators in the set, becomes a signed digit in base 2**width,
-    and the last coordinate is the most significant digit; for rank-one Z
-    the code of an element is its coordinate.  The width leaves room for
+    Built from a set of elements, of which each distinct object is checked
+    and measured once.  Each coordinate, scaled by the LCM of the
+    denominators in the set, becomes a signed digit in base 2**width, and
+    the last coordinate is the most significant digit; for rank-one Z the
+    code of an element is its coordinate.  The width leaves room for
     signed sums of up to PACK_HEADROOM elements of the set: every digit of
     such a sum stays below half the base, so integer order, equality and
     addition on the codes agree with the right lexicographic order and the
@@ -148,7 +157,7 @@ class Packing:
     __slots__ = ("rank", "domain", "scale", "width")
 
     def __init__(self, elems: Iterable[LexElem]):
-        elems = list(elems)
+        elems = distinct(elems)
         first = elems[0]
         for e in elems:
             _check_compatible(first, e)

@@ -55,6 +55,46 @@ def oracle_delta_at(dist: List[List[Raw]], v: int) -> Tuple[Fraction, ...]:
     return worst
 
 
+def oracle_delta_at_witness(dist: List[List[Raw]], v: int):
+    """The constant at basepoint v and the first triple (x, y, z), over every
+    ordered triple in index order, whose defect min{2(x.z)_v, 2(z.y)_v} -
+    2(x.y)_v attains it.  Only a strictly larger defect replaces the one
+    kept, so on a symmetric table the pair has x <= y."""
+    n = len(dist)
+    best, wit = None, None
+    for x, y, z in product(range(n), repeat=3):
+        cxz = doubled_gromov(dist, v, x, z)
+        czy = doubled_gromov(dist, v, z, y)
+        m = cxz if rkey(cxz) <= rkey(czy) else czy
+        defect = vec_sub(m, doubled_gromov(dist, v, x, y))
+        if best is None or rkey(defect) > rkey(best):
+            best, wit = defect, (x, y, z)
+    return half(best), wit
+
+
+def oracle_metric_violation(dist: List[List[Raw]]):
+    """The first failed axiom and its points, or None: LM1 (a negative
+    entry), LM2 (a zero off the diagonal or a nonzero on it) and LM3 (an
+    asymmetric pair, first index lower) over pairs in index order, then
+    LM4 over triples (i, j, k) with d(i,k) + d(k,j) < d(i,j)."""
+    n = len(dist)
+    zero = tuple(0 for _ in dist[0][0])
+    pairs = list(product(range(n), repeat=2))
+    for i, j in pairs:
+        if rkey(dist[i][j]) < rkey(zero):
+            return "LM1", (i, j)
+    for i, j in pairs:
+        if (i == j) != (dist[i][j] == zero):
+            return "LM2", (i, j)
+    for i, j in pairs:
+        if i < j and dist[i][j] != dist[j][i]:
+            return "LM3", (i, j)
+    for i, j, k in product(range(n), repeat=3):
+        if rkey(vec_add(dist[i][k], dist[k][j])) < rkey(dist[i][j]):
+            return "LM4", (i, j, k)
+    return None
+
+
 def oracle_delta_4pt(dist: List[List[Raw]]) -> Tuple[Fraction, ...]:
     """Smallest delta in the four-point sum inequality, over all quadruples."""
     n = len(dist)

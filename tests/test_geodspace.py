@@ -209,6 +209,13 @@ def test_geodesic_helpers_match_the_oracles(kind, seed):
     ([[0, 1, -1], [1, 0, 1], [-1, 1, 0]], "distance d(v0,v2)=-1 is negative"),
     ([[0, 1, 2], [1, 0, 1], [1, 1, 0]],
      "distance table is not symmetric: d(v0,v2)=2 but d(v2,v0)=1"),
+    # both raised a bare IndexError from the slimness scan, whose balls
+    # ran past the diameter where a between set was empty
+    ([[1, 0, 0, 1, 2], [0, 1, 1, 1, 0], [0, 1, 0, 0, 0], [1, 1, 0, 1, 1],
+      [2, 0, 0, 1, 3]],
+     "distance d(v0,v0)=1 from a point to itself is not zero"),
+    ([[0, 1, 2], [1, 0, 1], [2, 1, 4]],
+     "distance d(v2,v2)=4 from a point to itself is not zero"),
 ])
 def test_geodesic_helpers_reject_non_metric_tables(rows, error):
     X = space_rank1(rows)

@@ -12,11 +12,12 @@ from lhyp.lspace import (FiniteLambdaSpace, convex_classes, gromov_product,
                          min_delta_at_witness, min_delta_triple,
                          quotient_by_convex, read_lms, scale, subspace_at,
                          validate_metric, write_lms)
-from lhyp.ordgroup import LexElem, QLexElem
+from lhyp.ordgroup import LexElem, Packing, QLexElem
 
 from helpers import (L, cycle_space, random_lex_space, random_metric_rows,
                      random_metric_space, random_tree_rows, space_rank1)
-from oracles import oracle_delta_4pt, oracle_delta_at, rkey
+from oracles import (oracle_delta_4pt, oracle_delta_at,
+                     oracle_delta_at_witness, oracle_metric_violation, rkey)
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 # (rank, domain, bound on the lower coordinates); None is a rank-1 Z metric
@@ -76,6 +77,76 @@ def test_delta_at_matches_oracle(seed, n, kind):
         got = min_delta_at(X, v)
         want = oracle_delta_at(raw, v)
         assert tuple(Fraction(c, got.den) for c in got.num.coords) == want
+
+
+def tie_space(seed, n, rank, metric):
+    """A symmetric table with many ties: a rank-1 metric of weights 1..3 or
+    a rank-2 one of small lower coordinates; otherwise any symmetric table
+    of a few values, negatives and nonzero diagonals included.  One
+    element object per value, except that a few entries get their own."""
+    rng = Random(seed)
+    if metric and rank == 1:
+        rows = [[(d,) for d in row] for row in random_metric_rows(rng, n, maxw=3)]
+    elif metric:
+        rows = raw_of(random_lex_space(rng, n, 2, "Z", 1))
+    else:
+        pool = [tuple(rng.randint(-2, 3) for _ in range(rank)) for _ in range(3)]
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice(pool)
+    shared = {c: LexElem(c) for c in set().union(*rows)}
+    dist = [[LexElem(c) if rng.random() < 0.1 else shared[c] for c in row]
+            for row in rows]
+    return FiniteLambdaSpace(["p%d" % i for i in range(n)], dist)
+
+
+def assert_witness_matches_oracle(X):
+    raw = raw_of(X)
+    for v in range(len(X)):
+        val, wit = min_delta_at_witness(X, v)
+        want, (x, y, z) = oracle_delta_at_witness(raw, v)
+        assert tuple(Fraction(c, val.den) for c in val.num.coords) == want
+        assert wit == (X.labels[x], X.labels[y], X.labels[z])
+
+
+@given(seeds, st.integers(min_value=1, max_value=7), st.sampled_from((1, 2)),
+       st.booleans())
+def test_witness_matches_oracle_at_every_basepoint(seed, n, rank, metric):
+    assert_witness_matches_oracle(tie_space(seed, n, rank, metric))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_witness_matches_oracle_on_tiny_tables(n):
+    for seed in range(60):
+        for rank in (1, 2):
+            for metric in (False, True):
+                assert_witness_matches_oracle(tie_space(seed, n, rank, metric))
+
+
+@settings(max_examples=120)
+@given(seeds, st.integers(min_value=1, max_value=7), st.sampled_from((1, 2)),
+       st.sampled_from(("metric", "bumped", "asymmetric", "any")))
+def test_validate_metric_matches_oracle(seed, n, rank, kind):
+    rng = Random(seed)
+    rows = raw_of(tie_space(seed, n, rank, kind != "any"))
+    i, j = rng.randrange(n), rng.randrange(n)
+    if kind == "bumped":
+        # longer sides break the triangle through points between
+        for _ in range(2):
+            i, j = rng.randrange(n), rng.randrange(n)
+            if i != j:
+                up = rows[i][j][:-1] + (rows[i][j][-1] + rng.randint(1, 9),)
+                rows[i][j] = rows[j][i] = up
+    elif kind == "asymmetric":
+        rows[i][j] = rows[i][j][:-1] + (rows[i][j][-1] + 1,)
+    X = FiniteLambdaSpace(["p%d" % t for t in range(n)], [[LexElem(c) for c in row] for row in rows])
+    got = validate_metric(X)
+    want = oracle_metric_violation(rows)
+    if want is None:
+        assert got.ok
+    else:
+        assert (got.axiom, got.witness) == (want[0], tuple(X.labels[t] for t in want[1]))
 
 
 @given(seeds, st.integers(min_value=2, max_value=7), kinds)
@@ -310,3 +381,25 @@ def test_constructor_validates_shape_not_axioms():
         FiniteLambdaSpace(["p"], [[L(0), L(1)]])
     with pytest.raises(InputError):
         FiniteLambdaSpace(["p", "q"], [[L(0), L(1, 2)], [L(1, 2), L(0, 0)]])
+
+
+@pytest.mark.parametrize("odd, error", [
+    (LexElem((1,), "Q"), "table entry LexElem((1), 'Q') not in the declared group"),
+    (3, "table entry 3 not in the declared group"),
+    (L(1, 0), "mixed ranks in distance table"),
+])
+def test_constructor_checks_an_entry_that_appears_once(odd, error):
+    # every other entry shares one of two objects, checked once each
+    zero, one = L(0), L(1)
+    dist = [[zero if i == j else one for j in range(5)] for i in range(5)]
+    dist[4][3] = odd
+    with pytest.raises(InputError) as err:
+        FiniteLambdaSpace("abcde", dist)
+    assert str(err.value) == error
+
+
+def test_packing_checks_an_element_that_appears_once():
+    one = L(1)
+    with pytest.raises(InputError) as err:
+        Packing([one] * 20 + [L(1, 1)] + [one] * 5)
+    assert str(err.value) == "incompatible elements: Z^1 vs Z^2"

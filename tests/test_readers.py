@@ -1,10 +1,13 @@
 """Readers and the CLI on mutated small inputs: only InputError escapes a
-reader, and main exits 0, 1 or 2 with one error line on exit 2."""
+reader, and main exits 0, 1 or 2 with one error line on exit 2.  Valid
+inputs near the edges go through main and are checked against the
+oracles."""
 
 import io
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +16,13 @@ from lhyp.catalog import read_grp, read_len
 from lhyp.cli import main
 from lhyp.errors import InputError
 from lhyp.geodspace import read_gg
+from lhyp import lspace
 from lhyp.isometry import read_perm
 from lhyp.lspace import read_lms
+from lhyp.ordgroup import parse_lex
+
+from oracles import (oracle_delta_4pt, oracle_delta_at,
+                     oracle_delta_at_witness, rkey)
 
 TREE = ("lambda Z^1\n"
         "points 4 a b c d\n"
@@ -188,3 +196,185 @@ def test_lenfun_names_the_bad_word(grp, word, error):
     code, out, errors = run_main(dict(GROUPS, **{"w.len": text}),
                                  "lenfun --len w.len --axioms")
     assert (code, out, errors) == (2, "", ["error: " + error])
+
+
+# -- read_lms shares one element per token ----------------------------------
+
+def lms(group, rows, labels="abcd"):
+    labels = labels[:len(rows)]
+    return "lambda %s\npoints %d %s\n%s\n" % (
+        group, len(rows), " ".join(labels), "\n".join(rows))
+
+
+def test_read_lms_equals_parsing_each_entry():
+    rows = ["0 1 01 (2)", "1 0 (1) 2", "01 (1) 0 1", "(2) 2 1 (0)"]
+    X = read_lms(lms("Z^1", rows))
+    want = tuple(tuple(parse_lex(t, 1, "Z") for t in row.split()) for row in rows)
+    assert X.dist == want
+    # one element per token text: 1 and 01 are equal values, two objects
+    assert X.dist[0][1] is X.dist[1][0] is X.dist[2][3]
+    assert X.dist[0][2] is X.dist[2][0] and X.dist[0][2] is not X.dist[0][1]
+    assert X.packed_table() == ((0, 1, 1, 2), (1, 0, 1, 2), (1, 1, 0, 1), (2, 2, 1, 0))
+    assert lspace.validate_metric(X).ok
+
+
+def test_read_lms_parses_each_distinct_token_once(monkeypatch):
+    calls = []
+
+    def counting(text, rank=None, domain="Z"):
+        calls.append(text)
+        return parse_lex(text, rank, domain)
+
+    monkeypatch.setattr(lspace, "parse_lex", counting)
+    rows = ["(0,0) (1,1) (1,1) (2,1)", "(1,1) (0,0) (2,1) (1,1)",
+            "(1,1) (2,1) (0,0) (1,1)", "(2,1) (1,1) (1,1) (0,0)"]
+    X = read_lms(lms("Q^2", rows))
+    assert calls == ["(0,0)", "(1,1)", "(2,1)"]
+    assert X.d("a", "d") == parse_lex("(2,1)", 2, "Q")
+
+
+@pytest.mark.parametrize("group, rows, error", [
+    # the first bad token in row-major order, late in the table, repeated
+    ("Z^2", ["(0,0) (1,0) (2,1)", "(1,0) (0,0) (1,x)", "(2,1) (1,x) (1,x)"],
+     "bad coordinate 'x'"),
+    ("Z^2", ["(0,0) (1,0) (2,1)", "(1,0) (0,0) (3)", "(2,1) (3) (3)"],
+     "expected rank 2, got '(3)'"),
+    ("Z^1", ["0 1 2", "1 0 1/2", "2 1/2 1/2"], "bad coordinate '1/2'"),
+    ("Q^1", ["0 1 2", "1 0 (1", "2 (1 (1"], "unbalanced parentheses in '(1'"),
+    # a wrong-rank token that repeats loses to a bad one that comes first
+    ("Z^2", ["(0,0) (1,0) (2,1)", "(1,0) (0,0) (1,/)", "(7) (7) (7)"],
+     "bad coordinate '/'"),
+    ("Z^2", ["(0,0) (1,0) (2,1)", "(1,0) (0,0) (7)", "(7) (1,/) (1,/)"],
+     "expected rank 2, got '(7)'"),
+])
+def test_read_lms_reports_the_first_bad_token(group, rows, error):
+    text = lms(group, rows)
+    with pytest.raises(InputError) as err:
+        read_lms(text)
+    assert str(err.value) == error
+    assert run_main({"s.lms": text}, "check --space s.lms") == (2, "", ["error: " + error])
+
+
+# -- valid inputs near the edges, through main ------------------------------
+
+def lex_floyd(n, weight):
+    """Shortest paths over coordinate tuples, compared right to left."""
+    d = [[weight[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                via = tuple(a + b for a, b in zip(d[i][k], d[k][j]))
+                if rkey(via) < rkey(d[i][j]):
+                    d[i][j] = via
+    return d
+
+
+def render_coord(c):
+    c = Fraction(c)
+    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
+
+
+def render_raw(t):
+    if len(t) == 1 and t[0] >= 0:
+        return render_coord(t[0])
+    return "(%s)" % ",".join(map(render_coord, t))
+
+
+def value_of(text):
+    """A reported constant, '(c,...)' or '(c,...)/m', as a tuple of Fractions."""
+    body, _, den = text.partition(")/")
+    m = int(den) if den else 1
+    return tuple(Fraction(c) / m for c in body.strip("()").split(","))
+
+
+@st.composite
+def edge_spaces(draw):
+    """(domain, raw table) of a valid metric near an edge of the input space:
+    n <= 3, Q^n with denominators up to 10^9, coordinates up to 10^7, or two
+    labels at distance zero (a copy of another point)."""
+    edge = draw(st.sampled_from(("tiny", "qbig", "zbig", "twin")))
+    n = draw(st.integers(min_value=1, max_value=3 if edge == "tiny" else 6))
+    rank = draw(st.integers(min_value=1, max_value=3))
+    domain = "Q" if edge == "qbig" else "Z"
+    top = 10 ** 7 if edge in ("qbig", "zbig") else 9
+
+    def coord(lo):
+        c = draw(st.integers(min_value=lo, max_value=top))
+        if domain == "Q":
+            return Fraction(c, draw(st.integers(min_value=1, max_value=10 ** 9)))
+        return c
+
+    zero = (0,) * rank
+    weight = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = tuple(coord(-top) for _ in range(rank - 1)) + (coord(1),)
+            weight[i][j] = weight[j][i] = w
+    rows = lex_floyd(n, weight)
+    if edge == "twin":
+        src = draw(st.integers(min_value=0, max_value=n - 1))
+        at = draw(st.integers(min_value=0, max_value=n))
+        col = [row[src] for row in rows]
+        rows = [row[:at] + [c] + row[at:] for row, c in zip(rows, col)]
+        rows.insert(at, col[:at] + [zero] + col[at:])
+    return domain, rows
+
+
+def expected_report(rows):
+    """Per-point constants, the constant, the first witness basepoint and
+    its triple, and the four-point constant, from the oracles."""
+    n = len(rows)
+    per = [oracle_delta_at(rows, v) for v in range(n)]
+    top = max(per, key=rkey)
+    d4 = oracle_delta_4pt(rows)
+    # constants are never negative, so the witness exists when one is not 0
+    if any(top):
+        bp = next(v for v in range(n) if per[v] == top)
+        return per, top, bp, oracle_delta_at_witness(rows, bp)[1], d4
+    return per, top, None, None, d4
+
+
+def twice(t):
+    return tuple(2 * c for c in t)
+
+
+@settings(max_examples=60)
+@given(edge_spaces(), st.sampled_from(("check", "delta")))
+def test_main_on_edge_inputs_matches_the_oracles(space, command):
+    domain, rows = space
+    n, rank = len(rows), len(rows[0][0])
+    labels = ["p%d" % i for i in range(n)]
+    text = "lambda %s^%d\npoints %d %s\n%s\n" % (
+        domain, rank, n, " ".join(labels),
+        "\n".join(" ".join(render_raw(t) for t in row) for row in rows))
+    code, out, errors = run_main({"s.lms": text}, command + " --space s.lms")
+    assert errors == []
+    got = dict(line.split(" ", 1) for line in out.splitlines()
+               if not line.startswith(("input_space", "delta_at ")))
+    twin = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                 if not any(rows[i][j])), None)
+    if twin is not None:
+        assert code == 1
+        assert got["metric"] == "no"
+        assert got["metric_witness"] == "LM2 at %s,%s" % (labels[twin[0]], labels[twin[1]])
+        return
+    per, top, bp, triple, d4 = expected_report(rows)
+    assert value_of(got["delta_triple"]) == top
+    assert value_of(got["delta_4pt"]) == d4
+    if command == "delta":
+        assert code == 0
+        shown = [line.split()[1:] for line in out.splitlines() if line.startswith("delta_at ")]
+        assert [lab for lab, _ in shown] == labels
+        assert [value_of(v) for _, v in shown] == per
+        if bp is None:
+            assert (got["basepoint"], got["witness_triple"]) == ("none", "none")
+        else:
+            assert got["basepoint"] == labels[bp]
+            assert got["witness_triple"] == ",".join(labels[t] for t in triple)
+    else:
+        lo = min(per, key=rkey)
+        doubling = rkey(top) <= rkey(twice(lo))
+        four_point = rkey(top) <= rkey(twice(d4)) and rkey(d4) <= rkey(twice(lo))
+        assert got["doubling_sweep"] == ("yes" if doubling else "no")
+        assert got["four_point_sweep"] == ("yes" if four_point else "no")
+        assert code == (0 if doubling and four_point else 1)
