@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import string
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -390,7 +389,6 @@ class FreeProduct(GroupHandle):
         return "FreeProduct(%r, %r)" % self.factors
 
 
-@dataclass(frozen=True)
 class Ball:
     """A radius-stamped, inversion-closed chunk of a group.
 
@@ -398,20 +396,20 @@ class Ball:
     generating set the ball was grown from.
     """
 
-    group: GroupHandle
-    radius: int
-    elements: Tuple[Elem, ...]
-    length: Dict[Elem, int] = field(compare=False)
-
-    def __post_init__(self) -> None:
-        seen = set(self.elements)
-        if len(seen) != len(self.elements):
+    def __init__(self, group: GroupHandle, radius: int,
+                 elements: Tuple[Elem, ...], length: Dict[Elem, int]):
+        seen = set(elements)
+        if len(seen) != len(elements):
             raise ConstructionError("ball has repeated elements")
-        if self.group.identity() not in seen:
+        if group.identity() not in seen:
             raise ConstructionError("ball misses the identity")
-        for g in self.elements:
-            if self.group.inv(g) not in seen:
+        for g in elements:
+            if group.inv(g) not in seen:
                 raise ConstructionError("ball is not closed under inversion")
+        self.group = group
+        self.radius = radius
+        self.elements = elements
+        self.length = length
 
     def __contains__(self, g: Elem) -> bool:
         return g in self.length
@@ -476,7 +474,6 @@ def cayley_graph(group: GroupHandle, gens: Sequence[Elem], radius: int) -> Geode
     return GeodesicGraph(labels, sorted(edges))
 
 
-@dataclass
 class LengthTable:
     """Length values for finitely many group elements.
 
@@ -485,18 +482,18 @@ class LengthTable:
     hoc tables); verdicts downstream quote it.
     """
 
-    group: GroupHandle
-    values: Dict[Elem, LexElem]
-    radius: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        ranks = {len(v.coords) for v in self.values.values()}
+    def __init__(self, group: GroupHandle, values: Dict[Elem, LexElem],
+                 radius: Optional[int] = None):
+        ranks = {len(v.coords) for v in values.values()}
         if len(ranks) > 1:
             raise InputError("length values of mixed ranks: %s" % sorted(ranks))
-        if not self.values:
+        if not values:
             raise InputError("empty length table")
-        if self.group.identity() not in self.values:
+        if group.identity() not in values:
             raise InputError("length table misses the identity")
+        self.group = group
+        self.values = values
+        self.radius = radius
 
     @property
     def rank(self) -> int:

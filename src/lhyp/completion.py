@@ -17,11 +17,11 @@ its unit adjacency and its least geodesics.
 """
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from random import Random
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
 from .errors import ConstructionError, InputError
 from .geodspace import DisjointSets, _Masks, distances_from
@@ -36,7 +36,6 @@ NEGLIGIBLE = "negligible"
 _CLASS_RANK = {ESSENTIAL: 0, AUXILIARY: 1, NEGLIGIBLE: 2}
 
 
-@dataclass(frozen=True)
 class CompletionGraph:
     """A completion output: labelled weighted graph plus a certificate.
 
@@ -46,11 +45,17 @@ class CompletionGraph:
     the input distance between two essential vertices.
     """
 
-    labels: Tuple[str, ...]
-    klass: Tuple[str, ...]
-    provenance: Tuple[Tuple[str, ...], ...]
-    edges: Tuple[Tuple[int, int, int], ...]
-    certificate: Dict[str, str] = field(compare=False)
+    def __init__(self, labels: Tuple[str, ...], klass: Tuple[str, ...],
+                 provenance: Tuple[Tuple[str, ...], ...],
+                 edges: Tuple[Tuple[int, int, int], ...],
+                 certificate: Dict[str, str]):
+        self.labels = labels
+        self.klass = klass
+        self.provenance = provenance
+        self.edges = edges
+        self.certificate = certificate
+        self._rows: Dict[int, List[int]] = {}
+        self._geodesics: Dict[Tuple[int, int], List[int]] = {}
 
     def essential_count(self) -> int:
         return self.klass.count(ESSENTIAL)
@@ -65,10 +70,6 @@ class CompletionGraph:
                 nb[v].append(u)
         return [dict.fromkeys(sorted(row), 1) for row in nb]
 
-    @cached_property
-    def _rows(self) -> Dict[int, List[int]]:
-        return {}
-
     def unit_row(self, src: int) -> List[int]:
         """Unit-edge distances from src, -1 where there is no path; built
         once per source and kept."""
@@ -76,10 +77,6 @@ class CompletionGraph:
         if row is None:
             row = self._rows[src] = distances_from(self.unit_adjacency, src)
         return row
-
-    @cached_property
-    def _geodesics(self) -> Dict[Tuple[int, int], List[int]]:
-        return {}
 
     def least_geodesic(self, src: int, dst: int) -> List[int]:
         """The unit-edge geodesic from src to dst that always steps to the
@@ -162,10 +159,9 @@ def midpoints(space: FiniteLambdaSpace, x: str, y: str, z: str,
     return tuple(space.labels[v] for v in found)
 
 
-@dataclass(frozen=True)
-class MidpointTable:
+class MidpointTable(NamedTuple):
     delta: LexElem
-    entries: Mapping[Tuple[str, str, str], Tuple[str, ...]] = field(compare=False)
+    entries: Mapping[Tuple[str, str, str], Tuple[str, ...]]
     failing: Optional[Tuple[str, str, str]] = None
 
 

@@ -20,12 +20,11 @@ triangle scans test a point against the running maximum by one ball mask.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import or_
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
-                    Mapping, Optional, Sequence, Tuple)
+                    Mapping, NamedTuple, Optional, Sequence, Tuple)
 
 from .errors import ConstructionError, InputError
 from .lspace import FiniteLambdaSpace, _tokens, min_delta_4pt
@@ -367,8 +366,7 @@ def all_segments(X: FiniteLambdaSpace, x, y) -> Iterator[Tuple[str, ...]]:
     return extend([i])
 
 
-@dataclass(frozen=True)
-class Tripod:
+class Tripod(NamedTuple):
     """Comparison tripod of a triple: side lengths and the three insizes.
 
     The insize at a corner is the Gromov product of the other two points
@@ -524,8 +522,7 @@ def _check_side(X, D, side, x, y) -> List[int]:
     return idx
 
 
-@dataclass(frozen=True)
-class InnerTriangle:
+class InnerTriangle(NamedTuple):
     """The three side points identified with the tripod center."""
 
     vertices: Tuple[str, str, str]  # on [x,y], [x,z], [y,z]
@@ -577,8 +574,7 @@ SIDE_RULE = (
 )
 
 
-@dataclass
-class DeltaRelations:
+class DeltaRelations(NamedTuple):
     """The three triangle constants and the inequalities tying them together."""
 
     delta_point: QLexElem

@@ -12,9 +12,9 @@ so the residual tag is Undetermined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from .errors import ConstructionError, InputError
 from .lspace import (FiniteLambdaSpace, _tokens, convex_classes, min_delta_4pt,
@@ -109,8 +109,7 @@ def orbit_diameter(space: FiniteLambdaSpace, pi: IsoPerm, x: str) -> LexElem:
     return best
 
 
-@dataclass(frozen=True)
-class ClassCert:
+class ClassCert(NamedTuple):
     """Classification certificate; kind names what was witnessed.
 
     elliptic: some orbit has diameter at most K delta.
@@ -190,8 +189,7 @@ def _apply_partial(space: FiniteLambdaSpace, pi: Union[IsoPerm, PartialMap],
     return pi.get(label)
 
 
-@dataclass(frozen=True)
-class TreeTranslationReport:
+class TreeTranslationReport(NamedTuple):
     value: Optional[LexElem]
     independent: bool
     profile: Tuple[Tuple[str, LexElem], ...]

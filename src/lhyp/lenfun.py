@@ -20,10 +20,10 @@ bitmasks of known columns, and count the rest as skipped.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .catalog import GroupHandle, LengthTable
 from .errors import ConstructionError, InputError
@@ -112,8 +112,7 @@ def gromov_product(l: LengthTable, g: Elem, h: Elem) -> QLexElem:
     return QLexElem(l.values[g] + l.values[h] - l.values[w], 2)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of the four length function axioms on a sample."""
 
     nonneg_ok: bool
@@ -270,8 +269,7 @@ def from_action(group: GroupHandle, act: Mapping[Elem, Mapping[str, str]],
     return LengthTable(group, values)
 
 
-@dataclass(frozen=True)
-class KernelReport:
+class KernelReport(NamedTuple):
     elements: Tuple[Elem, ...]
     coset_ok: bool
     witness: Optional[Tuple[str, str]]
@@ -307,8 +305,7 @@ def kernel(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> KernelRep
     return KernelReport(ker, coset_ok, witness, checked, skipped)
 
 
-@dataclass(frozen=True)
-class Lambda0Report:
+class Lambda0Report(NamedTuple):
     elements: Tuple[Elem, ...]
     height_bound: int
     vacuous_ok: Optional[bool]
@@ -352,8 +349,7 @@ def lambda0_kernel(l: LengthTable, i: int,
     return Lambda0Report(members, i, vacuous_ok, witness, checked, skipped)
 
 
-@dataclass
-class CosetSpace:
+class CosetSpace(NamedTuple):
     """Coset space of the kernel, metrized by d(gA, hA) = l(g^-1 h)."""
 
     space: FiniteLambdaSpace
@@ -424,8 +420,7 @@ def to_space(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> CosetSp
     return CosetSpace(space, base, reps, members, l)
 
 
-@dataclass(frozen=True)
-class RegularReport:
+class RegularReport(NamedTuple):
     """Search outcome for the two regularity conditions at level k.
 
     r1 asks for a common prefix u with both halves and the remainder
@@ -503,8 +498,7 @@ def check_regular(l: LengthTable, sample: Sequence[Elem], k: int,
         pairs_checked=pairs_checked, pairs_skipped=pairs_skipped)
 
 
-@dataclass(frozen=True)
-class CompleteReport:
+class CompleteReport(NamedTuple):
     complete: bool
     witness: Optional[Tuple[str, int]]
     prefix_gap_ok: bool
@@ -582,8 +576,7 @@ def check_complete(l: LengthTable, sample: Sequence[Elem],
                           elements_checked, pairs_checked, decomposition_pairs)
 
 
-@dataclass(frozen=True)
-class FreeReport:
+class FreeReport(NamedTuple):
     free: bool
     witness: Optional[str]
     kernel_trivial: bool
@@ -620,8 +613,7 @@ def check_free(l: LengthTable, sample: Sequence[Elem],
     return FreeReport(free, bad, kernel_trivial, checked, skipped)
 
 
-@dataclass(frozen=True)
-class QuasiReport:
+class QuasiReport(NamedTuple):
     ok: bool
     witness: Optional[Tuple[str, str, str, str]]
     pairs_checked: int
@@ -676,8 +668,7 @@ def quasigeodesic_check(cs: CosetSpace, delta: LexElem) -> QuasiReport:
     return QuasiReport(ok, witness, pairs_checked, point_pairs, skipped)
 
 
-@dataclass(frozen=True)
-class BallGroupReport:
+class BallGroupReport(NamedTuple):
     """Diagnostics for recovering a hyperbolic group from short elements."""
 
     short_count: int
@@ -718,8 +709,7 @@ def finite_ball_hyperbolic_group_check(l: LengthTable,
                            delta, dwit, checked, skipped)
 
 
-@dataclass(frozen=True)
-class Axiom4Scan:
+class Axiom4Scan(NamedTuple):
     """Pairwise scan of the hyperbolicity axiom at a fixed delta."""
 
     violating_pairs: int

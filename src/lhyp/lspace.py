@@ -19,12 +19,11 @@ core.
 import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import comb
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
 from .ordgroup import LexElem, Packing, QLexElem, distinct, parse_lex
@@ -99,8 +98,7 @@ class FiniteLambdaSpace:
         return self._packing.unpack(code)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     axiom: Optional[str] = None
     witness: Tuple[str, ...] = ()
@@ -313,8 +311,7 @@ def min_delta_4pt_witness(
     return _four_point(X, workers)[:2]
 
 
-@dataclass
-class HyperbolicityReport:
+class HyperbolicityReport(NamedTuple):
     delta_triple_at: Dict[str, QLexElem]
     delta_triple: QLexElem
     delta_4pt: QLexElem
@@ -335,11 +332,11 @@ def hyperbolicity_report(X: FiniteLambdaSpace,
     """
     d4, w4, pm = _four_point(X, workers)
     per = {lab: QLexElem(X.unpack(c), 2) for lab, c in zip(X.labels, pm)}
-    report = HyperbolicityReport(per, d4, d4, witness_quad=w4 or ())
+    bp, triple = "", ()
     if max(pm) > 0:
-        report.basepoint_of_witness = bp = X.labels[pm.index(max(pm))]
-        report.witness_triple = min_delta_at_witness(X, bp)[1]
-    return report
+        bp = X.labels[pm.index(max(pm))]
+        triple = min_delta_at_witness(X, bp)[1]
+    return HyperbolicityReport(per, d4, d4, triple, w4 or (), bp)
 
 
 def subspace_at(X: FiniteLambdaSpace, x, i: int) -> FiniteLambdaSpace:

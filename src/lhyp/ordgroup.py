@@ -344,15 +344,18 @@ def qmin(a: QLexElem, b: QLexElem) -> QLexElem:
 
 def parse_coord(tok: str, domain: str) -> Coord:
     try:
-        if "/" in tok:
-            if domain == "Z":
-                raise InputError("fractional coordinate %r in Z^n" % (tok,))
-            p, q = tok.split("/", 1)
-            return Fraction(int(p), int(q))
-        v = int(tok)
-        return Fraction(v) if domain == "Q" else v
+        if "/" not in tok:
+            v = int(tok)
+            return Fraction(v) if domain == "Q" else v
+        p, q = tok.split("/", 1)
+        frac = Fraction(int(p), int(q))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("bad coordinate %r" % (tok,)) from exc
+    # raised outside the try: InputError is a ValueError, and the
+    # handler above would replace this message with "bad coordinate"
+    if domain == "Z":
+        raise InputError("fractional coordinate %r in Z^n" % (tok,))
+    return frac
 
 
 def parse_lex(text: str, rank: int = None, domain: str = "Z") -> LexElem:

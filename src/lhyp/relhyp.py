@@ -18,12 +18,12 @@ put l above N: l lies in the convex subgroup Lambda_1 = Z and its first
 coordinate is its value.  LexElem appears only at the API boundary.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import inf
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from .catalog import Elem, GroupHandle, LengthTable
 from .errors import ConstructionError, InputError
@@ -182,8 +182,7 @@ class RelCayley:
         return self.table.l(self.reps[i])
 
 
-@dataclass(frozen=True)
-class ShortPairReport:
+class ShortPairReport(NamedTuple):
     """Every geodesic two-step of short edges must collapse to one edge."""
     checked: int
     ok: bool
@@ -207,8 +206,7 @@ def short_pair_report(rc: RelCayley) -> ShortPairReport:
     return ShortPairReport(checked, True, None)
 
 
-@dataclass(frozen=True)
-class QiReport:
+class QiReport(NamedTuple):
     """Two-sided comparison of d_Gamma with the relative word metric."""
     N_prime: int
     alpha: Optional[LexElem]
@@ -253,8 +251,7 @@ def check_qi(rc: RelCayley) -> QiReport:
                     upper_ok, lower_ok, witness)
 
 
-@dataclass(frozen=True)
-class SymbolicBound:
+class SymbolicBound(NamedTuple):
     """An exact expression with certified rational brackets."""
     expr: str
     lower: Fraction
@@ -297,8 +294,7 @@ def pn_L(delta: int) -> SymbolicBound:
                          Fraction(1536 * (p + 1), e) + base)
 
 
-@dataclass(frozen=True)
-class PnReport:
+class PnReport(NamedTuple):
     n: int
     radius: int
     alpha: Optional[LexElem]
@@ -370,15 +366,13 @@ def check_Pn(group: GroupHandle, table: LengthTable, n: int, radius: int,
                     pn_threshold(delta), pn_L(delta))
 
 
-@dataclass(frozen=True)
-class ProperRow:
+class ProperRow(NamedTuple):
     N: int
     ball_size: int
     rel_diameter: Optional[int]
 
 
-@dataclass(frozen=True)
-class ProperReport:
+class ProperReport(NamedTuple):
     radius: int
     alpha: Optional[LexElem]
     rows: Tuple[ProperRow, ...]
@@ -430,8 +424,7 @@ def _int_bound(slack: LexElem) -> Union[int, float]:
     return inf if higher[-1] > 0 else -inf
 
 
-@dataclass(frozen=True)
-class RelGeodReport:
+class RelGeodReport(NamedTuple):
     k: int
     two_edge_checked: int
     two_edge_ok: bool

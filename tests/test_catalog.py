@@ -3,12 +3,12 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from lhyp.catalog import (DirectProduct, FiniteGroup, FreeGroup, FreeProduct,
-                          LengthTable, ball_of, cayley_graph, free_ball,
+from lhyp.catalog import (Ball, DirectProduct, FiniteGroup, FreeGroup,
+                          FreeProduct, LengthTable, ball_of, cayley_graph, free_ball,
                           free_product_length, product_length, product_space,
                           read_grp, read_len, word_length_table, write_grp,
                           write_len)
-from lhyp.errors import InputError
+from lhyp.errors import ConstructionError, InputError
 from lhyp.lspace import min_delta_4pt, validate_metric
 from lhyp.ordgroup import LexElem
 
@@ -92,6 +92,29 @@ def test_length_table_lookup_and_errors():
     with pytest.raises(InputError):
         t.l(F.parse("aba"))
     assert t.radius == 2 and t.rank == 1
+
+
+F1 = FreeGroup(1)
+E, A = F1.identity(), F1.gens()[0]
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Ball(F1, 1, (E, A, A, F1.inv(A)), {}), ConstructionError,
+     "ball has repeated elements"),
+    (lambda: Ball(F1, 1, (A, F1.inv(A)), {}), ConstructionError,
+     "ball misses the identity"),
+    (lambda: Ball(F1, 1, (E, A), {}), ConstructionError,
+     "ball is not closed under inversion"),
+    (lambda: LengthTable(F1, {E: L(0), A: L(1, 0)}), InputError,
+     "length values of mixed ranks: [1, 2]"),
+    (lambda: LengthTable(F1, {}), InputError, "empty length table"),
+    (lambda: LengthTable(F1, {A: L(1)}), InputError,
+     "length table misses the identity"),
+])
+def test_ball_and_length_table_reject_malformed_contents(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_product_length_concatenates_coordinates():

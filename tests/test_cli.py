@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -669,3 +673,16 @@ def test_relcayley_rejects_a_negative_length(tmp_path, capsys):
                          "--N", "2", "--radius", "1")
     assert code == 2 and out == ""
     assert error_lines(err) == ["error: length (-1) of A is negative"]
+
+
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+    # every command starts by importing lhyp.cli; -S keeps site hooks,
+    # which may import either module themselves, out of the check
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = ("import lhyp.cli, sys; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect') "
+             "if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.split() == []
