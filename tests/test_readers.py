@@ -239,7 +239,10 @@ def test_read_lms_parses_each_distinct_token_once(monkeypatch):
      "bad coordinate 'x'"),
     ("Z^2", ["(0,0) (1,0) (2,1)", "(1,0) (0,0) (3)", "(2,1) (3) (3)"],
      "expected rank 2, got '(3)'"),
-    ("Z^1", ["0 1 2", "1 0 1/2", "2 1/2 1/2"], "fractional coordinate '1/2' in Z^n"),
+    # '1/2' is a bad coordinate in Z^1; the reader names it as a fraction
+    pytest.param("Z^1", ["0 1 2", "1 0 1/2", "2 1/2 1/2"],
+                 "fractional coordinate '1/2' in Z^n",
+                 id="Z^1-rows2-bad coordinate '1/2'"),
     ("Q^1", ["0 1 2", "1 0 (1", "2 (1 (1"], "unbalanced parentheses in '(1'"),
     # a wrong-rank token that repeats loses to a bad one that comes first
     ("Z^2", ["(0,0) (1,0) (2,1)", "(1,0) (0,0) (1,/)", "(7) (7) (7)"],
