@@ -24,7 +24,7 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
 from .errors import ConstructionError, InputError
-from .geodspace import DisjointSets, _Masks, distances_from
+from .geodspace import DisjointSets, _Masks, _space_masks, distances_from
 from .isometry import IsoPerm
 from .lspace import FiniteLambdaSpace, min_delta_4pt, validate_metric
 from .ordgroup import LexElem, Packing, QLexElem
@@ -121,8 +121,7 @@ def _input_masks(space: FiniteLambdaSpace) -> _Masks:
     if not report.ok:
         raise InputError("input is not a metric space: %s at %s"
                          % (report.axiom, report.witness))
-    # over rank-one Z the packed table holds the distances themselves
-    return _Masks(space.packed_table())
+    return _space_masks(space)
 
 
 def _require_delta(space: FiniteLambdaSpace, delta: int) -> None:

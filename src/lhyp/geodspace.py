@@ -17,6 +17,12 @@ per space from a table checked to be non-negative and symmetric with a
 zero diagonal.  Level sets are meets of two spheres and between sets
 unions of levels; the geodesicity test looks for an empty level, and the
 triangle scans test a point against the running maximum by one ball mask.
+
+The public functions hold the scans, and nothing calls around them:
+``is_geodesic`` is the one geodesicity test and keeps the last space's
+verdict, as ``_space_masks`` keeps its masks, so the triangle scans and
+``delta_relations``, which calls ``min_delta_4pt``,
+``min_thinness_witness`` and ``min_rips_witness``, test each space once.
 """
 
 from collections import defaultdict
@@ -283,9 +289,16 @@ def _space_masks(X: FiniteLambdaSpace) -> _Masks:
     return _Masks(D)
 
 
-def _gap(X: FiniteLambdaSpace, M: _Masks) -> Optional[Tuple[str, str, int]]:
-    # the first pair i < j and parameter 0 < t < d(i,j) whose level set
-    # is empty, by labels
+@lru_cache(maxsize=1)
+def is_geodesic(X: FiniteLambdaSpace) -> Tuple[bool, Optional[Tuple[str, str, int]]]:
+    """Whether every pair admits points at every intermediate parameter.
+
+    Returns (True, None), or (False, (x, y, t)) naming the first pair
+    x < y and parameter 0 < t < d(x,y), in index order, with no point z
+    at d(x,z)=t, d(z,y)=d-t.  The last space's verdict is kept, so the
+    triangle scans and ``delta_relations`` on one space test it once.
+    """
+    M = _space_masks(X)
     D, S = M.D, M.sphere
     n = len(D)
     for i in range(n):
@@ -295,26 +308,15 @@ def _gap(X: FiniteLambdaSpace, M: _Masks) -> Optional[Tuple[str, str, int]]:
             Sj = S[j]
             for t in range(1, d):
                 if not Si[t] & Sj[d - t]:
-                    return X.labels[i], X.labels[j], t
-    return None
-
-
-def is_geodesic(X: FiniteLambdaSpace) -> Tuple[bool, Optional[Tuple[str, str, int]]]:
-    """Whether every pair admits points at every intermediate parameter.
-
-    Returns (True, None), or (False, (x, y, t)) naming a pair and a
-    parameter 0 < t < d(x,y) with no point z at d(x,z)=t, d(z,y)=d-t.
-    """
-    gap = _gap(X, _space_masks(X))
-    return gap is None, gap
+                    return False, (X.labels[i], X.labels[j], t)
+    return True, None
 
 
 def _require_geodesic(X: FiniteLambdaSpace) -> _Masks:
-    M = _space_masks(X)
-    gap = _gap(X, M)
-    if gap is not None:
+    ok, gap = is_geodesic(X)
+    if not ok:
         raise InputError("space is not geodesic: gap at (%s,%s,t=%d)" % gap)
-    return M
+    return _space_masks(X)
 
 
 def between_set(X: FiniteLambdaSpace, x, y) -> Tuple[str, ...]:
@@ -406,14 +408,11 @@ def min_thinness_witness(X):
     insize.  The result is the largest distance between identified
     points; the witness names (corner, other, other, t, u, v).
     """
-    return _thinness(X, _require_geodesic(X))
-
-
-def _thinness(X: FiniteLambdaSpace, M: _Masks):
     # the level set at parameter t from corner c toward a is
     # sphere[c][t] & sphere[a][d(c,a) - t]; u can raise the running best
     # only when some v of the other level lies outside ball[u][best], and
     # then the first v at the largest distance is the witness
+    M = _require_geodesic(X)
     D, S, B = M.D, M.sphere, M.ball
     n = len(D)
     best = 0
@@ -459,15 +458,12 @@ def min_rips_witness(X):
     points between the remaining two pairs is taken; the result is the
     maximum, the witness (x, y, z, u) with u between x and y.
     """
-    return _rips(X, _require_geodesic(X))
-
-
-def _rips(X: FiniteLambdaSpace, M: _Masks):
     # u beats the running best exactly when ball[u][best] misses the
     # union of the two other sides, that is when u lies outside near[i][j],
     # the points within best of some point between i and j, for both of
     # them; its distance to the union is the least radius whose ball
     # meets it.  near is rebuilt each time best grows.
+    M = _require_geodesic(X)
     B = M.ball
     n = len(M.D)
     pairs = list(combinations(range(n), 2))
@@ -594,17 +590,19 @@ def delta_relations(X: FiniteLambdaSpace) -> DeltaRelations:
     The expected bounds: thin <= 4 point, point <= 2 thin, rips <= thin,
     thin <= 4 rips, and the two composites rips <= 4 point, point <= 8 rips.
     """
-    M = _require_geodesic(X)
+    _require_geodesic(X)
     dp = min_delta_4pt(X)
-    dt, _ = _thinness(X, M)
-    dr, _ = _rips(X, M)
+    dt, _ = min_thinness_witness(X)
+    dr, _ = min_rips_witness(X)
+    # all three are rank-one, so they compare as fractions
+    point, thin, rips = dp.as_fraction(), dt.as_fraction(), dr.as_fraction()
     checks = (
-        ("thin<=4*point", dt <= dp * 4),
-        ("point<=2*thin", dp <= dt * 2),
-        ("rips<=thin", dr <= dt),
-        ("thin<=4*rips", dt <= dr * 4),
-        ("rips<=4*point", dr <= dp * 4),
-        ("point<=8*rips", dp <= dr * 8),
+        ("thin<=4*point", thin <= point * 4),
+        ("point<=2*thin", point <= thin * 2),
+        ("rips<=thin", rips <= thin),
+        ("thin<=4*rips", thin <= rips * 4),
+        ("rips<=4*point", rips <= point * 4),
+        ("point<=8*rips", point <= rips * 8),
     )
     failures = tuple(name for name, good in checks if not good)
     return DeltaRelations(dp, dt, dr, failures)

@@ -45,9 +45,6 @@ class IsoPerm:
             order += 1
         self.order = order
 
-    def apply_index(self, i: int) -> int:
-        return self.perm[i]
-
     def apply(self, label: str) -> str:
         return self.space.labels[self.perm[self.space.index(label)]]
 

@@ -10,11 +10,11 @@ some needed product fell outside the table.
 All comparisons are exact.  Gromov products are half-integers at worst,
 so internally the doubled quantity l(g) + l(h) - l(g^-1 h) is used and
 halved only for display.  The scans over a sample index it once: a
-_Sample holds every l(s_a) and l(s_a^-1 s_b), packed once into ints by
-one Packing, and the index of each s_a^-1 in the sample, so their loops
-compare ints and multiply no group elements.  The triple scans walk
-only the triples whose three products are known, by intersecting
-bitmasks of known columns, and count the rest as skipped.
+_Sample holds every l(s_a), l(s_a^-1 s_b), l(s_a^-1) and l(s_a s_b),
+packed once into ints by one Packing, so their loops compare ints and
+multiply no group elements.  The triple scans walk only the triples
+whose three products are known, by intersecting bitmasks of known
+columns, and count the rest as skipped.
 """
 
 from __future__ import annotations
@@ -37,36 +37,53 @@ class _Sample:
     """A sample indexed 0..m-1, with its lengths packed into ints.
 
     ``elems[a]`` is the a-th element s_a, ``lengths[a]`` the code of
-    l(s_a) and ``quot[a][b]`` the code of l(s_a^-1 s_b), or None when that
-    element is outside the table; ``inverse[a]`` is an index of s_a^-1
-    in the sample, or None when it is not there.  So for g = s_a with
-    ``inverse[a]`` = c, l(g s_b) is ``quot[c][b]``.  Building it takes
-    m^2 multiplications and one inverse per row.  One Packing covers
-    these lengths and ``extra``, the constants a scan compares against,
-    whose codes are ``self.extra``.  Every scan compares signed sums of
-    at most PACK_HEADROOM codes, so integer order is the order of the
-    group.
+    l(s_a) and ``quot[a][b]`` the code of l(s_a^-1 s_b); ``inv_lengths[a]``
+    is the code of l(s_a^-1) and ``prod[a][b]`` that of l(s_a s_b).  Each
+    is None when its element is outside the table.  When s_c = s_a^-1 is
+    in the sample, ``inv_lengths[a]`` is ``lengths[c]`` and ``prod[a]`` is
+    ``quot[c]``, so a sample closed under inverses takes m^2
+    multiplications and one inverse per row; any other row is multiplied
+    once more.  One Packing covers these lengths and ``extra``, the
+    constants a scan compares against, whose codes are ``self.extra``.
+    Every scan compares signed sums of at most PACK_HEADROOM codes, so
+    integer order is the order of the group.
     """
 
     def __init__(self, l: LengthTable, sample: Sequence[Elem],
                  extra: Sequence[LexElem] = ()):
         G = l.group
         get = l.values.get
-        self.elems = list(sample)
-        index = {g: a for a, g in enumerate(self.elems)}
-        lengths = [l.l(g) for g in self.elems]
-        quot = []
-        self.inverse: List[Optional[int]] = []
-        for g in self.elems:
-            gi = G.inv(g)
-            self.inverse.append(index.get(gi))
-            quot.append([get(G.mul(gi, h)) for h in self.elems])
-        self.packing = Packing(lengths + [v for row in quot for v in row if v is not None]
+        elems = self.elems = list(sample)
+        index = {g: a for a, g in enumerate(elems)}
+        lengths = [l.l(g) for g in elems]
+        inverses = [G.inv(g) for g in elems]
+        quot = [[get(G.mul(gi, h)) for h in elems] for gi in inverses]
+        # l(s_a^-1) followed by the l(s_a s_b), for the rows whose inverse
+        # is outside the sample
+        own = {a: [get(gi)] + [get(G.mul(elems[a], h)) for h in elems]
+               for a, gi in enumerate(inverses) if gi not in index}
+        self.packing = Packing(lengths + [v for rows in (quot, own.values())
+                                          for row in rows for v in row if v is not None]
                                + list(extra))
         pack = self.packing.pack
-        self.lengths = [pack(v) for v in lengths]
-        self.quot = [[None if v is None else pack(v) for v in row] for row in quot]
-        self.extra = [pack(e) for e in extra]
+
+        def codes(row):
+            return [None if v is None else pack(v) for v in row]
+
+        self.lengths = codes(lengths)
+        self.quot = [codes(row) for row in quot]
+        self.extra = codes(extra)
+        self.inv_lengths: List[Optional[int]] = []
+        self.prod: List[List[Optional[int]]] = []
+        for a, gi in enumerate(inverses):
+            c = index.get(gi)
+            if c is None:
+                inv, *row = codes(own[a])
+                self.inv_lengths.append(inv)
+                self.prod.append(row)
+            else:
+                self.inv_lengths.append(self.lengths[c])
+                self.prod.append(self.quot[c])
 
     def c2(self, a: int, b: int) -> Optional[int]:
         """Code of 2 c(s_a, s_b), or None if l(s_a^-1 s_b) is unknown."""
@@ -163,9 +180,8 @@ def _min_delta(l: LengthTable, S: _Sample):
 def check_axioms(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> AxiomReport:
     """Non-negativity, symmetry, subadditivity and the least delta.
 
-    Everything is read off one _Sample.  A row whose inverse lies outside
-    the sample multiplies for its l(g^-1) and l(gh), in the same order,
-    so the witnesses and counts do not depend on which rows do.
+    Everything is read off one _Sample: symmetry compares its l(g^-1)
+    with l(g), and subadditivity its l(gh) with l(g) + l(h).
     """
     if sample is None:
         sample = l.elements()
@@ -182,41 +198,22 @@ def check_axioms(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> Axi
             nonneg_ok, nonneg_witness = False, G.render(elems[a])
     symmetric_ok, symmetric_witness = True, None
     inv_skipped = 0
-    for a, c in enumerate(S.inverse):
-        if c is not None:
-            same = lengths[a] == lengths[c]
-        else:
-            li = values.get(G.inv(elems[a]))
-            if li is None:
-                inv_skipped += 1
-                continue
-            same = li == values[elems[a]]
-        if not same:
+    for a, li in enumerate(S.inv_lengths):
+        if li is None:
+            inv_skipped += 1
+        elif li != lengths[a]:
             symmetric_ok, symmetric_witness = False, G.render(elems[a])
             break
     bad = None
     m = len(elems)
     pairs_checked = 0
-    for a, c in enumerate(S.inverse):
-        if c is not None:
-            # l(g h) for g = s_a is l(s_c^-1 h)
-            row = S.quot[c]
-            pairs_checked += m - row.count(None)
-            if bad is None:
-                lg = lengths[a]
-                b = next((b for b, (lh, q) in enumerate(zip(lengths, row))
-                          if q is not None and lg + lh < q), None)
-                if b is not None:
-                    bad = (a, b)
-            continue
-        g = elems[a]
-        lg = values[g]
-        for b, h in enumerate(elems):
-            lgh = values.get(G.mul(g, h))
-            if lgh is None:
-                continue
-            pairs_checked += 1
-            if bad is None and lg + values[h] < lgh:
+    for a, row in enumerate(S.prod):
+        pairs_checked += m - row.count(None)
+        if bad is None:
+            lg = lengths[a]
+            b = next((b for b, (lh, q) in enumerate(zip(lengths, row))
+                      if q is not None and lg + lh < q), None)
+            if b is not None:
                 bad = (a, b)
     subadditive_ok = bad is None
     subadditive_witness = None if bad is None else tuple(G.render(elems[t]) for t in bad)

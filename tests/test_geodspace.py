@@ -1,8 +1,10 @@
+from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lhyp import geodspace, lspace
 from lhyp.completion import gamma1
 from lhyp.errors import ConstructionError, InputError
 from lhyp.geodspace import (GeodesicGraph, all_segments, between_set,
@@ -234,6 +236,58 @@ def test_geodesic_helpers_reject_non_metric_tables(rows, error):
         with pytest.raises(InputError) as err:
             call()
         assert str(err.value) == error
+
+
+@pytest.mark.parametrize("rows, gap", [
+    # the unit path v0-v1-v2 doubled: nothing lies halfway along any side
+    ([[0, 2, 4], [2, 0, 2], [4, 2, 0]], ("v0", "v1", 1)),
+    # gaps at (v0,v2,2) and (v1,v2,1); the first pair in index order is named
+    ([[0, 1, 3], [1, 0, 2], [3, 2, 0]], ("v0", "v2", 2)),
+])
+def test_triangle_scans_name_the_gap_that_is_geodesic_finds(rows, gap):
+    X = space_rank1(rows)
+    assert is_geodesic(X) == (False, gap)
+    error = "space is not geodesic: gap at (%s,%s,t=%d)" % gap
+    calls = [
+        lambda: min_thinness_witness(X),
+        lambda: min_rips_witness(X),
+        lambda: delta_relations(X),
+        lambda: inner_triangle(X, "v0", "v1", "v2"),
+    ]
+    for call in calls:
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == error
+
+
+def test_delta_relations_goes_through_the_public_scans(monkeypatch):
+    # replace the functions by module attribute, as perfbench's Tracer
+    # does, so a call that goes around one of them is not counted
+    reached = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            reached[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("is_geodesic", "min_thinness_witness", "min_rips_witness"):
+        count(geodspace, name)
+    count(lspace, "min_delta_4pt_witness")
+    builds = []
+    masks = geodspace._Masks
+    monkeypatch.setattr(geodspace, "_Masks", lambda D: builds.append(D) or masks(D))
+    X = cycle_space(7)
+    is_geodesic.cache_clear()  # the unwrapped verdict, kept per space
+    rel = geodspace.delta_relations(X)
+    assert rel.ok and rel.delta_thin == QLexElem(L(3))
+    assert set(reached) == {"is_geodesic", "min_thinness_witness",
+                            "min_rips_witness", "min_delta_4pt_witness"}
+    assert len(builds) == 1
+    assert is_geodesic.cache_info().misses == 1
 
 
 def test_tripod_insizes_sum_along_sides():
