@@ -27,28 +27,43 @@ verdict, as ``_space_masks`` keeps its masks, so the triangle scans and
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import or_
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
-                    Mapping, NamedTuple, Optional, Sequence, Tuple)
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from .errors import ConstructionError, InputError
 from .lspace import FiniteLambdaSpace, _tokens, min_delta_4pt
 from .ordgroup import LexElem, QLexElem
 
 
-def distances_from(adj: Sequence[Mapping[int, int]], src: int) -> List[int]:
+_UNIT = frozenset((1,))
+
+
+def distances_from(adj: Sequence[Dict[int, int]], src: int) -> List[int]:
     """Shortest-path lengths from src, -1 where there is no path.
 
     adj[u] maps the head of each edge leaving u to its positive int
-    weight; an undirected graph lists every edge at both ends.  Vertices
-    are settled one bucket of equal distance at a time, nearest first
-    (Dial, CACM 1969), which on unit weights is breadth-first search.
+    weight; an undirected graph lists every edge at both ends.  When every
+    weight is 1 the row is a breadth-first search, one level at a time.
+    Otherwise vertices are settled one bucket of equal distance at a time,
+    nearest first (Dial, CACM 1969).
     """
     dist = [-1] * len(adj)
     dist[src] = 0
-    buckets: Dict[int, List[int]] = defaultdict(list)
     frontier, d = [src], 0
+    if _UNIT.issuperset(chain.from_iterable(map(dict.values, adj))):
+        while frontier:
+            d += 1
+            reached = []
+            for u in frontier:
+                for v in adj[u]:
+                    if dist[v] < 0:
+                        dist[v] = d
+                        reached.append(v)
+            frontier = reached
+        return dist
+    buckets: Dict[int, List[int]] = defaultdict(list)
     while True:
         for u in frontier:
             if dist[u] != d:

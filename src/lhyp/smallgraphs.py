@@ -1,14 +1,29 @@
 """Exhaustive enumeration of small connected graphs up to isomorphism.
 
-Representatives are produced by vertex augmentation: every connected
-graph on n vertices arises from a connected graph on n-1 vertices by
-adding one vertex joined to a nonempty subset (delete any non-cut vertex
-to see this), so augmenting all representatives and deduplicating by a
-canonical form covers everything.  Subsets in one orbit of the parent's
+Representatives are produced by canonical augmentation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998).  Every
+connected graph on n vertices arises from a connected graph on n-1
+vertices by adding one vertex joined to a nonempty subset: delete any
+non-cut vertex to see this.  Subsets in one orbit of the parent's
 automorphism group give isomorphic children, so each parent is extended
-only by the subsets that are least in their orbit.  The first (parent,
-subset) pair to reach a class is always such a subset, so the
-representatives and their order are those of augmenting by every subset.
+only by the subsets that are least in their orbit.
+
+A child G is kept when its new vertex n-1 lies in the automorphism orbit
+of its canonical deletion vertex m(G).  The candidates are the non-cut
+vertices that rank highest by (degree, sum of the neighbours' degrees,
+triangles at the vertex), and m(G) is the candidate that comes first in
+the leaf giving the canonical key.  Ranks are invariant and any two
+leaves with that key differ by an automorphism, so an isomorphism maps
+the orbit of m(G) onto the orbit of m(H).  The rule is decided without a
+search when a non-cut vertex outranks n-1 (reject) or n-1 is the only
+candidate (keep); n-1 is never a cut vertex.  Only a tie is searched,
+through ``canonical_key``.
+
+So a class is kept exactly once: as the representative of G - m(G)
+extended by the least subset of the orbit that rebuilds G.  No set of
+seen keys is needed.  The representatives and their order are no longer
+those of plain augmentation, which extends by every subset and keeps the
+first child of each class; the classes are the same.
 
 The canonical key is the largest row-major adjacency bitstring over the
 leaves of a search tree: partition refinement by neighbor counts, then
@@ -20,13 +35,14 @@ in the orbit of an already-visited one under the automorphisms found so
 far that fix the node's individualized vertices (McKay & Piperno,
 "Practical graph isomorphism, II", JSC 2014).  A pruned subtree is the
 image of a visited one under such an automorphism, so its leaves carry
-the same keys and the maximum is unchanged.
+the same keys and the maximum is unchanged.  The automorphisms found
+generate the whole group, which the orbit test of the rule needs.
 
 Counts for n = 1..8: 1, 1, 2, 6, 21, 112, 853, 11117.
 """
 
 from functools import lru_cache
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 Adj = Tuple[int, ...]  # neighbor bitmask per vertex
 Perm = Tuple[int, ...]  # image of each vertex
@@ -69,7 +85,7 @@ def _key_of(n: int, adj: Adj, perm: List[int]) -> int:
     return key
 
 
-def _in_orbit(v: int, visited: int, gens: List[Perm]) -> bool:
+def _in_orbit(v: int, visited: int, gens: Sequence[Perm]) -> bool:
     """Whether the group generated by gens maps v into the mask visited."""
     orbit = 1 << v
     stack = [v]
@@ -85,8 +101,11 @@ def _in_orbit(v: int, visited: int, gens: List[Perm]) -> bool:
     return False
 
 
-def _search(n: int, adj: Adj) -> Tuple[int, Set[Perm]]:
-    """The canonical key and the automorphisms met on the way to it."""
+@lru_cache(maxsize=1)
+def _search(n: int, adj: Adj) -> Tuple[int, Perm, Tuple[Perm, ...]]:
+    """The canonical key, the first leaf giving it (vertices in canonical
+    order), and the automorphisms met on the way, which generate the
+    automorphism group.  The last graph's result is kept."""
     best = -1
     first: Dict[int, List[int]] = {}  # key -> first leaf with that key
     auts: Set[Perm] = set()
@@ -123,7 +142,7 @@ def _search(n: int, adj: Adj) -> Tuple[int, Set[Perm]]:
             descend(cells[:at] + [low, cell ^ low] + cells[at + 1 :], fixed + [v])
 
     descend([(1 << n) - 1], [])
-    return best, auts
+    return best, tuple(first[best]), tuple(auts)
 
 
 def canonical_key(n: int, adj: Adj) -> int:
@@ -131,7 +150,7 @@ def canonical_key(n: int, adj: Adj) -> int:
     return _search(n, adj)[0]
 
 
-def _least_subsets(m: int, auts: Set[Perm]) -> List[int]:
+def _least_subsets(m: int, auts: Tuple[Perm, ...]) -> List[int]:
     """Nonempty vertex masks on m vertices least in their orbit, ascending."""
     images = []
     for g in auts:
@@ -158,6 +177,64 @@ def _least_subsets(m: int, auts: Set[Perm]) -> List[int]:
     return least
 
 
+def _connected_without(n: int, adj: Adj, v: int) -> bool:
+    """Whether deleting v leaves the graph connected (v is not a cut vertex)."""
+    rest = (1 << n) - 1 ^ 1 << v
+    seen = frontier = rest & -rest
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        reached = adj[low.bit_length() - 1] & rest & ~seen
+        seen |= reached
+        frontier |= reached
+    return seen == rest
+
+
+def _accepts(n: int, adj: Adj) -> bool:
+    """Whether vertex n-1 lies in the orbit of the canonical deletion vertex."""
+    new = n - 1
+    deg = [a.bit_count() for a in adj]
+    tied = 1 << new  # the non-cut vertices that rank with n-1 so far
+    for v in range(new):
+        if deg[v] >= deg[new] and _connected_without(n, adj, v):
+            if deg[v] > deg[new]:
+                return False
+            tied |= 1 << v
+    if tied == 1 << new:
+        return True
+
+    def rank(v: int) -> Tuple[int, int]:
+        """Sum of the neighbours' degrees, then triangles at v."""
+        s = t = 0
+        a = adj[v]
+        while a:
+            low = a & -a
+            a ^= low
+            w = low.bit_length() - 1
+            s += deg[w]
+            t += (adj[w] & adj[v]).bit_count()
+        return s, t
+
+    top = rank(new)
+    rest = tied ^ 1 << new
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        r = rank(low.bit_length() - 1)
+        if r > top:
+            return False
+        if r < top:
+            tied ^= low
+    if tied == 1 << new:
+        return True
+    # Searched through the module attribute, so that a wrapper installed
+    # there sees every search; _search keeps the result for the next line.
+    canonical_key(n, adj)
+    _, leaf, auts = _search(n, adj)
+    m = next(v for v in leaf if tied >> v & 1)
+    return m == new or _in_orbit(m, 1 << new, auts)
+
+
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> Tuple[Adj, ...]:
     """All connected graphs on vertices 0..n-1, one per isomorphism class."""
@@ -166,15 +243,12 @@ def connected_graphs(n: int) -> Tuple[Adj, ...]:
     if n == 1:
         return ((0,),)
     reps: List[Adj] = []
-    seen = set()
     for parent in connected_graphs(n - 1):
-        for sub in _least_subsets(n - 1, _search(n - 1, parent)[1]):
+        for sub in _least_subsets(n - 1, _search(n - 1, parent)[2]):
             adj = tuple(
                 parent[v] | ((sub >> v & 1) << (n - 1)) for v in range(n - 1)
             ) + (sub,)
-            key = canonical_key(n, adj)
-            if key not in seen:
-                seen.add(key)
+            if _accepts(n, adj):
                 reps.append(adj)
     return tuple(reps)
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -52,6 +53,22 @@ def test_distances_from_matches_floyd_on_weighted_multigraphs(seed):
     for u, v, w in edges:
         for a, b in ((u, v), (v, u)):
             adj[a][b] = min(w, adj[a].get(b, w))
+    want = oracle_rows(floyd(n, edges))
+    assert [distances_from(adj, src) for src in range(n)] == want
+
+
+@given(seeds, st.sampled_from([1, 2, 5]))
+def test_distances_from_matches_floyd_on_unit_and_weighted_graphs(seed, top):
+    # top = 1 gives unit graphs (the breadth-first path); top = 2 gives
+    # graphs whose edges are mostly unit but whose rows take the buckets
+    rng = Random(seed)
+    n = rng.randint(1, 12)
+    part = [rng.randrange(3) for _ in range(n)]  # no edge joins two parts
+    edges = [(u, v, rng.randint(1, top)) for u, v in combinations(range(n), 2)
+             if part[u] == part[v] and rng.random() < 0.3]
+    adj = [{} for _ in range(n)]
+    for u, v, w in edges:
+        adj[u][v] = adj[v][u] = w
     want = oracle_rows(floyd(n, edges))
     assert [distances_from(adj, src) for src in range(n)] == want
 

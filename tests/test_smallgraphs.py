@@ -5,6 +5,7 @@ from random import Random
 
 from hypothesis import given, strategies as st
 
+from lhyp import smallgraphs
 from lhyp.smallgraphs import canonical_key, connected_graphs, edge_list
 
 from oracles import oracle_canonical_key, oracle_labelling_keys
@@ -52,21 +53,39 @@ def test_connected_counts():
         assert len(connected_graphs(n)) == want
 
 
-def test_graphs_are_connected_and_distinct():
+def is_connected(adj):
     # rows are neighbor bitmasks
+    n = len(adj)
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in range(n):
+            if (adj[u] >> v) & 1 and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == n
+
+
+def test_graphs_are_connected_and_distinct():
     for n in range(1, 6):
         graphs = connected_graphs(n)
         assert len({canonical_key(n, g) for g in graphs}) == len(graphs)
-        for adj in graphs:
-            seen = {0}
-            stack = [0]
-            while stack:
-                u = stack.pop()
-                for v in range(n):
-                    if (adj[u] >> v) & 1 and v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            assert len(seen) == n
+        assert all(is_connected(adj) for adj in graphs)
+
+
+def test_every_connected_labelled_graph_has_one_representative():
+    # every edge set on n labelled vertices, keyed by the package-free oracle
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        want = set()
+        for mask in range(1 << len(pairs)):
+            adj = from_edges(n, [e for b, e in enumerate(pairs) if mask >> b & 1])
+            if is_connected(adj):
+                want.add(oracle_canonical_key(adj))
+        got = [oracle_canonical_key(adj) for adj in connected_graphs(n)]
+        assert len(set(got)) == len(got)
+        assert set(got) == want
 
 
 def test_canonical_key_is_isomorphism_invariant():
@@ -131,9 +150,31 @@ def plain_augmentation(n):
     return tuple(reps)
 
 
-def test_orbit_pruned_augmentation_keeps_every_representative_in_order():
+def test_canonical_augmentation_keeps_the_classes_of_plain_augmentation():
+    # the representatives and their order differ; the classes may not
     for n in range(1, 7):
-        assert connected_graphs(n) == plain_augmentation(n)
+        graphs, plain = connected_graphs(n), plain_augmentation(n)
+        assert len(graphs) == len(plain)
+        assert ({canonical_key(n, g) for g in graphs}
+                == {canonical_key(n, g) for g in plain})
+
+
+def test_augmentation_searches_only_ties(monkeypatch):
+    # perfbench's tracer replaces canonical_key by module attribute in the
+    # same way; plain augmentation would make 4,159 calls through n = 7
+    calls = []
+
+    def counted(n, adj):
+        calls.append(n)
+        return canonical_key(n, adj)
+
+    monkeypatch.setattr(smallgraphs, "canonical_key", counted)
+    connected_graphs.cache_clear()
+    try:
+        assert len(connected_graphs(7)) == COUNTS[7]
+    finally:
+        connected_graphs.cache_clear()
+    assert 1 <= len(calls) <= 1000
 
 
 def test_edge_list_matches_adjacency():
@@ -150,7 +191,10 @@ def test_sweep_script_smoke(capsys):
     spec = importlib.util.spec_from_file_location("sweep_small_graphs", path)
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
-    assert sweep.main(["--up-to", "5"]) == 0
+    assert sweep.main(["--up-to", "6"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    counts = [int(line.split()[1].split("=")[1]) for line in lines]
-    assert counts == [1, 1, 2, 6, 21]
+    fields = [dict(f.split("=") for f in line.split()[1:5]) for line in lines]
+    assert [int(f["graphs"]) for f in fields] == [COUNTS[n] for n in range(1, 7)]
+    # perfbench/references.json pins the same worst triples
+    worst = [(f["max_point"], f["max_thin"], f["max_rips"]) for f in fields]
+    assert worst == [("(0)", "(0)", "(0)")] * 3 + [("(1)", "(2)", "(1)")] * 3
