@@ -22,21 +22,11 @@ from operator import add
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
-from .lspace import FiniteLambdaSpace, validate_metric
+from .lspace import FiniteLambdaSpace, _lines, validate_metric
 from .ordgroup import LexElem
 from .geodspace import GeodesicGraph
 
 Elem = Any
-
-
-def _lines(text: str) -> List[List[str]]:
-    """Split into token lists per line, dropping comments and blanks."""
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line.split())
-    return out
 
 
 class GroupHandle:
@@ -96,18 +86,6 @@ class FreeGroup(GroupHandle):
 
     def identity(self) -> Tuple[int, ...]:
         return ()
-
-    def word(self, letters: Sequence[int]) -> Tuple[int, ...]:
-        """Validate letters and return the freely reduced word."""
-        out: List[int] = []
-        for x in letters:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
-                raise InputError("letter %r outside rank %d" % (x, self.rank))
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return tuple(out)
 
     def mul(self, a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
         # a and b are reduced, so only the letters where they meet cancel
@@ -634,6 +612,10 @@ def write_grp(group: GroupHandle, gens: Optional[Sequence[Elem]] = None,
     return "\n".join(lines) + "\n"
 
 
+# product and freeprod files may refer to one another this many levels deep
+MAX_GROUP_NESTING = 200
+
+
 def read_grp(text: str, loader: Optional[Callable[[str], str]] = None
              ) -> Tuple[GroupHandle, Tuple[Elem, ...]]:
     """Parse a .grp description; referenced factor files go through loader."""
@@ -688,6 +670,11 @@ def _read_grp(text: str, loader: Optional[Callable[[str], str]],
             # one again means the files refer to each other without end
             if ref in open_refs:
                 raise InputError("group file %r refers back to itself" % ref)
+            # each level costs every group operation a few stack frames, so
+            # a deeper chain would run into Python's recursion limit
+            if len(open_refs) == MAX_GROUP_NESTING:
+                raise InputError("group file %r is nested more than %d "
+                                 "files deep" % (ref, MAX_GROUP_NESTING))
             factors.append(_read_grp(loader(ref), loader, open_refs + (ref,))[0])
         left, right = factors
         group = DirectProduct(left, right) if kind == "product" else FreeProduct(left, right)

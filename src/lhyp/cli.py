@@ -87,8 +87,6 @@ def _parse_delta(text: str, rank: int) -> LexElem:
             d = LexElem((int(text),) + (0,) * (rank - 1))
         except ValueError:
             raise InputError("bad delta %r" % text) from None
-    if len(d.coords) != rank:
-        raise InputError("delta rank %d does not match %d" % (len(d.coords), rank))
     return d
 
 

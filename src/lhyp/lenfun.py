@@ -46,7 +46,9 @@ class _Sample:
     once more.  One Packing covers these lengths and ``extra``, the
     constants a scan compares against, whose codes are ``self.extra``.
     Every scan compares signed sums of at most PACK_HEADROOM codes, so
-    integer order is the order of the group.
+    integer order is the order of the group.  relhyp.RelCayley reads its
+    edge weights and coset lengths off a sample of its coset
+    representatives, with N as the one extra.
     """
 
     def __init__(self, l: LengthTable, sample: Sequence[Elem],

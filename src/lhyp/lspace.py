@@ -429,12 +429,14 @@ def scale(X: FiniteLambdaSpace, k) -> FiniteLambdaSpace:
     return FiniteLambdaSpace(X.labels, dist, X.domain)
 
 
+def _lines(text: str) -> List[List[str]]:
+    """Split into token lists per line, dropping comments and blanks."""
+    rows = (line.split("#", 1)[0].split() for line in text.splitlines())
+    return [row for row in rows if row]
+
+
 def _tokens(text: str) -> List[str]:
-    out = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        out.extend(line.split())
-    return out
+    return list(chain.from_iterable(_lines(text)))
 
 
 def parse_group_header(tok: str) -> Tuple[str, int]:

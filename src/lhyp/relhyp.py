@@ -11,11 +11,13 @@ family that geodesics based at the kernel must satisfy.
 Everything here is radius-stamped: verdicts speak about the enumerated
 ball only, never about the group as a whole.
 
-Weights, path lengths and coset lengths are plain ints.  Under the right
-lexicographic order a length 0 <= l <= (N, 0, ..., 0) has every higher
-coordinate zero, as a nonzero one would have to be positive and would
-put l above N: l lies in the convex subgroup Lambda_1 = Z and its first
-coordinate is its value.  LexElem appears only at the API boundary.
+Weights, path lengths and coset lengths are plain ints: the codes of
+one lenfun._Sample over the coset representatives, which also holds every
+l(r_i^-1 r_j) and the code of N.  Under the right lexicographic order a
+length 0 <= l <= (N, 0, ..., 0) has every higher coordinate zero, as a
+nonzero one would have to be positive and would put l above N: l lies in
+the convex subgroup Lambda_1 = Z, so its code is its first coordinate,
+which is its value.  LexElem appears only at the API boundary.
 """
 
 from fractions import Fraction
@@ -28,6 +30,7 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 from .catalog import Elem, GroupHandle, LengthTable
 from .errors import ConstructionError, InputError
 from .geodspace import DisjointSets, distances_from
+from .lenfun import _Sample
 from .ordgroup import LexElem, minimal_positive
 
 
@@ -118,26 +121,26 @@ class RelCayley:
         for i, mem in enumerate(self.members):
             for g in mem:
                 self.coset_of[g] = i
-        self.lengths = tuple(table.l(r).coords[0] for r in roots)
+        S = _Sample(table, self.reps, (self.Nlex,))
+        self.lengths = tuple(S.lengths)
 
         n = len(self.reps)
-        inverse = [group.inv(r) for r in roots]
+        (bound,) = S.extra
         self.adj: Tuple[Dict[int, int], ...] = tuple({} for _ in range(n))
         for i, j in combinations(range(n), 2):
-            h = group.mul(inverse[i], self.reps[j])
-            if not table.has(h):
-                raise InputError(
-                    "length table too small: no entry for %s joining cosets "
-                    "%s and %s" % (group.render(h), self.labels[i],
-                                   self.labels[j]))
-            w = table.l(h)
-            back = table.values.get(group.inv(h))
-            if back != w:
+            w = S.quot[i][j]
+            if w is None or S.quot[j][i] != w:
+                h = group.mul(group.inv(self.reps[i]), self.reps[j])
+                if w is None:
+                    raise InputError(
+                        "length table too small: no entry for %s joining "
+                        "cosets %s and %s" % (group.render(h), self.labels[i],
+                                              self.labels[j]))
                 raise InputError("length table is not inversion-symmetric "
                                  "at %s" % group.render(h))
-            if w <= self.Nlex:
+            if w <= bound:
                 # pairs come in index order, so each adj row is sorted
-                self.adj[i][j] = self.adj[j][i] = w.coords[0]
+                self.adj[i][j] = self.adj[j][i] = w
 
         self.d: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(distances_from(self.adj, s)) for s in range(n))
@@ -225,8 +228,11 @@ def check_qi(rc: RelCayley) -> QiReport:
     is the least positive length and alpha = alpha* - 1 the reported
     strict bound.  Cross-multiplied exact comparisons, no division.
     """
-    alpha_star, alpha = _alpha(rc.table, rc.coset_of)
-    least = alpha_star.coords[0] if alpha_star is not None else None
+    # every ball element has its coset's length, and none is negative
+    least = min(filter(None, rc.lengths), default=None)
+    alpha_star = alpha = None
+    if least is not None:
+        alpha_star, alpha = rc.one * least, rc.one * (least - 1)
     n = len(rc)
     N_prime = max(rc.rel_dist[0][i] for i in range(n) if rc.lengths[i] <= rc.N)
     checked = 0

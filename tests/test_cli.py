@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from lhyp import cli, completion
-from lhyp.catalog import (FiniteGroup, FreeGroup, product_length, write_grp,
-                          write_len)
+from lhyp.catalog import (MAX_GROUP_NESTING, FiniteGroup, FreeGroup,
+                          product_length, write_grp, write_len)
 from lhyp.cli import main
 from lhyp.geodspace import distances_from
 from lhyp.lspace import write_lms
@@ -430,6 +430,49 @@ def test_lenfun_group_files_may_share_but_not_cycle(tmp_path, capsys):
     assert error_lines(err) == ["error: group file 'self.grp' refers back to itself"]
 
 
+def group_chain(tmp_path, kind, depth):
+    """A chain of depth ``kind`` files: f<k>.grp is the ``kind`` of Z and
+    f<k-1>.grp, and top.grp, the last, names x, the generator of the
+    innermost Z.  The length table lists l(x^k) = |k| for |k| <= 4, so
+    every group operation walks the whole nesting.
+    """
+    put(tmp_path, "f0.grp", write_grp(FreeGroup(1)))
+    for k in range(1, depth):
+        put(tmp_path, "f%d.grp" % k, "%s f0.grp f%d.grp\n" % (kind, k - 1))
+
+    def form(k):
+        word = ("a" if k > 0 else "A") * abs(k)
+        if kind == "product":
+            return "1|" * depth + (word or "1")
+        return "R(" * depth + word + ")" * depth if word else "1"
+
+    grp = put(tmp_path, "top.grp",
+              "%s f0.grp f%d.grp\ngens %s\n" % (kind, depth - 1, form(1)))
+    table = put(tmp_path, "t.len", "group top.grp\nlambda Z^1\n" + "".join(
+        "%s %d\n" % (form(k), abs(k)) for k in range(-4, 5)))
+    return grp, table
+
+
+@pytest.mark.parametrize("kind", ["product", "freeprod"])
+def test_group_files_nest_up_to_the_bound(tmp_path, capsys, kind):
+    for depth, want in ((MAX_GROUP_NESTING, 0), (MAX_GROUP_NESTING + 1, 2)):
+        grp, table = group_chain(tmp_path, kind, depth)
+        for argv in (("lenfun", "--len", table, "--axioms", "--regular", "1",
+                      "--complete", "--free"),
+                     ("relcayley", "--group", grp, "--len", table, "--N", "1",
+                      "--radius", "2", "--pn", "1")):
+            code, out, err = run(capsys, *argv)
+            assert code == want
+            if want:
+                assert out == ""
+                assert error_lines(err) == [
+                    "error: group file 'f0.grp' is nested more than %d files "
+                    "deep" % MAX_GROUP_NESTING]
+            else:
+                assert error_lines(err) == []
+                assert out.startswith("command %s\n" % argv[0])
+
+
 # l = 0, 3, 2, 3, 4 on a^k, |k| <= 4: every axiom holds, nothing else does
 BUMP = ("group z.grp\nlambda Z^1\n1 0\na 3\nA 3\naa 2\nAA 2\naaa 3\nAAA 3\n"
         "aaaa 4\nAAAA 4\n")
@@ -536,6 +579,24 @@ def test_relcayley_needs_twice_the_radius(tmp_path, capsys):
                        str(tmp_path / "z.grp"), "--len", table,
                        "--N", "2", "--radius", "5", "--K", "1")
     assert code == 2 and "length table too small" in err
+
+
+@pytest.mark.parametrize("text, N, radius, line", [
+    # the radius-5 table lacks a^6 = A^-1 a^5
+    (write_len(z_table(5), "z.grp"), "2", "5",
+     "error: length table too small: no entry for aaaaaa joining cosets "
+     "A and aaaaa"),
+    ("group z.grp\nlambda Z^1\n1 0\na 1\nA 2\naa 2\nAA 2\n", "1", "2",
+     "error: length table is not inversion-symmetric at A"),
+], ids=["missing", "asymmetric"])
+def test_relcayley_pair_table_error_lines(tmp_path, capsys, text, N, radius,
+                                          line):
+    grp = put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
+    table = put(tmp_path, "z.len", text)
+    code, out, err = run(capsys, "relcayley", "--group", grp, "--len", table,
+                         "--N", N, "--radius", radius)
+    assert code == 2 and out == ""
+    assert error_lines(err) == [line]
 
 
 def test_relcayley_ball_property(tmp_path, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lhyp import relhyp
 from lhyp.catalog import (DirectProduct, FiniteGroup, FreeGroup, LengthTable,
                           word_length_table)
 from lhyp.errors import ConstructionError, InputError
@@ -289,6 +290,19 @@ def test_relcayley_rejects_length_varying_on_a_coset():
               (0, (-1,)): L(1), (1, (-1,)): L(5)}
     with pytest.raises(InputError):
         RelCayley(G, LengthTable(G, values), 1, 1)
+
+
+def test_relcayley_reads_one_sample_over_its_reps(monkeypatch):
+    built = []
+    sample = relhyp._Sample
+
+    def recording(table, elems, extra=()):
+        built.append((table, tuple(elems), tuple(extra)))
+        return sample(table, elems, extra)
+
+    monkeypatch.setattr(relhyp, "_Sample", recording)
+    rc = z_rc()
+    assert built == [(rc.table, rc.reps, (L(2),))]
 
 
 def test_relcayley_disconnected_truncation():
