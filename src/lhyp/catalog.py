@@ -19,7 +19,7 @@ import string
 from collections import deque
 from functools import lru_cache
 from operator import add
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
 from .lspace import FiniteLambdaSpace, _lines, validate_metric
@@ -34,7 +34,9 @@ class GroupHandle:
 
     Subclasses provide identity/mul/inv/gens plus a render/parse pair
     that round-trips canonical forms through single whitespace-free
-    tokens.  ``kind`` names the family for serialization.
+    tokens.  ``kind`` names the family for serialization.  quotients
+    yields the rows of the table of x^-1 y over two lists of elements; a
+    family may build them faster than one mul per pair.
     """
 
     kind = "abstract"
@@ -56,6 +58,12 @@ class GroupHandle:
 
     def parse(self, text: str) -> Elem:
         raise NotImplementedError
+
+    def quotients(self, xs: Sequence[Elem], ys: Sequence[Elem]) -> Iterator[List[Elem]]:
+        """The rows of the table of x^-1 y, one at a time: row a holds
+        xs[a]^-1 ys[b] at column b."""
+        mul, inv = self.mul, self.inv
+        return ([mul(xi, y) for y in ys] for xi in map(inv, xs))
 
 
 @lru_cache(maxsize=None)
@@ -233,6 +241,15 @@ class FiniteGroup(GroupHandle):
         return "FiniteGroup(order=%d)" % len(self.table)
 
 
+def _positions(items: Sequence[Elem]) -> Dict[Elem, int]:
+    """Each distinct item mapped to its place among them, in order of
+    first appearance."""
+    positions: Dict[Elem, int] = {}
+    for c in items:
+        positions.setdefault(c, len(positions))
+    return positions
+
+
 class DirectProduct(GroupHandle):
     """Direct product of two groups; elements are pairs."""
 
@@ -251,6 +268,22 @@ class DirectProduct(GroupHandle):
 
     def inv(self, a: Tuple[Elem, Elem]) -> Tuple[Elem, Elem]:
         return (self.left.inv(a[0]), self.right.inv(a[1]))
+
+    def quotients(self, xs: Sequence[Tuple[Elem, Elem]],
+                  ys: Sequence[Tuple[Elem, Elem]]) -> Iterator[List[Tuple[Elem, Elem]]]:
+        # each factor builds its table once over its distinct components,
+        # and each pair reads its two entries off those tables by index
+        halves = []
+        for side, factor in enumerate((self.left, self.right)):
+            xcomp = [x[side] for x in xs]
+            ycomp = [y[side] for y in ys]
+            xpos = _positions(xcomp)
+            ypos = _positions(ycomp)
+            table = list(factor.quotients(list(xpos), list(ypos)))
+            halves.append(([table[xpos[c]] for c in xcomp], [ypos[c] for c in ycomp]))
+        (lrows, lcols), (rrows, rcols) = halves
+        return (list(zip(map(lrow.__getitem__, lcols), map(rrow.__getitem__, rcols)))
+                for lrow, rrow in zip(lrows, rrows))
 
     def gens(self) -> Tuple[Tuple[Elem, Elem], ...]:
         el, er = self.left.identity(), self.right.identity()
@@ -734,7 +767,10 @@ def read_len(text: str, loader: Callable[[str], str]) -> LengthTable:
             raise InputError("bad radius %r" % rows[0][1]) from None
         rows = rows[1:]
     values: Dict[Elem, LexElem] = {}
-    # one LexElem per distinct length, shared by every element holding it
+    # each distinct tuple of coordinate tokens is converted once, at its
+    # first line, and one LexElem per distinct length is shared by every
+    # element holding it
+    by_text: Dict[Tuple[str, ...], LexElem] = {}
     lex: Dict[Tuple[int, ...], LexElem] = {}
     for row in rows:
         if len(row) != 1 + rank:
@@ -743,12 +779,13 @@ def read_len(text: str, loader: Callable[[str], str]) -> LengthTable:
         g = group.parse(row[0])
         if g in values:
             raise InputError("element %s listed twice" % row[0])
-        try:
-            coords = tuple(int(v) for v in row[1:])
-        except ValueError:
-            raise InputError("bad coordinates in %r" % " ".join(row)) from None
-        value = lex.get(coords)
+        tokens = tuple(row[1:])
+        value = by_text.get(tokens)
         if value is None:
-            value = lex[coords] = LexElem(coords)
+            try:
+                coords = tuple(map(int, tokens))
+            except ValueError:
+                raise InputError("bad coordinates in %r" % " ".join(row)) from None
+            value = by_text[tokens] = lex.setdefault(coords, LexElem(coords))
         values[g] = value
     return LengthTable(group, values, radius=radius)

@@ -90,6 +90,11 @@ def _parse_delta(text: str, rank: int) -> LexElem:
     return d
 
 
+def _natural(value: int, what: str) -> None:
+    if value < 0:
+        raise InputError("%s must be a natural number" % what)
+
+
 def _load_space(rep: Report, path: str):
     text, data = _read(path)
     rep.digest("space", path, data)
@@ -148,8 +153,7 @@ def cmd_delta(args) -> Report:
 def cmd_complete(args) -> Report:
     rep = Report("complete")
     X = _load_space(rep, args.space)
-    if args.delta < 0:
-        raise InputError("delta must be a natural number")
+    _natural(args.delta, "delta")
     rep.add("method", args.method)
     rep.add("delta", args.delta)
     if args.method == "gamma2":
@@ -237,6 +241,8 @@ def cmd_lenfun(args) -> Report:
     text, data = _read(args.len)
     rep.digest("len", args.len, data)
     table = read_len(text, _len_loader(rep, os.path.dirname(os.path.abspath(args.len))))
+    if args.regular is not None:
+        _natural(args.regular, "regular k")
     rep.add("elements", len(table))
     rep.add("rank", table.rank)
     sample = table.elements()

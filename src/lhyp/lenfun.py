@@ -12,14 +12,18 @@ so internally the doubled quantity l(g) + l(h) - l(g^-1 h) is used and
 halved only for display.  The scans over a sample index it once: a
 _Sample holds every l(s_a), l(s_a^-1 s_b), l(s_a^-1) and l(s_a s_b),
 packed once into ints by one Packing, so their loops compare ints and
-multiply no group elements.  The triple scans walk only the triples
-whose three products are known, by intersecting bitmasks of known
-columns, and count the rest as skipped.
+multiply no group elements.  The group elements come from the group's
+quotients table of s_a^-1 s_b, which a direct product builds from its
+factors' tables, and the lengths read off it are kept for the last table
+and sample, so the modes of one lenfun command build one table.  The
+triple scans walk only the triples whose three products are known, by
+intersecting bitmasks of known columns, and count the rest as skipped.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import (Any, Dict, Iterator, List, Mapping, NamedTuple, Optional,
@@ -33,40 +37,63 @@ from .ordgroup import LexElem, Packing, QLexElem, height
 Elem = Any
 
 
+@lru_cache(maxsize=1)
+def _quotient_lengths(l: LengthTable, sample: Tuple[Elem, ...]):
+    """The lengths a _Sample packs; the last table and sample's are kept,
+    so the modes of one command multiply the sample once.
+
+    Returns (lengths, quot, inverse, own): lengths[a] is l(s_a) and
+    quot[a][b] is l(s_a^-1 s_b), one G.quotients table; inverse[a] is
+    the c with s_c = s_a^-1, or None when s_a^-1 is outside the sample,
+    and for each such a, own[a] is l(s_a^-1) followed by the row of
+    l(s_a s_b), one more G.quotients table over those a.  A length is None
+    when its element is outside the table.  The cache knows a table by its identity, so a table's values
+    must not change once it has been read; every caller gets the same
+    objects, so the rows are tuples.
+    """
+    G = l.group
+    get = l.values.get
+    lengths = tuple([l.l(g) for g in sample])
+    index = {g: a for a, g in enumerate(sample)}
+    inverses = [G.inv(g) for g in sample]
+    quot = tuple([tuple(map(get, row)) for row in G.quotients(sample, sample)])
+    inverse = tuple([index.get(gi) for gi in inverses])
+    outside = [a for a, c in enumerate(inverse) if c is None]
+    own = {}
+    if outside:
+        # (s_a^-1)^-1 s_b = s_a s_b
+        rows = G.quotients([inverses[a] for a in outside], sample)
+        own = {a: (get(inverses[a]),) + tuple(map(get, row))
+               for a, row in zip(outside, rows)}
+    return lengths, quot, inverse, own
+
+
 class _Sample:
     """A sample indexed 0..m-1, with its lengths packed into ints.
 
     ``elems[a]`` is the a-th element s_a, ``lengths[a]`` the code of
     l(s_a) and ``quot[a][b]`` the code of l(s_a^-1 s_b); ``inv_lengths[a]``
     is the code of l(s_a^-1) and ``prod[a][b]`` that of l(s_a s_b).  Each
-    is None when its element is outside the table.  When s_c = s_a^-1 is
-    in the sample, ``inv_lengths[a]`` is ``lengths[c]`` and ``prod[a]`` is
-    ``quot[c]``, so a sample closed under inverses takes m^2
-    multiplications and one inverse per row; any other row is multiplied
-    once more.  One Packing covers these lengths and ``extra``, the
-    constants a scan compares against, whose codes are ``self.extra``.
-    Every scan compares signed sums of at most PACK_HEADROOM codes, so
-    integer order is the order of the group.  relhyp.RelCayley reads its
-    edge weights and coset lengths off a sample of its coset
-    representatives, with N as the one extra.
+    is None when its element is outside the table.  The lengths come from
+    _quotient_lengths, which keeps the last table and sample's: one
+    G.quotients table of s_a^-1 s_b, and one of s_a s_b over the rows
+    whose inverse is outside the sample.  When s_c = s_a^-1 is in the
+    sample, ``inv_lengths[a]`` is ``lengths[c]`` and ``prod[a]`` is
+    ``quot[c]``.  One Packing, built per sample, covers these lengths and
+    ``extra``, the constants a scan compares against, whose codes are
+    ``self.extra``.  Every scan compares signed sums of at most
+    PACK_HEADROOM codes, so integer order is the order of the group.
+    relhyp.RelCayley reads its edge weights and coset lengths off a
+    sample of its coset representatives, with N as the one extra.
     """
 
     def __init__(self, l: LengthTable, sample: Sequence[Elem],
                  extra: Sequence[LexElem] = ()):
-        G = l.group
-        get = l.values.get
         elems = self.elems = list(sample)
-        index = {g: a for a, g in enumerate(elems)}
-        lengths = [l.l(g) for g in elems]
-        inverses = [G.inv(g) for g in elems]
-        quot = [[get(G.mul(gi, h)) for h in elems] for gi in inverses]
-        # l(s_a^-1) followed by the l(s_a s_b), for the rows whose inverse
-        # is outside the sample
-        own = {a: [get(gi)] + [get(G.mul(elems[a], h)) for h in elems]
-               for a, gi in enumerate(inverses) if gi not in index}
-        self.packing = Packing(lengths + [v for rows in (quot, own.values())
-                                          for row in rows for v in row if v is not None]
-                               + list(extra))
+        lengths, quot, inverse, own = _quotient_lengths(l, tuple(elems))
+        self.packing = Packing([*lengths, *(v for rows in (quot, own.values())
+                                            for row in rows for v in row if v is not None),
+                                *extra])
         pack = self.packing.pack
 
         def codes(row):
@@ -77,8 +104,7 @@ class _Sample:
         self.extra = codes(extra)
         self.inv_lengths: List[Optional[int]] = []
         self.prod: List[List[Optional[int]]] = []
-        for a, gi in enumerate(inverses):
-            c = index.get(gi)
+        for a, c in enumerate(inverse):
             if c is None:
                 inv, *row = codes(own[a])
                 self.inv_lengths.append(inv)
@@ -100,8 +126,9 @@ class _Sample:
         each known pair i < j the k are the bits of the two rows' masks
         taken together, lowest first.
         """
-        n = len(self.elems)
-        c2 = [[self.c2(i, j) for j in range(n)] for i in range(n)]
+        L = self.lengths
+        c2 = [[None if q is None else la + lb - q for lb, q in zip(L, row)]
+              for la, row in zip(L, self.quot)]
         known = []
         for i, row in enumerate(c2):
             bits = "".join("0" if v is None else "1" for v in reversed(row[i + 1:]))
@@ -161,22 +188,31 @@ def _min_delta(l: LengthTable, S: _Sample):
     triple had all three Gromov products available.  Only the products
     c(s_i, s_j) with i < j are read.  S must pack zero among its extras.
     """
-    best = None
+    # a triple's largest defect is its spread, the middle of its three
+    # products minus the least; a spread is never negative, so the first
+    # triple beats -1
+    best = -1
     witness = None
     checked = 0
     for i, j, k, cij, cik, cjk in S.known_triples():
         checked += 1
+        if cij <= cik:
+            spread = cik - cij if cik <= cjk else cjk - cij if cij <= cjk else cij - cjk
+        else:
+            spread = cij - cik if cij <= cjk else cjk - cik if cik <= cjk else cik - cjk
+        if spread <= best:
+            continue
         # witness: the two whose product falls short, then the third
         for pair, a, b, case in ((cij, cik, cjk, 0), (cik, cij, cjk, 1),
                                  (cjk, cij, cik, 2)):
             defect = (a if a < b else b) - pair
-            if best is None or best < defect:
+            if best < defect:
                 best, witness = defect, ((i, j, k), (i, k, j), (j, k, i))[case]
     skipped = comb(len(S.elems), 3) - checked
-    if best is None:
+    if witness is None:
         return None, None, checked, skipped
     names = tuple(l.group.render(S.elems[t]) for t in witness)
-    return QLexElem(S.packing.unpack(max(best, 0)), 2), names, checked, skipped
+    return QLexElem(S.packing.unpack(best), 2), names, checked, skipped
 
 
 def check_axioms(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> AxiomReport:

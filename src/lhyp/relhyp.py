@@ -31,13 +31,15 @@ from .catalog import Elem, GroupHandle, LengthTable
 from .errors import ConstructionError, InputError
 from .geodspace import DisjointSets, distances_from
 from .lenfun import _Sample
-from .ordgroup import LexElem, minimal_positive
+from .ordgroup import LexElem, distinct, minimal_positive
 
 
 def _ball(table: LengthTable, radius: int) -> List[Elem]:
     bound = minimal_positive(table.rank) * radius
-    # one __lt__ per element: total_ordering's __le__ would add an __eq__
-    return [g for g, v in table.values.items() if not bound < v]
+    # one __lt__ per distinct length object: total_ordering's __le__
+    # would add an __eq__
+    inside = {id(v) for v in distinct(table.values.values()) if not bound < v}
+    return [g for g, v in table.values.items() if id(v) in inside]
 
 
 def _alpha(table: LengthTable, ball: Iterable[Elem]

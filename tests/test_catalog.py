@@ -1,3 +1,4 @@
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -139,6 +140,43 @@ def test_direct_product_group_ops():
     assert D.mul(g, D.inv(g)) == D.identity()
     assert D.render(g) == "a|r"
     assert D.parse("a|r") == g
+
+
+def symmetric3():
+    """S3 on the permutations of 0..2, identity first: not abelian, so a
+    table of y x^-1 or of x y^-1 in place of x^-1 y would show."""
+    perms = sorted(permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup([[index[tuple(q[k] for k in p)] for q in perms] for p in perms])
+
+
+QUOTIENT_GROUPS = {
+    "free": lambda: FreeGroup(2),
+    "finite": symmetric3,
+    "free x finite": lambda: DirectProduct(FreeGroup(2), FiniteGroup.cyclic(3)),
+    "(finite x free) x free": lambda: DirectProduct(
+        DirectProduct(symmetric3(), FreeGroup(1)), FreeGroup(2)),
+    "free product of products": lambda: FreeProduct(
+        DirectProduct(FreeGroup(1), FiniteGroup.cyclic(2)),
+        DirectProduct(symmetric3(), FreeGroup(1))),
+    "free product x product": lambda: DirectProduct(
+        FreeProduct(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)),
+        DirectProduct(FreeGroup(1), symmetric3())),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_GROUPS))
+def test_quotients_equal_the_pairwise_products(name):
+    G = QUOTIENT_GROUPS[name]()
+    elements = ball_of(G, G.gens(), 2).elements
+    rng = Random(7)
+    for _ in range(20):
+        # drawn with repeats, so elements and their components recur
+        xs = rng.choices(elements, k=rng.randint(0, 12))
+        ys = rng.choices(elements, k=rng.randint(0, 9))
+        for xs, ys in ((xs, ys), (xs, xs), (xs + xs[:2], ys)):
+            want = [[G.mul(G.inv(x), y) for y in ys] for x in xs]
+            assert list(G.quotients(xs, ys)) == want
 
 
 def test_free_product_normal_form_and_length():

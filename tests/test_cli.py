@@ -415,6 +415,20 @@ def test_lenfun_rejects_a_bad_radius(tmp_path, capsys):
     assert error_lines(err) == ["error: bad radius 'x'"]
 
 
+def test_lenfun_rejects_a_negative_regular_k(tmp_path, capsys):
+    table = f2_fixture(tmp_path)
+    code, out, err = run(capsys, "lenfun", "--len", table, "--axioms",
+                         "--regular", "-1")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: regular k must be a natural number"]
+    # the same check as complete's --delta
+    space = put(tmp_path, "tree.lms", TREE)
+    code, out, err = run(capsys, "complete", "--space", space, "--method",
+                         "gamma1", "--delta", "-1")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: delta must be a natural number"]
+
+
 def test_lenfun_group_files_may_share_but_not_cycle(tmp_path, capsys):
     put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
     put(tmp_path, "zz.grp", "product z.grp z.grp\n")

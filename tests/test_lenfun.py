@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lhyp.catalog import (FiniteGroup, FreeGroup, LengthTable, product_length,
-                          word_length_table)
+                          word_length_table, write_grp, write_len)
+from lhyp.cli import main
 from lhyp.errors import InputError
-from lhyp.lenfun import (QuasiReport, axiom4_scan, check_axioms,
-                         check_complete, check_free, check_regular,
+from lhyp.lenfun import (QuasiReport, _quotient_lengths, axiom4_scan,
+                         check_axioms, check_complete, check_free, check_regular,
                          finite_ball_hyperbolic_group_check, from_action,
                          gromov_product, kernel, lambda0_kernel,
                          quasigeodesic_check, to_space)
@@ -306,12 +307,26 @@ def free_inv(a):
     return tuple(-x for x in reversed(a))
 
 
-def pair_mul(a, b):
-    return (free_mul(a[0], b[0]), free_mul(a[1], b[1]))
+FREE_LAW = (free_mul, free_inv)
 
 
-def pair_inv(a):
-    return (free_inv(a[0]), free_inv(a[1]))
+def cyclic_law(n):
+    return (lambda a, b: (a + b) % n, lambda a: -a % n)
+
+
+def product_law(left, right):
+    """The law of a direct product of two groups, from their laws."""
+    (lmul, linv), (rmul, rinv) = left, right
+    return (lambda a, b: (lmul(a[0], b[0]), rmul(a[1], b[1])),
+            lambda a: (linv(a[0]), rinv(a[1])))
+
+
+pair_mul, pair_inv = product_law(FREE_LAW, FREE_LAW)
+
+
+def cyclic_table(n):
+    C = FiniteGroup.cyclic(n)
+    return word_length_table(C, (1,), n // 2)
 
 
 def random_length_table(rng, kind):
@@ -320,8 +335,23 @@ def random_length_table(rng, kind):
     "f2": the F2 ball of radius 2 with holes and +-1 bumps; "z": lengths
     on a^k, |k| <= 2..6, of rank 1-3, top coordinate |k| with bumps and
     lower coordinates up to 2 or 10^7; "f2xf2": the product of two F2
-    balls of radius 1, with holes.
+    balls of radius 1, with holes; "f2xc3": the F2 ball of radius 1 times
+    C3, and "c2xzxz": (C2 x Z) x Z on |k| <= 1 and |k| <= 2, both with
+    holes and +-1 bumps in the first coordinate.
     """
+    if kind in ("f2xc3", "c2xzxz"):
+        if kind == "f2xc3":
+            prod = product_length(f2_table(1), cyclic_table(3))
+            law = product_law(FREE_LAW, cyclic_law(3))
+        else:
+            prod = product_length(product_length(cyclic_table(2), z_table(1)),
+                                  z_table(2))
+            law = product_law(product_law(cyclic_law(2), FREE_LAW), FREE_LAW)
+        e = prod.group.identity()
+        bump = [LexElem((b,) + (0,) * (prod.rank - 1)) for b in (0, 0, 1, -1)]
+        values = {g: v + rng.choice(bump) if g != e else v
+                  for g, v in prod.values.items() if g == e or rng.random() > 0.1}
+        return (LengthTable(prod.group, values),) + law
     if kind == "f2":
         values = {g: L(v.coords[0] + (rng.choice((0, 0, 1, -1)) if g else 0))
                   for g, v in f2_table(2).values.items()
@@ -341,11 +371,14 @@ def random_length_table(rng, kind):
     return LengthTable(prod.group, values), pair_mul, pair_inv
 
 
+KINDS = ("f2", "z", "f2xf2", "f2xc3", "c2xzxz")
+
+
 def rendered(G, elems):
     return None if elems is None else tuple(G.render(g) for g in elems)
 
 
-@given(seeds, st.sampled_from(("f2", "z", "f2xf2")), st.integers(0, 2),
+@given(seeds, st.sampled_from(KINDS), st.integers(0, 2),
        st.integers(0, 1))
 def test_regular_and_complete_match_oracles(seed, kind, k, d):
     rng = Random(seed)
@@ -389,7 +422,7 @@ def product_closed(sample, length, mul, inv):
     return kept
 
 
-@given(seeds, st.sampled_from(("f2", "z", "f2xf2")), st.integers(0, 1))
+@given(seeds, st.sampled_from(KINDS), st.integers(0, 1))
 def test_axiom_scans_match_oracles(seed, kind, d):
     # random tables with holes; a subsample is rarely closed under
     # inverses, so check_axioms also runs the rows that multiply
@@ -441,3 +474,46 @@ def test_axiom_scans_match_oracles(seed, kind, d):
         want0 = oracle_lambda0(t.elements(), length, mul, inv, i, tuple(delta))
         want0["witness"] = rendered(t.group, want0["witness"])
         assert lambda0_kernel(t, i, LexElem(delta))._asdict() == want0
+
+
+# -- one quotient table per table and sample ------------------------------
+
+
+def test_one_lenfun_command_builds_one_quotient_table(tmp_path, monkeypatch):
+    built = []
+    quotients = FreeGroup.quotients
+
+    def counting(self, xs, ys):
+        built.append((len(xs), len(ys)))
+        return quotients(self, xs, ys)
+
+    monkeypatch.setattr(FreeGroup, "quotients", counting)
+    (tmp_path / "f2.grp").write_text(write_grp(FreeGroup(2)))
+    path = tmp_path / "f2.len"
+    # the ball is closed under inverses, so no row multiplies s_a s_b
+    path.write_text(write_len(f2_table(2), "f2.grp"))
+    assert main(["lenfun", "--len", str(path), "--axioms", "--regular", "1",
+                 "--complete"]) == 0
+    assert built == [(17, 17)]
+
+
+def test_back_to_back_tables_and_samples_keep_their_own_results():
+    t = f2_table(2)
+    bumped = LengthTable(t.group, {g: v + L(1) if g else v for g, v in t.values.items()})
+    elements = list(t.elements())
+    half = elements[::2]
+    zero = LexElem.zero(1)
+    runs = [(t, elements), (bumped, elements), (t, half), (bumped, half), (t, elements)]
+
+    def results(table, sample):
+        return (check_axioms(table, sample), check_regular(table, sample, 1, zero),
+                check_complete(table, sample, zero))
+
+    want = []
+    for table, sample in runs:
+        _quotient_lengths.cache_clear()
+        want.append(results(table, sample))
+    _quotient_lengths.cache_clear()
+    assert [results(table, sample) for table, sample in runs] == want
+    # the bump loses every exact split, and the half sample drops pairs
+    assert want[0] != want[1] and want[0] != want[2] and want[0] == want[4]

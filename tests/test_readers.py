@@ -198,6 +198,37 @@ def test_lenfun_names_the_bad_word(grp, word, error):
     assert (code, out, errors) == (2, "", ["error: " + error])
 
 
+# -- read_len converts each tuple of coordinate tokens once -----------------
+
+def test_read_len_equal_tokens_give_equal_lengths():
+    text = "group f2.grp\nlambda Z^2\n1 0 0\na 1 01\nA 01 1\nb 1 1\nB 01 01\n"
+    t = read_len(text, load_group)
+    F = t.group
+    one = t.values[F.parse("b")]
+    assert one.coords == (1, 1)
+    assert all(t.values[F.parse(w)] == one for w in ("a", "A", "B"))
+    # one object per distinct length, whatever tokens spelled it
+    assert all(t.values[F.parse(w)] is one for w in ("a", "A", "B"))
+
+
+@pytest.mark.parametrize("body, line", [
+    ("a 1 x\nA 1 x\n", "a 1 x"),
+    ("a 1 1\nA 1 x\nb 1 x\nB 1 1\n", "A 1 x"),
+    ("a 1 1\nA x 1\nb 1 1\nB x 1\n", "A x 1"),
+    # the tokens differ from a good line's only in spelling
+    ("a 1 01\nA 1 1\nb 1 1.0\nB 1 1.0\n", "b 1 1.0"),
+])
+def test_read_len_names_the_first_line_of_a_bad_token(body, line):
+    text = "group f2.grp\nlambda Z^2\n1 0 0\n" + body
+    error = "bad coordinates in %r" % line
+    with pytest.raises(InputError) as info:
+        read_len(text, load_group)
+    assert str(info.value) == error
+    code, out, errors = run_main(dict(GROUPS, **{"w.len": text}),
+                                 "lenfun --len w.len --axioms")
+    assert (code, out, errors) == (2, "", ["error: " + error])
+
+
 # -- read_lms shares one element per token ----------------------------------
 
 def lms(group, rows, labels="abcd"):
