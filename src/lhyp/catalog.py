@@ -19,7 +19,7 @@ import string
 from collections import deque
 from functools import lru_cache
 from operator import add
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import ConstructionError, InputError
 from .lspace import FiniteLambdaSpace, _lines, validate_metric
@@ -459,6 +459,23 @@ def ball_of(group: GroupHandle, gens: Sequence[Elem], radius: int) -> Ball:
                 order.append(h)
                 frontier.append(h)
     return Ball(group, radius, tuple(order), length)
+
+
+def generated_within(group: GroupHandle, steps: Sequence[Elem],
+                     universe: Set[Elem]) -> Set[Elem]:
+    """The identity and every element that right products of ``steps``
+    reach from it without leaving ``universe``."""
+    e = group.identity()
+    reached = {e}
+    frontier = [e]
+    while frontier:
+        g = frontier.pop()
+        for s in steps:
+            h = group.mul(g, s)
+            if h in universe and h not in reached:
+                reached.add(h)
+                frontier.append(h)
+    return reached
 
 
 def free_ball(rank: int, radius: int) -> Ball:

@@ -79,7 +79,7 @@ class Report:
 
 
 def _parse_delta(text: str, rank: int) -> LexElem:
-    # bare integers are accepted for rank one as a convenience
+    # a bare integer is the first coordinate, padded with zeros to the rank
     if text.startswith("("):
         d = parse_lex(text, rank)
     else:
@@ -336,9 +336,16 @@ def cmd_relcayley(args) -> Report:
 
 # -- entry point ----------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as malformed input; its subcommand
+    parsers are of this class too."""
+
+    def error(self, message: str):
+        raise InputError("%s: %s" % (self.prog, message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lhyp",
-                                description="finite Lambda-metric space toolkit")
+    p = _Parser(prog="lhyp", description="finite Lambda-metric space toolkit")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("check", help="validate a space and its constants")
@@ -388,9 +395,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
         rep = args.func(args)
     except InputError as exc:
         sys.stderr.write("error: %s\n" % exc)

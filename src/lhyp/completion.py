@@ -17,9 +17,10 @@ its unit adjacency and its least geodesics.
 """
 
 from collections import deque
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from random import Random
+from types import MappingProxyType
 from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
                     Tuple)
 
@@ -164,11 +165,14 @@ class MidpointTable(NamedTuple):
     failing: Optional[Tuple[str, str, str]] = None
 
 
+@lru_cache(maxsize=1)
 def check_RS(space: FiniteLambdaSpace, delta: LexElem) -> Tuple[bool, MidpointTable]:
     """Does every triple admit a 2*delta-central point?
 
     Triples with a repeated entry always do (the repeated point works),
-    so only distinct triples are tabulated.
+    so only distinct triples are tabulated.  The last call's verdict is
+    kept, like ``_space_masks``'s masks, so a check made before ``gamma2``
+    is not repeated inside it; every caller shares its read-only table.
     """
     entries: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
     failing = None
@@ -181,7 +185,7 @@ def check_RS(space: FiniteLambdaSpace, delta: LexElem) -> Tuple[bool, MidpointTa
         entries[(L[x], L[y], L[z])] = found
         if not found and failing is None:
             failing = (L[x], L[y], L[z])
-    return failing is None, MidpointTable(delta, entries, failing)
+    return failing is None, MidpointTable(delta, MappingProxyType(entries), failing)
 
 
 # tau[0..k] for each delta, grown on demand: tau depends on (k, delta)
@@ -201,11 +205,8 @@ def tau_max(n: int, delta: int) -> int:
     if delta == 0 or n <= 2 * delta:
         return n
     tau = _TAU_ROWS.get(delta)
-    if tau is not None and n < len(tau):
-        return tau[n]
-    # grow a private copy and publish it whole, so a reader never sees a
-    # row that another caller is still extending
-    tau = list(tau if tau is not None else range(2 * delta + 1))
+    if tau is None:
+        tau = _TAU_ROWS[delta] = list(range(2 * delta + 1))
     for k in range(len(tau), n + 1):
         best = 0
         # tau is increasing, so the partner length is taken maximal
@@ -215,7 +216,6 @@ def tau_max(n: int, delta: int) -> int:
             if total > best:
                 best = total
         tau.append(best)
-    _TAU_ROWS[delta] = tau
     return tau[n]
 
 

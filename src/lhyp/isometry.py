@@ -148,7 +148,7 @@ def classify_certificate(space: FiniteLambdaSpace, pi: IsoPerm, delta: LexElem,
     i = height(delta)
     if 0 < i <= space.rank:
         cls = convex_classes(space, i)
-        induced = _induced_class_map(space, pi, cls)
+        induced = _induced_class_map(pi, cls)
         fixed = [c for c in range(len(cls)) if induced[c] == c]
         if not fixed:
             square = [induced[induced[c]] for c in range(len(cls))]
@@ -160,8 +160,7 @@ def classify_certificate(space: FiniteLambdaSpace, pi: IsoPerm, delta: LexElem,
     return ClassCert("undetermined", None, None, horizon)
 
 
-def _induced_class_map(space: FiniteLambdaSpace, pi: IsoPerm,
-                       cls: List[List[int]]) -> List[int]:
+def _induced_class_map(pi: IsoPerm, cls: List[List[int]]) -> List[int]:
     where = {}
     for c, members in enumerate(cls):
         for m in members:
@@ -179,8 +178,7 @@ def _induced_class_map(space: FiniteLambdaSpace, pi: IsoPerm,
 PartialMap = Mapping[str, str]
 
 
-def _apply_partial(space: FiniteLambdaSpace, pi: Union[IsoPerm, PartialMap],
-                   label: str) -> Optional[str]:
+def _apply_partial(pi: Union[IsoPerm, PartialMap], label: str) -> Optional[str]:
     if isinstance(pi, IsoPerm):
         return pi.apply(label)
     return pi.get(label)
@@ -214,10 +212,10 @@ def translation_length_tree(space: FiniteLambdaSpace,
     zero = LexElem((0,) * space.rank)
     profile: List[Tuple[str, LexElem]] = []
     for lab in space.labels:
-        once = _apply_partial(space, pi, lab)
+        once = _apply_partial(pi, lab)
         if once is None:
             continue
-        twice = _apply_partial(space, pi, once)
+        twice = _apply_partial(pi, once)
         if twice is None:
             continue
         gain = space.d(lab, twice) - space.d(lab, once)
@@ -239,7 +237,7 @@ def induce_on_quotient(space: FiniteLambdaSpace, pi: IsoPerm,
     """Push the isometry down to the quotient by the i-th convex level."""
     cls = convex_classes(space, i)
     quotient = quotient_by_convex(space, i)
-    induced = _induced_class_map(space, pi, cls)
+    induced = _induced_class_map(pi, cls)
     try:
         qperm = IsoPerm(quotient, induced)
     except InputError as exc:
@@ -259,7 +257,7 @@ def preserved_convex_systems(space: FiniteLambdaSpace,
     out: List[Tuple[int, str]] = []
     for i in range(space.rank):
         cls = convex_classes(space, i)
-        induced = _induced_class_map(space, pi, cls)
+        induced = _induced_class_map(pi, cls)
         for c, members in enumerate(cls):
             if induced[c] == c and len(members) < n:
                 out.append((i, ",".join(space.labels[m] for m in members)))

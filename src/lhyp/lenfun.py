@@ -29,7 +29,7 @@ from math import comb
 from typing import (Any, Dict, Iterator, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
-from .catalog import GroupHandle, LengthTable
+from .catalog import GroupHandle, LengthTable, generated_within
 from .errors import ConstructionError, InputError
 from .lspace import FiniteLambdaSpace, level_masks, validate_metric
 from .ordgroup import LexElem, Packing, QLexElem, height
@@ -727,16 +727,7 @@ def finite_ball_hyperbolic_group_check(l: LengthTable,
     G = l.group
     one = LexElem((1,))
     short = [g for g in sample if l.values[g] <= one]
-    in_sample = set(sample)
-    reached = {G.identity()}
-    frontier = [G.identity()]
-    while frontier:
-        g = frontier.pop()
-        for s in short:
-            h = G.mul(g, s)
-            if h in in_sample and h not in reached:
-                reached.add(h)
-                frontier.append(h)
+    reached = generated_within(G, short, set(sample))
     unreached = next((G.render(g) for g in sample if g not in reached), None)
     S = _Sample(l, sample, (LexElem.zero(l.rank),))
     delta, dwit, checked, skipped = _min_delta(l, S)

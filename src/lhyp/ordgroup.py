@@ -269,11 +269,11 @@ class QLexElem:
         return self.num.is_zero()
 
     def __add__(self, other: "QLexElem") -> "QLexElem":
-        other = _coerce_q(other, self)
+        other = _coerce_q(other)
         return QLexElem(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "QLexElem") -> "QLexElem":
-        other = _coerce_q(other, self)
+        other = _coerce_q(other)
         return QLexElem(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "QLexElem":
@@ -321,7 +321,7 @@ class QLexElem:
         return "QLexElem(%s)" % (self.render(),)
 
 
-def _coerce_q(other, like: QLexElem) -> QLexElem:
+def _coerce_q(other) -> QLexElem:
     if isinstance(other, LexElem):
         return QLexElem.from_lex(other)
     if not isinstance(other, QLexElem):

@@ -9,7 +9,9 @@ which every element of G_x is a free move, and against the inequality
 family that geodesics based at the kernel must satisfy.
 
 Everything here is radius-stamped: verdicts speak about the enumerated
-ball only, never about the group as a whole.
+ball only, never about the group as a whole.  ``_ball`` is the one
+enumeration: the coset graph, the ball property P_n and the properness
+rows all read the radius ball and its kernel from it, in rendering order.
 
 Weights, path lengths and coset lengths are plain ints: the codes of
 one lenfun._Sample over the coset representatives, which also holds every
@@ -21,25 +23,32 @@ which is its value.  LexElem appears only at the API boundary.
 """
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import inf
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
-from .catalog import Elem, GroupHandle, LengthTable
+from .catalog import Elem, GroupHandle, LengthTable, generated_within
 from .errors import ConstructionError, InputError
 from .geodspace import DisjointSets, distances_from
 from .lenfun import _Sample
 from .ordgroup import LexElem, distinct, minimal_positive
 
 
-def _ball(table: LengthTable, radius: int) -> List[Elem]:
+def _ball(group: GroupHandle, table: LengthTable,
+          radius: int) -> Tuple[List[Elem], List[Elem]]:
+    """The elements of length at most (radius, 0, ..., 0), sorted by their
+    rendering, and the kernel {l = 0} among them, in the same order."""
     bound = minimal_positive(table.rank) * radius
     # one __lt__ per distinct length object: total_ordering's __le__
     # would add an __eq__
-    inside = {id(v) for v in distinct(table.values.values()) if not bound < v}
-    return [g for g, v in table.values.items() if id(v) in inside]
+    values = distinct(table.values.values())
+    inside = {id(v) for v in values if not bound < v}
+    zero = {id(v) for v in values if v.is_zero()}
+    ball = sorted((g for g, v in table.values.items() if id(v) in inside),
+                  key=group.render)
+    return ball, [g for g in ball if id(table.values[g]) in zero]
 
 
 def _alpha(table: LengthTable, ball: Iterable[Elem]
@@ -89,14 +98,13 @@ class RelCayley:
                 raise InputError("generator %s has length %s beyond N=%d"
                                  % (group.render(s), table.l(s).render(), N))
 
-        elements = sorted(_ball(table, radius), key=group.render)
+        elements, kernel = _ball(group, table, radius)
         zero = self.one * 0
         for g in elements:
             if table.l(g) < zero:
                 # a negative weight has no shortest paths to search for
                 raise InputError("length %s of %s is negative"
                                  % (table.l(g).render(), group.render(g)))
-        kernel = [g for g in elements if table.l(g).is_zero()]
         cosets = DisjointSets(elements, key=group.render)
         for g in elements:
             for k in kernel:
@@ -110,14 +118,22 @@ class RelCayley:
                                      "of %s" % group.render(g))
                 cosets.union(g, h)
 
+        # each root is the least member of its class, so over the sorted
+        # ball the roots, and each class's members, arrive in order
         classes: Dict[Elem, List[Elem]] = {}
         for g in elements:
             classes.setdefault(cosets.find(g), []).append(g)
-        base = cosets.find(group.identity())
-        roots = sorted(classes, key=lambda r: (r != base, group.render(r)))
+        e = group.identity()
+        try:
+            base = cosets.find(e)
+        except KeyError:
+            raise InputError("length %s of the identity %s lies beyond the "
+                             "radius %d" % (table.l(e).render(),
+                                            group.render(e), radius)) from None
+        roots = [base] + [r for r in classes if r != base]
         self.reps: Tuple[Elem, ...] = tuple(roots)
         self.members: Tuple[Tuple[Elem, ...], ...] = tuple(
-            tuple(sorted(classes[r], key=group.render)) for r in roots)
+            tuple(classes[r]) for r in roots)
         self.labels: Tuple[str, ...] = tuple(group.render(r) for r in roots)
         self.coset_of: Dict[Elem, int] = {}
         for i, mem in enumerate(self.members):
@@ -269,37 +285,30 @@ class SymbolicBound(NamedTuple):
         return "%s in [%s, %s)" % (self.expr, self.lower, self.upper)
 
 
-_LOG2_154: Optional[Tuple[int, int]] = None
-
-
+@lru_cache(maxsize=None)
 def _log2_154() -> Tuple[int, int]:
     # 2^p <= 154^e < 2^(p+1) brackets log2(154) within 1/e
-    global _LOG2_154
-    if _LOG2_154 is None:
-        e = 65536
-        p = (154 ** e).bit_length() - 1
-        _LOG2_154 = (p, e)
-    return _LOG2_154
+    e = 65536
+    return (154 ** e).bit_length() - 1, e
+
+
+def _bracket(scale: int, const: int, slope: int, delta: int) -> SymbolicBound:
+    """scale*log2(154) + const + slope*delta with certified rational brackets."""
+    if delta < 0:
+        raise InputError("delta must be a natural number")
+    p, e = _log2_154()
+    base = const + slope * delta
+    return SymbolicBound("%d*log2(154) + %d + %d*%d" % (scale, const, slope, delta),
+                         Fraction(scale * p, e) + base,
+                         Fraction(scale * (p + 1), e) + base)
 
 
 def pn_threshold(delta: int) -> SymbolicBound:
-    if delta < 0:
-        raise InputError("delta must be a natural number")
-    p, e = _log2_154()
-    base = 768 + 2288 * delta
-    return SymbolicBound("6144*log2(154) + 768 + 2288*%d" % delta,
-                         Fraction(6144 * p, e) + base,
-                         Fraction(6144 * (p + 1), e) + base)
+    return _bracket(6144, 768, 2288, delta)
 
 
 def pn_L(delta: int) -> SymbolicBound:
-    if delta < 0:
-        raise InputError("delta must be a natural number")
-    p, e = _log2_154()
-    base = 192 + 572 * delta
-    return SymbolicBound("1536*log2(154) + 192 + 572*%d" % delta,
-                         Fraction(1536 * p, e) + base,
-                         Fraction(1536 * (p + 1), e) + base)
+    return _bracket(1536, 192, 572, delta)
 
 
 class PnReport(NamedTuple):
@@ -325,32 +334,15 @@ def check_Pn(group: GroupHandle, table: LengthTable, n: int, radius: int,
     """
     if n < 0 or radius < n:
         raise InputError("need 0 <= n <= radius")
-    elements = sorted(_ball(table, radius), key=group.render)
-    kernel = [g for g in elements if table.l(g).is_zero()]
+    elements, kernel = _ball(group, table, radius)
     _, alpha = _alpha(table, elements)
-    alpha_ok = True
-    if alpha is not None:
-        for g in elements:
-            inside = table.l(g) <= alpha
-            if inside != table.l(g).is_zero():
-                alpha_ok = False
-                break
+    alpha_ok = alpha is None or all(
+        (table.l(g) <= alpha) == table.l(g).is_zero() for g in elements)
 
     nlex = minimal_positive(table.rank) * n
     ball_n = [g for g in elements if table.l(g) <= nlex]
     universe = set(elements)
-    closure = {group.identity()}
-    frontier = list(closure)
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in ball_n:
-                h = group.mul(g, s)
-                if h in universe and h not in closure:
-                    closure.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    generates = closure == universe
+    generates = generated_within(group, ball_n, universe) == universe
 
     double = DisjointSets(ball_n, key=group.render)
     in_ball = set(ball_n)
@@ -401,23 +393,16 @@ def check_proper(group: GroupHandle, table: LengthTable, radius: int,
         rc = RelCayley(group, table, N=radius, radius=radius, gens=gens)
     except ConstructionError:
         rc = None
-    elements = _ball(table, radius)
+    elements, _ = _ball(group, table, radius)
     _, alpha = _alpha(table, elements)
     rows = []
     for N in range(1, radius + 1):
-        ball = _ball(table, N)
-        diam: Optional[int] = 0
+        ball, _ = _ball(group, table, N)
+        diam: Optional[int] = None
         if rc is not None:
-            for g in ball:
-                i = rc.coset_of[g]
-                d = rc.rel_dist[0][i]
-                if d < 0:
-                    diam = None
-                    break
-                if diam is not None and d > diam:
-                    diam = d
-        else:
-            diam = None
+            ds = [rc.rel_dist[0][rc.coset_of[g]] for g in ball]
+            if min(ds, default=0) >= 0:
+                diam = max(ds, default=0)
         rows.append(ProperRow(N, len(ball), diam))
     return ProperReport(radius, alpha, tuple(rows))
 

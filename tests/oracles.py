@@ -598,6 +598,69 @@ def oracle_relcayley(weight: dict, lengths: Sequence[Raw], N: int,
                 n_prime=n_prime, qi=qi, geo=geo)
 
 
+def oracle_reached(identity, steps: Sequence, universe: set, mul) -> set:
+    """The identity and every product identity * s_1 * ... * s_k of steps
+    whose partial products all lie in ``universe``, by whole sweeps until
+    a sweep adds nothing."""
+    reached = {identity}
+    while True:
+        new = {mul(g, s) for g in reached for s in steps} & universe
+        if new <= reached:
+            return reached
+        reached |= new
+
+
+def oracle_ball_property(length: dict, mul, identity, n: int,
+                         radius: int) -> dict:
+    """The ball property P_n and the ball sizes, from their definitions.
+
+    ``length`` maps elements to raw Z^r tuples and B_r holds the elements
+    of length at most (r, 0, ..., 0).  On B_radius: alpha* is the least
+    nonzero length, alpha = alpha* - (1, 0, ..., 0), and alpha_ok says
+    that l(g) <= alpha exactly when l(g) = 0.  ``generates`` says that
+    B_n reaches all of B_radius from the identity (see ``oracle_reached``).
+    The double cosets are the classes of B_n under g ~ kg and g ~ gk for
+    k in the kernel {l = 0} of B_radius, found by relabelling to the least
+    index until nothing moves; they are None when some kg or gk is missing
+    from the table, has another length than g, or leaves B_n.  ``sizes``
+    lists |B_1|, ..., |B_radius|.
+    """
+    zero = tuple(0 for _ in next(iter(length.values())))
+
+    def ball(r):
+        return [g for g, v in length.items() if rlex_le(v, (r,) + zero[1:])]
+
+    big, small = ball(radius), ball(n)
+    nonzero = [length[g] for g in big if length[g] != zero]
+    alpha = None
+    if nonzero:
+        alpha = vec_sub(min(nonzero, key=rkey), (1,) + zero[1:])
+    alpha_ok = alpha is None or all(
+        rlex_le(length[g], alpha) == (length[g] == zero) for g in big)
+    kernel = [g for g in big if length[g] == zero]
+    label = {g: i for i, g in enumerate(small)}
+    double = len(small)
+    for g, k in product(small, kernel):
+        for h in (mul(k, g), mul(g, k)):
+            if length.get(h) != length[g] or h not in label:
+                double = None
+    while double is not None:
+        moved = False
+        for g, k in product(small, kernel):
+            for h in (mul(k, g), mul(g, k)):
+                low = min(label[g], label[h])
+                if label[g] != low or label[h] != low:
+                    label[g] = label[h] = low
+                    moved = True
+        if not moved:
+            double = len(set(label.values()))
+            break
+    return dict(alpha=alpha, alpha_ok=alpha_ok,
+                generates=oracle_reached(identity, small, set(big), mul) == set(big),
+                double_cosets=double,
+                sizes=[len(ball(r)) for r in range(1, radius + 1)])
+
+
 def oracle_thinness(dist: List[List[int]]) -> Tuple[int, object]:
     """Largest distance between points identified on a comparison tripod.
 

@@ -129,14 +129,25 @@ def test_check_missing_file(tmp_path, capsys):
 
 
 def test_argparse_failures_exit_two(tmp_path, capsys):
+    # a rejected command line takes the malformed-input path: one error
+    # line naming the parser, no usage text, nothing on stdout (the list
+    # of choices is left out, as its quoting varies across Pythons)
+    for argv, start in [
+            (["frobnicate"], "error: lhyp: argument cmd: invalid choice: "
+                             "'frobnicate'"),
+            (["check"], "error: lhyp check: the following arguments are "
+                        "required: --space"),
+            (["relcayley", "--N", "1/2"], "error: lhyp relcayley: argument "
+                                          "--N: invalid int value: '1/2'")]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        (line,) = error_lines(err)
+        assert line.startswith(start)
+        assert "usage" not in err
     with pytest.raises(SystemExit) as info:
-        main(["frobnicate"])
-    assert info.value.code == 2
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as info:
-        main(["check"])
-    assert info.value.code == 2
-    capsys.readouterr()
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: lhyp")
 
 
 def test_threads_env(tmp_path, capsys, monkeypatch):
@@ -267,6 +278,26 @@ def test_complete_writes_cg_file(tmp_path, capsys):
     got = lines_of(out)
     assert got["written"] == str(target)
     assert re.fullmatch(r"sha256:[0-9a-f]{64}", got["output"])
+
+
+def test_complete_scans_the_midpoint_triples_once(tmp_path, capsys,
+                                                  monkeypatch):
+    # check_RS runs for the midpoints line and again inside gamma2; the
+    # second call reads the first one's verdict
+    scans = []
+    central_codes = completion._central_codes
+
+    def counting(space, delta):
+        scans.append(delta)
+        return central_codes(space, delta)
+
+    monkeypatch.setattr(completion, "_central_codes", counting)
+    space = put(tmp_path, "tri.lms", TRIANGLE)
+    for method, want in (("gamma1", 0), ("gamma2", 1)):
+        scans.clear()
+        code, _, _ = run(capsys, "complete", "--space", space, "--method",
+                         method, "--delta", "1")
+        assert code == 0 and len(scans) == want
 
 
 def test_complete_seed_is_cosmetic(tmp_path, capsys):
@@ -739,6 +770,17 @@ def test_relcayley_rank_two_golden(tmp_path, capsys, delta, code, tail):
                    "geodesic_two_edge_checked 6\n"
                    % (grp, ZZ_GRP_SHA, table, ZZ_SHA, Z_GRP_SHA, ZZ_GRP_SHA)
                    + tail)
+
+
+def test_relcayley_rejects_an_identity_beyond_the_radius(tmp_path, capsys):
+    grp = put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
+    table = put(tmp_path, "z.len", "group z.grp\nlambda Z^1\n1 5\na 1\nA 1\n"
+                                   "aa 2\nAA 2\n")
+    code, out, err = run(capsys, "relcayley", "--group", grp, "--len", table,
+                         "--N", "1", "--radius", "1")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: length (5) of the identity 1 lies "
+                                "beyond the radius 1"]
 
 
 def test_relcayley_rejects_a_negative_length(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +8,7 @@ from lhyp import relhyp
 from lhyp.catalog import (DirectProduct, FiniteGroup, FreeGroup, LengthTable,
                           word_length_table)
 from lhyp.errors import ConstructionError, InputError
+from lhyp.lenfun import finite_ball_hyperbolic_group_check
 from lhyp.ordgroup import LexElem
 from lhyp.relhyp import (QiReport, RelCayley, RelGeodReport, check_Pn,
                          check_proper, check_qi, pn_L, pn_threshold,
@@ -14,7 +16,8 @@ from lhyp.relhyp import (QiReport, RelCayley, RelGeodReport, check_Pn,
                          verify_relhyp_geodesics)
 
 from helpers import L, f2_table, z_table
-from oracles import oracle_relcayley
+from oracles import (oracle_ball_property, oracle_reached, oracle_relcayley,
+                     word_lengths_free)
 
 Z = FreeGroup(1)
 F2 = FreeGroup(2)
@@ -262,6 +265,13 @@ def test_proper_radius_must_be_positive():
         check_proper(F2, f2_table(4), 0)
 
 
+def test_proper_rejects_an_identity_beyond_the_radius():
+    table = z_like_table({1: 1, 2: 2})
+    table.values[Z.identity()] = L(5)
+    with pytest.raises(InputError, match="identity 1 lies beyond the radius 1"):
+        check_proper(Z, table, 1)
+
+
 # -- construction errors --------------------------------------------------
 
 
@@ -458,3 +468,118 @@ def test_reports_match_the_oracle(case):
     assert verify_relhyp_geodesics(rc, k, delta) == RelGeodReport(
         k, wg["two_checked"], wg["two_bad"] == 0, wg["three_checked"],
         wg["three_bad"] == 0, names(wg["witness"]))
+
+
+# -- ball property against the oracles ------------------------------------
+
+
+def free_mul(a, b):
+    word = list(a)
+    for x in b:
+        if word and word[-1] == -x:
+            word.pop()
+        else:
+            word.append(x)
+    return tuple(word)
+
+
+# S3 as permutations of 0, 1, 2, the identity first; H = {1, (0 1)} is
+# not normal, so its left, right and double cosets all differ
+S3_PERMS = [(0, 1, 2), (1, 0, 2), (1, 2, 0), (0, 2, 1), (2, 1, 0), (2, 0, 1)]
+
+
+def s3_mul(a, b):
+    pa, pb = S3_PERMS[a], S3_PERMS[b]
+    return S3_PERMS.index(tuple(pa[pb[i]] for i in range(3)))
+
+
+S3 = FiniteGroup([[s3_mul(a, b) for b in range(6)] for a in range(6)])
+
+
+def ball_case(rng):
+    """A length table on Z, F2, C2 x Z, C3 x Z or S3 x Z, with its law.
+
+    Lengths are the word length of the free part with bumps of -1 to +2
+    per inverse pair (a bump to 0 grows the kernel).  On Cm x Z they ignore
+    the finite factor, whose copy at the identity is then the kernel; on
+    S3 x Z they add 1 off H, and H is the kernel.  Some tables have holes,
+    a single element off its coset's length or negative, or an identity
+    of nonzero length.
+    """
+    kind = rng.choice(["z", "f2", "c2z", "c3z", "s3z"])
+    radius = rng.randint(0, 2 if kind == "f2" else 4)
+    words = word_lengths_free(2 if kind == "f2" else 1,
+                              2 * radius + rng.choice((0, 1)))
+    bump = {}
+    for w in sorted(words):
+        if w not in bump:
+            bump[w] = bump[free_mul((), tuple(-x for x in reversed(w)))] = \
+                rng.choice((0, 0, 0, 1, -1, 2)) if w else 0
+    free = {w: max(0, k + bump[w]) for w, k in words.items()}
+    if kind in ("z", "f2"):
+        G, mul, length = (FreeGroup(1) if kind == "z" else F2), free_mul, free
+    elif kind == "s3z":
+        G = DirectProduct(S3, Z)
+        length = {(c, w): k + (c > 1) for c in range(6) for w, k in free.items()}
+
+        def mul(a, b):
+            return s3_mul(a[0], b[0]), free_mul(a[1], b[1])
+    else:
+        m = 2 if kind == "c2z" else 3
+        G = DirectProduct(FiniteGroup.cyclic(m), Z)
+        length = {(c, w): k for c in range(m) for w, k in free.items()}
+
+        def mul(a, b):
+            return (a[0] + b[0]) % m, free_mul(a[1], b[1])
+    e = G.identity()
+    holes = rng.choice((0, 0, 0.05, 0.15))
+    length = {g: k for g, k in length.items() if g == e or rng.random() >= holes}
+    if rng.random() < 0.2:
+        g = rng.choice(sorted(length, key=G.render))
+        length[g] = rng.choice((length[g] + 1, length[g] - 1, -1))
+    if rng.random() < 0.15:
+        length[e] = rng.randint(1, 3)
+    table = LengthTable(G, {g: L(k) for g, k in length.items()})
+    return G, table, mul, radius
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10 ** 6))
+@example(1)  # a negative length: B_alpha misses the kernel
+@example(24)  # C2 x Z: the kernel folds the n-ball into double cosets
+@example(33)  # S3 x Z: four double cosets of H, where one-sided cosets give five
+@example(49)  # the identity lies beyond the radius
+def test_ball_property_matches_the_oracle(seed):
+    rng = Random(seed)
+    G, table, mul, radius = ball_case(rng)
+    n = rng.randint(0, radius)
+    length = {g: v.coords for g, v in table.values.items()}
+    e = G.identity()
+    want = oracle_ball_property(length, mul, e, n, radius)
+    if want["double_cosets"] is None:
+        with pytest.raises(InputError):
+            check_Pn(G, table, n, radius)
+    else:
+        rep = check_Pn(G, table, n, radius)
+        assert (rep.alpha and rep.alpha.coords, rep.alpha_ok, rep.generates,
+                rep.double_cosets) == (want["alpha"], want["alpha_ok"],
+                                       want["generates"], want["double_cosets"])
+    if radius >= 1:
+        try:
+            rep = check_proper(G, table, radius)
+        except InputError:
+            # the coset graph refuses the table, as it must when the
+            # identity lies beyond the radius
+            pass
+        else:
+            assert length[e] <= (radius,)
+            assert (rep.alpha and rep.alpha.coords) == want["alpha"]
+            assert [r.ball_size for r in rep.rows] == want["sizes"]
+    # the short elements of a sample should rebuild it, staying inside it
+    sample = [g for g in table.elements() if rng.random() < 0.8][:40]
+    short = [g for g in sample if length[g] <= (1,)]
+    reached = oracle_reached(e, short, set(sample), mul)
+    unreached = next((G.render(g) for g in sample if g not in reached), None)
+    ball = finite_ball_hyperbolic_group_check(table, sample)
+    assert (ball.short_count, ball.generates, ball.unreached) == (
+        len(short), unreached is None, unreached)
