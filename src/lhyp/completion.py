@@ -27,7 +27,8 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
 from .errors import ConstructionError, InputError
 from .geodspace import DisjointSets, _Masks, _space_masks, distances_from
 from .isometry import IsoPerm
-from .lspace import FiniteLambdaSpace, min_delta_4pt, validate_metric
+from .lspace import (FiniteLambdaSpace, _rank_one_space, min_delta_4pt,
+                     validate_metric)
 from .ordgroup import LexElem, Packing, QLexElem
 
 ESSENTIAL = "essential"
@@ -105,8 +106,7 @@ class CompletionGraph:
                 raise ConstructionError(
                     "edge %s-%s of weight %d undercuts the unit distance %d"
                     % (self.labels[u], self.labels[v], w, table[u][v]))
-        lex = {d: LexElem((d,)) for d in set().union(*table)}
-        return FiniteLambdaSpace(self.labels, [[lex[d] for d in row] for row in table])
+        return _rank_one_space(self.labels, table)
 
 
 def _input_masks(space: FiniteLambdaSpace) -> _Masks:

@@ -9,7 +9,10 @@ to the triple constant over all basepoints, which is the four-point one.
 
 It also holds the two graph kernels shared with ``completion`` and
 ``relhyp``: ``distances_from``, the one shortest-path routine, one row
-per call, and ``DisjointSets``, the one union-find.
+per call, and ``DisjointSets``, the one union-find.  ``distance_table``
+runs the same rows from every vertex and tests the weights once for the
+whole table; ``GeodesicGraph`` and ``RelCayley`` build their tables so.
+A graph's table of ints is the packed table of its space.
 
 Every set the geodesic layer scans, here and in ``completion``, is read
 off the sphere and ball bitmasks of every point (``_Masks``), built once
@@ -23,6 +26,8 @@ The public functions hold the scans, and nothing calls around them:
 verdict, as ``_space_masks`` keeps its masks, so the triangle scans and
 ``delta_relations``, which calls ``min_delta_4pt``,
 ``min_thinness_witness`` and ``min_rips_witness``, test each space once.
+The three constants are rank-one, and ``delta_relations`` compares them
+as ints cross-multiplied by their denominators.
 """
 
 from collections import defaultdict
@@ -33,7 +38,8 @@ from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
 from .errors import ConstructionError, InputError
-from .lspace import FiniteLambdaSpace, _tokens, min_delta_4pt
+from .lspace import (FiniteLambdaSpace, _rank_one_space, _tokens,
+                     min_delta_4pt)
 from .ordgroup import LexElem, QLexElem
 
 
@@ -49,35 +55,55 @@ def distances_from(adj: Sequence[Dict[int, int]], src: int) -> List[int]:
     Otherwise vertices are settled one bucket of equal distance at a time,
     nearest first (Dial, CACM 1969).
     """
-    dist = [-1] * len(adj)
-    dist[src] = 0
-    frontier, d = [src], 0
-    if _UNIT.issuperset(chain.from_iterable(map(dict.values, adj))):
-        while frontier:
-            d += 1
-            reached = []
+    return next(_rows(adj, (src,)))
+
+
+def distance_table(adj: Sequence[Dict[int, int]]) -> Tuple[Tuple[int, ...], ...]:
+    """``distances_from`` every vertex, one row per source, with the
+    weights tested once for the whole table."""
+    return tuple(map(tuple, _rows(adj, range(len(adj)))))
+
+
+def _unit_weights(adj: Sequence[Dict[int, int]]) -> bool:
+    """Whether every edge weight is 1."""
+    return _UNIT.issuperset(chain.from_iterable(map(dict.values, adj)))
+
+
+def _rows(adj: Sequence[Dict[int, int]], sources: Iterable[int]) -> Iterator[List[int]]:
+    """The row of ``distances_from`` for each source in turn."""
+    unit = _unit_weights(adj)
+    for src in sources:
+        dist = [-1] * len(adj)
+        dist[src] = 0
+        frontier, d = [src], 0
+        if unit:
+            while frontier:
+                d += 1
+                reached = []
+                for u in frontier:
+                    for v in adj[u]:
+                        if dist[v] < 0:
+                            dist[v] = d
+                            reached.append(v)
+                frontier = reached
+            yield dist
+            continue
+        buckets: Dict[int, List[int]] = defaultdict(list)
+        while True:
             for u in frontier:
-                for v in adj[u]:
-                    if dist[v] < 0:
-                        dist[v] = d
-                        reached.append(v)
-            frontier = reached
-        return dist
-    buckets: Dict[int, List[int]] = defaultdict(list)
-    while True:
-        for u in frontier:
-            if dist[u] != d:
-                continue  # reached again later at a shorter distance
-            for v, w in adj[u].items():
-                nd = d + w
-                dv = dist[v]
-                if dv < 0 or nd < dv:
-                    dist[v] = nd
-                    buckets[nd].append(v)
-        if not buckets:
-            return dist
-        d = min(buckets)
-        frontier = buckets.pop(d)
+                if dist[u] != d:
+                    continue  # reached again later at a shorter distance
+                for v, w in adj[u].items():
+                    nd = d + w
+                    dv = dist[v]
+                    if dv < 0 or nd < dv:
+                        dist[v] = nd
+                        buckets[nd].append(v)
+            if not buckets:
+                break
+            d = min(buckets)
+            frontier = buckets.pop(d)
+        yield dist
 
 
 class DisjointSets:
@@ -125,9 +151,11 @@ class GeodesicGraph:
         index = {s: i for i, s in enumerate(labels)}
         n = len(labels)
         nb = [set() for _ in range(n)]
+        resolve = self._resolve
         for u, v in edges:
-            i = self._resolve(u, index, n)
-            j = self._resolve(v, index, n)
+            # a plain int in range, the common case, is its own index
+            i = u if type(u) is int and 0 <= u < n else resolve(u, index, n)
+            j = v if type(v) is int and 0 <= v < n else resolve(v, index, n)
             if i == j:
                 raise InputError("loop edge at %r" % (labels[i],))
             nb[i].add(j)
@@ -135,7 +163,7 @@ class GeodesicGraph:
         self.labels = labels
         self.adj = tuple(dict.fromkeys(sorted(s), 1) for s in nb)
         self._index = index
-        self.dist = tuple(tuple(distances_from(self.adj, src)) for src in range(n))
+        self.dist = distance_table(self.adj)
         # the graph is connected exactly when vertex 0 reaches every vertex
         if -1 in self.dist[0]:
             raise InputError("graph is disconnected: no path %s to %s"
@@ -162,10 +190,9 @@ class GeodesicGraph:
         return [(i, j) for i in range(len(self.labels)) for j in self.adj[i] if i < j]
 
     def as_space(self) -> FiniteLambdaSpace:
-        """All-pairs shortest-path table as a rank-one Z-metric space."""
-        lex = {d: LexElem((d,), "Z") for d in set().union(*self.dist)}
-        table = [[lex[d] for d in row] for row in self.dist]
-        return FiniteLambdaSpace(self.labels, table, "Z")
+        """All-pairs shortest-path table as a rank-one Z-metric space, whose
+        packed table is this graph's table of ints."""
+        return _rank_one_space(self.labels, self.dist)
 
 
 def read_gg(text: str) -> GeodesicGraph:
@@ -434,10 +461,17 @@ def min_thinness_witness(X):
     wit = None
     for a, b, c in combinations(range(n), 3):
         for corner, p, q in ((a, b, c), (b, a, c), (c, a, b)):
-            Dc, Sc = D[corner], S[corner]
+            Dc = D[corner]
             dcp, dcq = Dc[p], Dc[q]
-            Sp, Sq = S[p], S[q]
-            for t in range(1, (dcp + dcq - D[p][q]) // 2 + 1):
+            top = (dcp + dcq - D[p][q]) // 2
+            # two points at distance t from the corner lie within 2t of
+            # each other, so no t with 2t <= best can raise best; a corner
+            # with no t left is skipped before its rows are read
+            first = best // 2 + 1
+            if top < first:
+                continue
+            Sc, Sp, Sq = S[corner], S[p], S[q]
+            for t in range(first, top + 1):
                 level_q = Sc[t] & Sq[dcq - t]
                 level_p = Sc[t] & Sp[dcp - t]
                 while level_p:
@@ -490,8 +524,11 @@ def min_rips_witness(X):
         near = [[0] * n for _ in range(n)]
         for i, j in pairs:
             acc = 0
-            for w in _bits(betw[i][j]):
-                acc |= B[w][r]
+            rest = betw[i][j]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                acc |= B[low.bit_length() - 1][r]
             near[i][j] = near[j][i] = acc
         return near
 
@@ -609,15 +646,20 @@ def delta_relations(X: FiniteLambdaSpace) -> DeltaRelations:
     dp = min_delta_4pt(X)
     dt, _ = min_thinness_witness(X)
     dr, _ = min_rips_witness(X)
-    # all three are rank-one, so they compare as fractions
-    point, thin, rips = dp.as_fraction(), dt.as_fraction(), dr.as_fraction()
+    # all three are rank-one over Z, so each is an int over a positive int
+    point, thin, rips = ((q.num.coords[0], q.den) for q in (dp, dt, dr))
+
+    def at_most(a, k, b):
+        """a <= k*b, cross-multiplied."""
+        return a[0] * b[1] <= k * b[0] * a[1]
+
     checks = (
-        ("thin<=4*point", thin <= point * 4),
-        ("point<=2*thin", point <= thin * 2),
-        ("rips<=thin", rips <= thin),
-        ("thin<=4*rips", thin <= rips * 4),
-        ("rips<=4*point", rips <= point * 4),
-        ("point<=8*rips", point <= rips * 8),
+        ("thin<=4*point", at_most(thin, 4, point)),
+        ("point<=2*thin", at_most(point, 2, thin)),
+        ("rips<=thin", at_most(rips, 1, thin)),
+        ("thin<=4*rips", at_most(thin, 4, rips)),
+        ("rips<=4*point", at_most(rips, 4, point)),
+        ("point<=8*rips", at_most(point, 8, rips)),
     )
     failures = tuple(name for name, good in checks if not good)
     return DeltaRelations(dp, dt, dr, failures)

@@ -726,7 +726,7 @@ def finite_ball_hyperbolic_group_check(l: LengthTable,
     sample = list(sample)
     G = l.group
     one = LexElem((1,))
-    short = [g for g in sample if l.values[g] <= one]
+    short = [g for g in sample if l.l(g) <= one]
     reached = generated_within(G, short, set(sample))
     unreached = next((G.render(g) for g in sample if g not in reached), None)
     S = _Sample(l, sample, (LexElem.zero(l.rank),))

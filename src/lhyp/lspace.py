@@ -4,7 +4,9 @@ Distances are exact group elements; hyperbolicity constants live in the
 divisible hull and are reported as exact fractions.  A table holds few
 distinct values, so each is handled once: ``read_lms`` parses each
 distinct token once and shares its element, and a space checks each
-distinct element object once and packs it into an int once.  Every kernel
+distinct element object once and packs it into an int once; over
+rank-one Z the code is the distance itself, so a space made from a
+graph's table of ints takes that table as its packed table.  Every kernel
 runs on one table of ints per space, packed by ``ordgroup.Packing`` for
 every rank and both domains and unpacked only for results.  The triple
 condition at basepoint w, less d(x,w)+d(y,w)+d(z,w) on both sides, is the
@@ -81,7 +83,8 @@ class FiniteLambdaSpace:
     def packed_table(self) -> Tuple[Tuple[int, ...], ...]:
         """The distance table packed by one Packing of all its entries.
 
-        Built on first use and shared by every caller.
+        Built on first use and shared by every caller; a space made by
+        ``_rank_one_space`` holds it from the start.
         """
         if self._packed is None:
             elems = distinct(chain.from_iterable(self.dist))
@@ -93,9 +96,33 @@ class FiniteLambdaSpace:
         return self._packed
 
     def unpack(self, code: int) -> LexElem:
-        """The element that a signed sum of packed entries stands for."""
+        """The element that a signed sum of packed entries stands for, with
+        int coordinates over Z."""
         self.packed_table()
         return self._packing.unpack(code)
+
+
+def _rank_one_space(labels: Tuple[str, ...],
+                    table: Sequence[Sequence[int]]) -> FiniteLambdaSpace:
+    """The rank-one Z space of a square table of ints, as a graph gives it.
+
+    Over rank-one Z the code of an element is its coordinate, so the
+    table, as tuples, is the space's packed table from the start.  One
+    LexElem per distinct value is shared by the entries holding it; being
+    made here, the entries skip the constructor's check.
+    """
+    if len(set(labels)) != len(labels):
+        raise InputError("duplicate point labels")
+    packed = tuple(map(tuple, table))
+    lex = {d: LexElem((d,), "Z") for d in set().union(*packed)}
+    X = FiniteLambdaSpace.__new__(FiniteLambdaSpace)
+    X.labels = labels
+    X.dist = tuple(tuple(map(lex.__getitem__, row)) for row in packed)
+    X.domain = "Z"
+    X._index = {s: i for i, s in enumerate(labels)}
+    X._packing = Packing(lex.values())
+    X._packed = packed
+    return X
 
 
 class ValidationReport(NamedTuple):
@@ -282,7 +309,9 @@ def _four_point(X: FiniteLambdaSpace, workers: Optional[int] = None):
     P = X.packed_table()
     if workers is None:
         workers = comb(n, 4) // _QUADS_PER_WORKER
-    workers = min(workers, _core_count())
+    # the core count is read only when the scan would start workers
+    if workers > 1:
+        workers = min(workers, _core_count())
     if workers <= 1:
         best, quad, pm = _scan_quads_num(P, range(n - 3), n)
     else:

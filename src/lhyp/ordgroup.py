@@ -3,12 +3,19 @@
 Elements compare by their rightmost differing coordinate, so the last
 coordinate is the most significant one.  Fractions lambda/m over Z^n form
 the divisible hull and carry the induced order.
+
+Both element types define all six comparisons directly on coordinate
+tuples: a LexElem compares its reversed coordinates, and a QLexElem
+compares lambda*k with mu*m coordinate by coordinate for lambda/m against
+mu/k, building no element on the way.  Equality across ranks or domains
+is False, ordering across them raises InputError, and any other type gets
+NotImplemented.
 """
 
 from fractions import Fraction
-from functools import reduce, total_ordering
+from functools import reduce
 from math import gcd, lcm
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .errors import InputError
 
@@ -23,26 +30,23 @@ def _check_compatible(a: "LexElem", b: "LexElem") -> None:
         )
 
 
-@total_ordering
 class LexElem:
     """An element of Z^n or Q^n, ordered right-lexicographically."""
 
     __slots__ = ("coords", "domain")
 
     def __init__(self, coords: Iterable[Coord], domain: str = "Z"):
-        if domain not in ("Z", "Q"):
-            raise InputError("domain must be 'Z' or 'Q', got %r" % (domain,))
-        cs = tuple(coords)
         if domain == "Z":
+            cs = tuple(coords)
+            # plain ints, the common case, are kept as they are
             for c in cs:
-                if isinstance(c, Fraction):
-                    if c.denominator != 1:
-                        raise InputError("non-integer coordinate %s in Z^n" % (c,))
-                elif not isinstance(c, int):
-                    raise InputError("bad coordinate %r" % (c,))
-            cs = tuple(int(c) for c in cs)
+                if type(c) is not int:
+                    cs = _int_coords(cs)
+                    break
+        elif domain == "Q":
+            cs = tuple(Fraction(c) for c in coords)
         else:
-            cs = tuple(Fraction(c) for c in cs)
+            raise InputError("domain must be 'Z' or 'Q', got %r" % (domain,))
         object.__setattr__(self, "coords", cs)
         object.__setattr__(self, "domain", domain)
 
@@ -81,16 +85,37 @@ class LexElem:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LexElem):
             return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.coords == other.coords
-        )
+        return self.coords == other.coords and self.domain == other.domain
 
-    def __lt__(self, other: "LexElem") -> bool:
+    def __ne__(self, other) -> bool:
         if not isinstance(other, LexElem):
             return NotImplemented
-        _check_compatible(self, other)
-        return self.coords[::-1] < other.coords[::-1]
+        return self.coords != other.coords or self.domain != other.domain
+
+    def _keys(self, other):
+        """Both coordinate tuples reversed, so that tuple order is the
+        group order; None for a foreign type."""
+        if not isinstance(other, LexElem):
+            return None
+        if len(self.coords) != len(other.coords) or self.domain != other.domain:
+            _check_compatible(self, other)
+        return self.coords[::-1], other.coords[::-1]
+
+    def __lt__(self, other) -> bool:
+        keys = self._keys(other)
+        return NotImplemented if keys is None else keys[0] < keys[1]
+
+    def __le__(self, other) -> bool:
+        keys = self._keys(other)
+        return NotImplemented if keys is None else keys[0] <= keys[1]
+
+    def __gt__(self, other) -> bool:
+        keys = self._keys(other)
+        return NotImplemented if keys is None else keys[0] > keys[1]
+
+    def __ge__(self, other) -> bool:
+        keys = self._keys(other)
+        return NotImplemented if keys is None else keys[0] >= keys[1]
 
     def __hash__(self):
         return hash((self.coords, self.domain))
@@ -117,6 +142,17 @@ class LexElem:
 
     def __repr__(self):
         return "LexElem(%s, %r)" % (self.render(), self.domain)
+
+
+def _int_coords(cs: Tuple) -> Tuple[int, ...]:
+    """Coordinates for Z^n: ints, or Fractions with denominator 1."""
+    for c in cs:
+        if isinstance(c, Fraction):
+            if c.denominator != 1:
+                raise InputError("non-integer coordinate %s in Z^n" % (c,))
+        elif not isinstance(c, int):
+            raise InputError("bad coordinate %r" % (c,))
+    return tuple(int(c) for c in cs)
 
 
 def _render_coord(c: Coord) -> str:
@@ -159,11 +195,15 @@ class Packing:
     def __init__(self, elems: Iterable[LexElem]):
         elems = distinct(elems)
         first = elems[0]
+        rank, domain = len(first.coords), first.domain
         for e in elems:
-            _check_compatible(first, e)
-        self.rank, self.domain = first.rank, first.domain
-        self.scale = lcm(*(c.denominator for e in elems for c in e.coords))
-        top = max((abs(c) for e in elems for c in e.coords), default=0)
+            if len(e.coords) != rank or e.domain != domain:
+                _check_compatible(first, e)
+        self.rank, self.domain = rank, domain
+        coords = [c for e in elems for c in e.coords]
+        # coordinates over Z are ints
+        self.scale = lcm(*(c.denominator for c in coords)) if domain == "Q" else 1
+        top = max(map(abs, coords), default=0)
         self.width = int(PACK_HEADROOM * top * self.scale).bit_length() + 1
 
     def pack(self, e: LexElem) -> int:
@@ -174,7 +214,11 @@ class Packing:
         return code
 
     def unpack(self, code: int) -> LexElem:
-        """The element that a code, or a signed sum of codes, stands for."""
+        """The element that a code, or a signed sum of codes, stands for.
+
+        Over Z the scale is 1 and each digit is an int coordinate; over Q
+        it is a Fraction over the scale.
+        """
         base = 1 << self.width
         half = base >> 1
         coords = []
@@ -182,8 +226,10 @@ class Packing:
             digit = code & (base - 1)
             if digit >= half:
                 digit -= base
-            coords.append(Fraction(digit, self.scale))
+            coords.append(digit)
             code = (code - digit) >> self.width
+        if self.domain == "Q":
+            coords = [Fraction(c, self.scale) for c in coords]
         return LexElem(coords, self.domain)
 
 
@@ -223,7 +269,6 @@ def minimal_positive(rank: int, domain: str = "Z") -> LexElem:
     return LexElem((1,) + (0,) * (rank - 1), "Z")
 
 
-@total_ordering
 class QLexElem:
     """A fraction lam/m over Z^n or Q^n, with lam/m = mu/k iff k*lam = m*mu."""
 
@@ -284,19 +329,47 @@ class QLexElem:
 
     __rmul__ = __mul__
 
+    def _cross(self, other):
+        """For self = lam/m and other = mu/k: the coordinates of lam*k and
+        mu*m, last first, so that list order is the group order; None for
+        a foreign type.  Raises InputError across ranks or domains."""
+        parts = _parts(other)
+        if parts is None:
+            return None
+        (lam, m), (mu, k) = (self.num, self.den), parts
+        if len(lam.coords) != len(mu.coords) or lam.domain != mu.domain:
+            _check_compatible(lam, mu)
+        return ([c * k for c in reversed(lam.coords)],
+                [c * m for c in reversed(mu.coords)])
+
     def __eq__(self, other) -> bool:
-        if isinstance(other, LexElem):
-            other = QLexElem.from_lex(other)
-        if not isinstance(other, QLexElem):
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        (lam, m), (mu, k) = (self.num, self.den), parts
+        # lists of different lengths differ, so ranks need no test
+        return (lam.domain == mu.domain
+                and [c * k for c in lam.coords] == [c * m for c in mu.coords])
+
+    def __ne__(self, other) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __lt__(self, other) -> bool:
-        if isinstance(other, LexElem):
-            other = QLexElem.from_lex(other)
-        if not isinstance(other, QLexElem):
-            return NotImplemented
-        return self.num * other.den < other.num * self.den
+        keys = self._cross(other)
+        return NotImplemented if keys is None else keys[0] < keys[1]
+
+    def __le__(self, other) -> bool:
+        keys = self._cross(other)
+        return NotImplemented if keys is None else keys[0] <= keys[1]
+
+    def __gt__(self, other) -> bool:
+        keys = self._cross(other)
+        return NotImplemented if keys is None else keys[0] > keys[1]
+
+    def __ge__(self, other) -> bool:
+        keys = self._cross(other)
+        return NotImplemented if keys is None else keys[0] >= keys[1]
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -319,6 +392,16 @@ class QLexElem:
 
     def __repr__(self):
         return "QLexElem(%s)" % (self.render(),)
+
+
+def _parts(x) -> Optional[Tuple[LexElem, int]]:
+    """(lam, m) for x = lam/m, with a LexElem as lam/1; None for any other
+    type."""
+    if isinstance(x, QLexElem):
+        return x.num, x.den
+    if isinstance(x, LexElem):
+        return x, 1
+    return None
 
 
 def _coerce_q(other) -> QLexElem:

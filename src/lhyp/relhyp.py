@@ -31,7 +31,7 @@ from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
 
 from .catalog import Elem, GroupHandle, LengthTable, generated_within
 from .errors import ConstructionError, InputError
-from .geodspace import DisjointSets, distances_from
+from .geodspace import DisjointSets, distance_table
 from .lenfun import _Sample
 from .ordgroup import LexElem, distinct, minimal_positive
 
@@ -41,10 +41,9 @@ def _ball(group: GroupHandle, table: LengthTable,
     """The elements of length at most (radius, 0, ..., 0), sorted by their
     rendering, and the kernel {l = 0} among them, in the same order."""
     bound = minimal_positive(table.rank) * radius
-    # one __lt__ per distinct length object: total_ordering's __le__
-    # would add an __eq__
+    # one comparison per distinct length object
     values = distinct(table.values.values())
-    inside = {id(v) for v in values if not bound < v}
+    inside = {id(v) for v in values if v <= bound}
     zero = {id(v) for v in values if v.is_zero()}
     ball = sorted((g for g, v in table.values.items() if id(v) in inside),
                   key=group.render)
@@ -160,8 +159,7 @@ class RelCayley:
                 # pairs come in index order, so each adj row is sorted
                 self.adj[i][j] = self.adj[j][i] = w
 
-        self.d: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(distances_from(self.adj, s)) for s in range(n))
+        self.d: Tuple[Tuple[int, ...], ...] = distance_table(self.adj)
         if -1 in self.d[0]:
             raise ConstructionError(
                 "coset graph disconnected at N=%d within radius %d"
@@ -178,8 +176,7 @@ class RelCayley:
             heads = [group.mul(rep, mv) for mv in moves]
             steps.append(dict.fromkeys(
                 (self.coset_of[h] for h in heads if h in self.coset_of), 1))
-        self.rel_dist: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(distances_from(steps, s)) for s in range(n))
+        self.rel_dist: Tuple[Tuple[int, ...], ...] = distance_table(steps)
 
     def __len__(self) -> int:
         return len(self.reps)

@@ -25,6 +25,10 @@ seen keys is needed.  The representatives and their order are no longer
 those of plain augmentation, which extends by every subset and keeps the
 first child of each class; the classes are the same.
 
+A graph kept after a tie search brings the automorphisms found there to
+the next level, where it is a parent, so no graph is searched twice; only
+the parents kept without a search are searched for their automorphisms.
+
 The canonical key is the largest row-major adjacency bitstring over the
 leaves of a search tree: partition refinement by neighbor counts, then
 individualization of each vertex of the first non-singleton cell in turn.
@@ -42,7 +46,7 @@ Counts for n = 1..8: 1, 1, 2, 6, 21, 112, 853, 11117.
 """
 
 from functools import lru_cache
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 Adj = Tuple[int, ...]  # neighbor bitmask per vertex
 Perm = Tuple[int, ...]  # image of each vertex
@@ -150,7 +154,7 @@ def canonical_key(n: int, adj: Adj) -> int:
     return _search(n, adj)[0]
 
 
-def _least_subsets(m: int, auts: Tuple[Perm, ...]) -> List[int]:
+def _least_subsets(m: int, auts: Sequence[Sequence[int]]) -> List[int]:
     """Nonempty vertex masks on m vertices least in their orbit, ascending."""
     images = []
     for g in auts:
@@ -190,18 +194,19 @@ def _connected_without(n: int, adj: Adj, v: int) -> bool:
     return seen == rest
 
 
-def _accepts(n: int, adj: Adj) -> bool:
-    """Whether vertex n-1 lies in the orbit of the canonical deletion vertex."""
+def _accepts(n: int, adj: Adj) -> Tuple[bool, Optional[Tuple[Perm, ...]]]:
+    """Whether vertex n-1 lies in the orbit of the canonical deletion vertex,
+    and the automorphism generators when the rule had to search."""
     new = n - 1
     deg = [a.bit_count() for a in adj]
     tied = 1 << new  # the non-cut vertices that rank with n-1 so far
     for v in range(new):
         if deg[v] >= deg[new] and _connected_without(n, adj, v):
             if deg[v] > deg[new]:
-                return False
+                return False, None
             tied |= 1 << v
     if tied == 1 << new:
-        return True
+        return True, None
 
     def rank(v: int) -> Tuple[int, int]:
         """Sum of the neighbours' degrees, then triangles at v."""
@@ -222,34 +227,54 @@ def _accepts(n: int, adj: Adj) -> bool:
         rest ^= low
         r = rank(low.bit_length() - 1)
         if r > top:
-            return False
+            return False, None
         if r < top:
             tied ^= low
     if tied == 1 << new:
-        return True
+        return True, None
     # Searched through the module attribute, so that a wrapper installed
     # there sees every search; _search keeps the result for the next line.
     canonical_key(n, adj)
     _, leaf, auts = _search(n, adj)
     m = next(v for v in leaf if tied >> v & 1)
-    return m == new or _in_orbit(m, 1 << new, auts)
+    return m == new or _in_orbit(m, 1 << new, auts), auts
+
+
+# The automorphism generators of the graphs of the last level built that
+# the rule searched, so that the next level does not search them again.
+_carried: Dict[Adj, Tuple[bytes, ...]] = {}
 
 
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> Tuple[Adj, ...]:
-    """All connected graphs on vertices 0..n-1, one per isomorphism class."""
+    """All connected graphs on vertices 0..n-1, one per isomorphism class.
+
+    A parent's automorphisms come from the search that kept it, when its
+    level was the last one built, and from a search of their own otherwise.
+    """
     if n < 1:
         return ()
     if n == 1:
         return ((0,),)
     reps: List[Adj] = []
+    found: Dict[Adj, Tuple[bytes, ...]] = {}
     for parent in connected_graphs(n - 1):
-        for sub in _least_subsets(n - 1, _search(n - 1, parent)[2]):
+        auts = _carried.get(parent)
+        if auts is None:
+            auts = _search(n - 1, parent)[2]
+        for sub in _least_subsets(n - 1, auts):
             adj = tuple(
                 parent[v] | ((sub >> v & 1) << (n - 1)) for v in range(n - 1)
             ) + (sub,)
-            if _accepts(n, adj):
+            keep, auts_of_child = _accepts(n, adj)
+            if keep:
                 reps.append(adj)
+                if auts_of_child is not None:
+                    # as bytes, a permutation of so few points takes less
+                    # than half the memory of a tuple
+                    found[adj] = tuple(map(bytes, auts_of_child))
+    _carried.clear()
+    _carried.update(found)
     return tuple(reps)
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -9,7 +10,7 @@ from lhyp import geodspace, lspace
 from lhyp.completion import gamma1
 from lhyp.errors import ConstructionError, InputError
 from lhyp.geodspace import (GeodesicGraph, all_segments, between_set,
-                            canonical_segment, delta_relations,
+                            canonical_segment, delta_relations, distance_table,
                             distances_from, inner_triangle, is_geodesic, level_set, min_rips,
                             min_rips_witness, min_thinness,
                             min_thinness_witness, read_gg, tripod_insizes,
@@ -18,10 +19,10 @@ from lhyp.lspace import min_delta_4pt, min_delta_at
 from lhyp.ordgroup import LexElem, QLexElem
 from lhyp.smallgraphs import connected_graphs, edge_list
 
-from helpers import (L, ceil_delta_int, cycle_rows, cycle_space,
+from helpers import (L, ceil_delta_int, cycle_rows, cycle_space, labels_for,
                      random_connected_unit_rows, random_metric_rows,
                      random_metric_space, random_tree_rows, space_rank1)
-from oracles import (floyd, floyd_directed, oracle_between,
+from oracles import (floyd, floyd_directed, oracle_between, oracle_delta_4pt,
                      oracle_geodesic_gap, oracle_level, oracle_rips,
                      oracle_segments, oracle_thinness)
 
@@ -84,6 +85,44 @@ def test_distances_from_matches_floyd_on_directed_unit_graphs(seed):
         adj[u][v] = 1
     want = oracle_rows(floyd_directed(n, arcs))
     assert [distances_from(adj, src) for src in range(n)] == want
+
+
+def floyd_fixture(kind, rng):
+    """An adjacency and its Floyd rows: a unit graph, a weighted multigraph
+    in parts, or a directed unit graph, as in the tests above."""
+    n = rng.randint(1, 10)
+    adj = [{} for _ in range(n)]
+    if kind == "directed":
+        arcs = [(u, v, 1) for u in range(n) for v in range(n)
+                if u != v and rng.random() < 0.2]
+        for u, v, _ in arcs:
+            adj[u][v] = 1
+        return adj, oracle_rows(floyd_directed(n, arcs))
+    top = 1 if kind == "unit" else 5
+    part = [rng.randrange(3) for _ in range(n)]
+    edges = [(u, v, rng.randint(1, top)) for u, v in combinations(range(n), 2)
+             if part[u] == part[v] and rng.random() < 0.3]
+    for u, v, w in edges:
+        adj[u][v] = adj[v][u] = w
+    return adj, oracle_rows(floyd(n, edges))
+
+
+@given(seeds, st.sampled_from(["unit", "weighted", "directed"]))
+def test_distance_table_is_distances_from_every_vertex(seed, kind):
+    adj, want = floyd_fixture(kind, Random(seed))
+    rows = distance_table(adj)
+    assert rows == tuple(tuple(distances_from(adj, src)) for src in range(len(adj)))
+    assert [list(row) for row in rows] == want
+
+
+def test_graph_tests_the_weights_once_per_table(monkeypatch):
+    calls = []
+    unit = geodspace._unit_weights
+    monkeypatch.setattr(geodspace, "_unit_weights",
+                        lambda adj: calls.append(len(adj)) or unit(adj))
+    G = GeodesicGraph(labels_for(7), [(i, i + 1) for i in range(6)] + [(0, 6)])
+    assert calls == [7]
+    assert G.dist == tuple(tuple(distances_from(G.adj, s)) for s in range(7))
 
 
 def test_graph_metric_matches_floyd():
@@ -414,3 +453,67 @@ def test_gg_round_trip_preserves_structure():
         read_gg("graph2\n0 1\n")
     with pytest.raises(InputError):
         read_gg("graph 3\n0 1\n1 2\n2\n")
+
+
+def test_sweep_path_matches_the_oracles_through_six_vertices():
+    # the small-graph sweep's own path: a graph's table is its space's
+    # packed table, and its constants are the oracles'
+    for n in range(1, 7):
+        for adj in connected_graphs(n):
+            G = GeodesicGraph(labels_for(n), edge_list(adj))
+            X = G.as_space()
+            assert X.packed_table() == G.dist
+            assert X.dist == tuple(tuple(L(d) for d in row) for row in G.dist)
+            for c in set().union(*G.dist):
+                assert X.unpack(c) == LexElem((c,))
+            rows = [list(row) for row in G.dist]
+            (point,) = oracle_delta_4pt([[(d,) for d in row] for row in rows])
+            rel = delta_relations(X)
+            assert rel.delta_point == QLexElem(L(point.numerator), point.denominator)
+            assert rel.delta_thin == QLexElem(L(oracle_thinness(rows)[0]))
+            assert rel.delta_rips == QLexElem(L(oracle_rips(rows)[0]))
+            assert rel.failures == (), adj
+
+
+# The six relations of delta_relations, with the names it reports.
+RELATIONS = (
+    ("thin<=4*point", lambda p, t, r: t <= 4 * p),
+    ("point<=2*thin", lambda p, t, r: p <= 2 * t),
+    ("rips<=thin", lambda p, t, r: r <= t),
+    ("thin<=4*rips", lambda p, t, r: t <= 4 * r),
+    ("rips<=4*point", lambda p, t, r: r <= 4 * p),
+    ("point<=8*rips", lambda p, t, r: p <= 8 * r),
+)
+
+
+def test_each_relation_fails_under_its_name(monkeypatch):
+    # the scans are replaced by module attribute; None keeps the 5-cycle's
+    # own four-point constant 1/2
+    X = GeodesicGraph(labels_for(5), [(i, (i + 1) % 5) for i in range(5)]).as_space()
+    assert delta_relations(X).delta_point == QLexElem(L(1), 2)
+    cases = [
+        (None, Fraction(3), Fraction(1)),
+        (Fraction(3), Fraction(1), Fraction(1)),
+        (Fraction(1), Fraction(1), Fraction(2)),
+        (Fraction(2), Fraction(5), Fraction(1)),
+        (None, Fraction(1), Fraction(3)),
+        (Fraction(9), Fraction(1), Fraction(1)),
+        (Fraction(5, 2), Fraction(3, 2), Fraction(1, 4)),
+    ]
+    def q(f):
+        return QLexElem(L(f.numerator), f.denominator)
+
+    four_point = geodspace.min_delta_4pt
+    seen = set()
+    for point, thin, rips in cases:
+        monkeypatch.setattr(geodspace, "min_delta_4pt",
+                            four_point if point is None else lambda X, p=point: q(p))
+        monkeypatch.setattr(geodspace, "min_thinness_witness", lambda X: (q(thin), None))
+        monkeypatch.setattr(geodspace, "min_rips_witness", lambda X: (q(rips), None))
+        point = Fraction(1, 2) if point is None else point
+        rel = delta_relations(X)
+        assert (rel.delta_point, rel.delta_thin, rel.delta_rips) == (q(point), q(thin), q(rips))
+        want = tuple(name for name, holds in RELATIONS if not holds(point, thin, rips))
+        assert rel.failures == want and not rel.ok
+        seen.update(want)
+    assert seen == {name for name, _ in RELATIONS}

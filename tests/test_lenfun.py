@@ -257,6 +257,13 @@ def test_ball_group_check():
     assert r.delta is not None and r.delta.is_zero()
 
 
+def test_ball_group_check_names_a_sample_element_outside_the_table():
+    Z = FreeGroup(1)
+    sample = [Z.identity(), Z.parse("aaa")]
+    with pytest.raises(InputError, match="^element aaa outside the length table$"):
+        finite_ball_hyperbolic_group_check(z_table(2), sample)
+
+
 @given(seeds)
 def test_axiom4_scan_encoded_matches_plain(seed):
     rng = Random(seed)

@@ -206,3 +206,78 @@ def test_packing_matches_lex_arithmetic(case):
     assert P.unpack(ca) == a and P.unpack(cb) == b
     assert (ca < cb) == (a < b)
     assert (ca == cb) == (a == b)
+
+
+# Every comparison operator, against Fractions compared as reversed tuples.
+SIX = (
+    ("<", lambda a, b: a < b),
+    ("<=", lambda a, b: a <= b),
+    (">", lambda a, b: a > b),
+    (">=", lambda a, b: a >= b),
+    ("==", lambda a, b: a == b),
+    ("!=", lambda a, b: a != b),
+)
+
+
+@st.composite
+def lambda_fractions(draw):
+    """Two elements lam/m and mu/k of one Z^n or Q^n, n = 1..3, m and k in
+    +-1..9, each drawn as a QLexElem or, when its denominator is 1, as a
+    LexElem too; with the Fraction coordinates of their values."""
+    rank = draw(st.integers(min_value=1, max_value=3))
+    domain = draw(st.sampled_from(("Z", "Q")))
+    # few distinct coordinates, so that ties in the top coordinates are common
+    coord = st.integers(min_value=-3, max_value=3)
+    if domain == "Q":
+        coord = st.builds(Fraction, coord, st.integers(min_value=1, max_value=4))
+    den = st.integers(min_value=1, max_value=9).flatmap(
+        lambda m: st.sampled_from((m, -m)))
+    sides = []
+    for _ in range(2):
+        lam = LexElem(draw(st.lists(coord, min_size=rank, max_size=rank)), domain)
+        m = draw(den)
+        value = tuple(Fraction(c) / m for c in lam.coords)
+        elem = QLexElem(lam, m)
+        if m == 1 and draw(st.booleans()):
+            elem = lam
+        sides.append((elem, value))
+    return sides
+
+
+@given(lambda_fractions())
+def test_all_six_comparisons_match_the_fraction_oracle(sides):
+    (a, fa), (b, fb) = sides
+    for name, op in SIX:
+        assert op(a, b) == op(rkey(fa), rkey(fb)), name
+        assert op(b, a) == op(rkey(fb), rkey(fa)), name
+
+
+@given(pair)
+def test_all_six_lex_comparisons_match_the_reversed_tuple_oracle(ab):
+    a, b = ab
+    for name, op in SIX:
+        assert op(LexElem(a), LexElem(b)) == op(rkey(a), rkey(b)), name
+        assert op(LexElem(a, "Q"), LexElem(b, "Q")) == op(rkey(a), rkey(b)), name
+
+
+def test_comparisons_across_ranks_and_domains():
+    pairs = [(LexElem((1,)), LexElem((1, 0))), (LexElem((1,)), LexElem((1,), "Q")),
+             (QLexElem(LexElem((1,)), 2), QLexElem(LexElem((1, 0)), 2)),
+             (QLexElem(LexElem((1,))), QLexElem(LexElem((1,), "Q"))),
+             (QLexElem(LexElem((2,)), 2), LexElem((1, 0))),
+             (QLexElem(LexElem((1,), "Q")), LexElem((1,)))]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert not x == y and x != y
+            for name, op in SIX[:4]:
+                with pytest.raises(InputError, match="incompatible elements"):
+                    op(x, y)
+
+
+def test_comparisons_with_a_foreign_type():
+    for e in (LexElem((1,)), QLexElem(LexElem((1,)), 2), QLexElem(LexElem((2,), "Q"))):
+        for x, y in ((e, 1), (1, e)):
+            assert not x == y and x != y
+            for name, op in SIX[:4]:
+                with pytest.raises(TypeError):
+                    op(x, y)

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lhyp import relhyp
+from lhyp import geodspace, relhyp
 from lhyp.catalog import (DirectProduct, FiniteGroup, FreeGroup, LengthTable,
                           word_length_table)
 from lhyp.errors import ConstructionError, InputError
@@ -583,3 +583,13 @@ def test_ball_property_matches_the_oracle(seed):
     ball = finite_ball_hyperbolic_group_check(table, sample)
     assert (ball.short_count, ball.generates, ball.unreached) == (
         len(short), unreached is None, unreached)
+
+
+def test_relcayley_tests_the_weights_once_per_table(monkeypatch):
+    # one test for the coset graph's rows and one for the generator steps'
+    calls = []
+    unit = geodspace._unit_weights
+    monkeypatch.setattr(geodspace, "_unit_weights",
+                        lambda adj: calls.append(len(adj)) or unit(adj))
+    rc = z_rc(N=2, radius=5)
+    assert calls == [len(rc), len(rc)]

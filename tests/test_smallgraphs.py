@@ -1,4 +1,6 @@
 import importlib.util
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -175,6 +177,28 @@ def test_augmentation_searches_only_ties(monkeypatch):
     finally:
         connected_graphs.cache_clear()
     assert 1 <= len(calls) <= 1000
+
+
+def test_no_graph_is_searched_twice(monkeypatch):
+    # a parent kept after a tie search brings its automorphisms along;
+    # the wrapper stands in for _search with the same one-graph cache,
+    # so a count above 1 is a search run again
+    searched = Counter()
+    search = smallgraphs._search.__wrapped__
+
+    @lru_cache(maxsize=1)
+    def counted(n, adj):
+        searched[n, adj] += 1
+        return search(n, adj)
+
+    monkeypatch.setattr(smallgraphs, "_search", counted)
+    connected_graphs.cache_clear()
+    try:
+        assert [len(connected_graphs(n)) for n in range(1, 8)] == [
+            COUNTS[n] for n in range(1, 8)]
+    finally:
+        connected_graphs.cache_clear()
+    assert searched and max(searched.values()) == 1
 
 
 def test_edge_list_matches_adjacency():
