@@ -11,6 +11,10 @@ import hashlib
 import os
 import sys
 import time
+# building the parser loads locale, through gettext, and shutil, through
+# HelpFormatter; imported here, they cost start-up time, not command time
+import locale
+import shutil
 from typing import List, Optional, Sequence, Tuple
 
 from .catalog import read_grp, read_len
@@ -87,6 +91,9 @@ def _parse_delta(text: str, rank: int) -> LexElem:
             d = LexElem((int(text),) + (0,) * (rank - 1))
         except ValueError:
             raise InputError("bad delta %r" % text) from None
+    # every delta bounds a defect, which is never negative
+    if d.sign() < 0:
+        raise InputError("delta %s is negative" % d.render())
     return d
 
 

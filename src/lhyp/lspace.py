@@ -13,14 +13,14 @@ condition at basepoint w, less d(x,w)+d(y,w)+d(z,w) on both sides, is the
 four-point condition (Gromov 1987, 1.1), so one quadruple scan yields
 every constant; ``min_delta_at`` scans one basepoint, testing each pair
 against the running maximum by threshold bitmasks.  The scan runs in this
-process unless its quadruple count repays starting workers: then it
-starts one worker per ``_QUADS_PER_WORKER`` quadruples, at most one per
-core.
+process unless its quadruple count repays more processes: then this
+process and forked children share it, one process per
+``_QUADS_PER_WORKER`` quadruples and at most one per core.
 """
 
+import marshal
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import chain
 from math import comb
@@ -298,27 +298,69 @@ def _core_count() -> int:
     return os.cpu_count() or 1
 
 
+def _scan_in_child(w: int, P, chunk: List[int], n: int) -> None:
+    """Scan chunk in a forked child, send the result down pipe end w and
+    leave by ``os._exit``: the child neither flushes the stdio buffers it
+    shares with its parent nor runs the parent's exit handlers."""
+    status = 1
+    try:
+        with open(w, "wb") as out:
+            out.write(marshal.dumps(_scan_quads_num(P, chunk, n)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _scan_chunks(P, chunks: List[List[int]], n: int) -> list:
+    """``_scan_quads_num`` over each chunk of first indices, in order: this
+    process scans the first and one forked child each other.  Every child
+    is reaped, whatever happens here; one that exits non-zero raises."""
+    pids, pipes = [], []
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _scan_in_child(w, P, chunk, n)
+            finally:
+                # the parent's copy; later children must not hold it, or
+                # reading the pipe would wait for them too
+                os.close(w)
+            pids.append(pid)
+        results = [_scan_quads_num(P, chunks[0], n)]
+        sent = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, code in zip(pids, codes):
+        if code:
+            raise RuntimeError("four-point scan worker %d exited with status %d"
+                               % (pid, code))
+    return results + [marshal.loads(data) for data in sent]
+
+
 def _four_point(X: FiniteLambdaSpace, workers: Optional[int] = None):
     """The four-point constant, its first witness in index order, and the
-    scan's per-point maxima.  At most ``workers`` workers split the scan, or
-    when that is None one per ``_QUADS_PER_WORKER`` quadruples, so a short
-    scan runs here; never more than one per core."""
+    scan's per-point maxima.  At most ``workers`` processes split the scan,
+    or when that is None one per ``_QUADS_PER_WORKER`` quadruples, so a
+    short scan runs here alone; never more than one per core, this one
+    included, and only this one where ``os.fork`` is missing."""
     n = len(X)
     if n < 4:
         return QLexElem.zero(X.rank, X.domain), None, [0] * n
     P = X.packed_table()
     if workers is None:
         workers = comb(n, 4) // _QUADS_PER_WORKER
-    # the core count is read only when the scan would start workers
+    # the core count is read only when the scan would fork
     if workers > 1:
         workers = min(workers, _core_count())
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         best, quad, pm = _scan_quads_num(P, range(n - 3), n)
     else:
-        chunks = _chunk_first_indices(n, workers)
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_scan_quads_num, [P] * len(chunks), chunks,
-                                    [n] * len(chunks)))
+        results = _scan_chunks(P, _chunk_first_indices(n, workers), n)
         # the largest defect; on a tie, the first witness in index order
         best, quad, _ = min(results, key=lambda r: (-r[0], r[1]))
         pm = [max(vs) for vs in zip(*(r[2] for r in results))]

@@ -23,7 +23,7 @@ which is its value.  LexElem appears only at the API boundary.
 """
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import inf
 from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
@@ -282,18 +282,17 @@ class SymbolicBound(NamedTuple):
         return "%s in [%s, %s)" % (self.expr, self.lower, self.upper)
 
 
-@lru_cache(maxsize=None)
-def _log2_154() -> Tuple[int, int]:
-    # 2^p <= 154^e < 2^(p+1) brackets log2(154) within 1/e
-    e = 65536
-    return (154 ** e).bit_length() - 1, e
+# (p, e) with 2^p <= 154^e < 2^(p+1), bracketing log2(154) within 1/e.  p is
+# (154 ** e).bit_length() - 1; that power has 476,000 bits and took 18 ms
+# to compute, so the pair is stored here and a test recomputes it
+_LOG2_154 = (476236, 65536)
 
 
 def _bracket(scale: int, const: int, slope: int, delta: int) -> SymbolicBound:
     """scale*log2(154) + const + slope*delta with certified rational brackets."""
     if delta < 0:
         raise InputError("delta must be a natural number")
-    p, e = _log2_154()
+    p, e = _LOG2_154
     base = const + slope * delta
     return SymbolicBound("%d*log2(154) + %d + %d*%d" % (scale, const, slope, delta),
                          Fraction(scale * p, e) + base,

@@ -700,7 +700,7 @@ def test_relcayley_failing_golden(tmp_path, capsys):
     grp = put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
     table = put(tmp_path, "hole.len", HOLE)
     code, out, _ = run(capsys, "relcayley", "--group", grp, "--len", table,
-                       "--N", "2", "--radius", "4", "--delta", "-1")
+                       "--N", "2", "--radius", "4", "--delta", "0")
     assert code == 1
     assert out == ("command relcayley\n"
                    "input_group %s %s\n"
@@ -722,8 +722,7 @@ def test_relcayley_failing_golden(tmp_path, capsys):
                    "qi_lower no\n"
                    "qi_lower_witness AA,aa\n"
                    "geodesic_two_edge_checked 2\n"
-                   "geodesic_two_edge no\n"
-                   "geodesic_two_edge_witness 2-edge,A,AA\n"
+                   "geodesic_two_edge yes\n"
                    "geodesic_three_edge_checked 0\n"
                    "geodesic_three_edge yes\n"
                    % (grp, Z_GRP_SHA, table, HOLE_SHA, Z_GRP_SHA))
@@ -734,13 +733,7 @@ def test_relcayley_failing_golden(tmp_path, capsys):
     ("(0,1)", 0, "geodesic_two_edge yes\n"
                  "geodesic_three_edge_checked 2\n"
                  "geodesic_three_edge yes\n"),
-    # and one below it makes every one fail, whatever its first coordinate
-    ("(5,-1)", 1, "geodesic_two_edge no\n"
-                  "geodesic_two_edge_witness 2-edge,AA|1,AAA|1\n"
-                  "geodesic_three_edge_checked 2\n"
-                  "geodesic_three_edge no\n"
-                  "geodesic_three_edge_witness 2-edge,AA|1,AAA|1\n"),
-], ids=["above", "below"])
+], ids=["above"])
 def test_relcayley_rank_two_golden(tmp_path, capsys, delta, code, tail):
     put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
     grp = put(tmp_path, "zz.grp", ZZ_GRP)
@@ -772,6 +765,30 @@ def test_relcayley_rank_two_golden(tmp_path, capsys, delta, code, tail):
                    + tail)
 
 
+def test_a_negative_delta_is_refused(tmp_path, capsys):
+    # a delta below 0 in Lambda bounds no defect, so it is malformed input
+    put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
+    hole = put(tmp_path, "hole.len", HOLE)
+    lex = put(tmp_path, "lex.len", LEX)
+    zz_grp = put(tmp_path, "zz.grp", ZZ_GRP)
+    zz = put(tmp_path, "zz.len", ZZ)
+    space = put(tmp_path, "tree.lms", TREE)
+    perm = put(tmp_path, "id.perm", "0 1 2 3\n")
+    relcayley = ["relcayley", "--N", "3", "--radius", "3", "--K", "2"]
+    for argv, delta in [
+            (["lenfun", "--len", hole, "--complete"], "-1"),
+            (relcayley + ["--group", str(tmp_path / "z.grp"), "--len", hole],
+             "-1"),
+            (["classify", "--space", space, "--perm", perm], "-1"),
+            # the last coordinate is the most significant
+            (["lenfun", "--len", lex, "--free"], "(5,-1)"),
+            (relcayley + ["--group", zz_grp, "--len", zz], "(5,-1)")]:
+        code, out, err = run(capsys, *argv, "--delta", delta)
+        assert code == 2 and out == ""
+        assert error_lines(err) == ["error: delta (%s) is negative"
+                                    % delta.strip("()")]
+
+
 def test_relcayley_rejects_an_identity_beyond_the_radius(tmp_path, capsys):
     grp = put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
     table = put(tmp_path, "z.len", "group z.grp\nlambda Z^1\n1 5\na 1\nA 1\n"
@@ -792,14 +809,31 @@ def test_relcayley_rejects_a_negative_length(tmp_path, capsys):
     assert error_lines(err) == ["error: length (-1) of A is negative"]
 
 
-def test_importing_the_cli_leaves_out_dataclasses_and_inspect():
+UNUSED_MODULES = ("dataclasses", "inspect", "concurrent.futures",
+                  "multiprocessing")
+
+# the unused modules found loaded after import, then the modules that a
+# check command loads on top, one line each on stderr
+IMPORT_PROBE = """
+import sys, lhyp.cli
+print(*(m for m in %r if m in sys.modules), file=sys.stderr)
+before = set(sys.modules)
+lhyp.cli.main(["check", "--space", %r])
+print(*sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+
+def test_importing_the_cli_leaves_out_dataclasses_and_inspect(tmp_path):
     # every command starts by importing lhyp.cli; -S keeps site hooks,
-    # which may import either module themselves, out of the check
+    # which may import any of these modules themselves, out of the check
+    space = put(tmp_path, "tree.lms", TREE)
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = ("import lhyp.cli, sys; "
-             "print(' '.join(m for m in ('dataclasses', 'inspect') "
-             "if m in sys.modules))")
+    probe = IMPORT_PROBE % (UNUSED_MODULES, space)
     res = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
-    assert res.stdout.split() == []
+    assert lines_of(res.stdout)["metric"] == "yes"
+    loaded, wall, added = res.stderr.split("\n")[:3]
+    assert wall.startswith("wall ")
+    # nothing the command runs imports a module that start-up left out
+    assert loaded == added == ""

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lhyp import lspace
+from lhyp.cli import main
 from lhyp.errors import InputError
 from lhyp.lspace import (FiniteLambdaSpace, convex_classes, gromov_product,
                          hyperbolicity_report, min_delta_4pt,
@@ -204,28 +209,21 @@ def test_workers_agree_with_serial(seed):
     assert min_delta_4pt(X, workers=1) == min_delta_4pt(X, workers=3)
 
 
-class SerialPool:
-    # records each pool size and maps in this process: no worker starts
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+def serial_chunks(sizes):
+    """A stand-in for ``lspace._scan_chunks`` that records how many
+    processes each split would use and scans every chunk here: nothing
+    forks."""
+    def scan(P, chunks, n):
+        sizes.append(len(chunks))
+        return [lspace._scan_quads_num(P, chunk, n) for chunk in chunks]
+    return scan
 
 
 def test_four_point_pool_is_capped_at_the_core_count(monkeypatch):
-    pools = SerialPool.sizes = []
+    pools = []
     X = random_metric_space(Random(7), 12, maxw=9)
     want = min_delta_4pt_witness(X)
-    monkeypatch.setattr(lspace, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(lspace, "_scan_chunks", serial_chunks(pools))
     # the cores this process may run on, not the cores of the machine
     monkeypatch.setattr(lspace.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(lspace.os, "sched_getaffinity", lambda pid: {0, 2, 5},
@@ -246,8 +244,8 @@ def test_four_point_pool_is_capped_at_the_core_count(monkeypatch):
 
 
 def test_short_scans_start_no_pool(monkeypatch):
-    pools = SerialPool.sizes = []
-    monkeypatch.setattr(lspace, "ProcessPoolExecutor", SerialPool)
+    pools = []
+    monkeypatch.setattr(lspace, "_scan_chunks", serial_chunks(pools))
     monkeypatch.setattr(lspace, "_core_count", lambda: 8)
     X = random_metric_space(Random(48), 48, maxw=20)
     want = lspace._four_point(X, workers=1)
@@ -271,10 +269,55 @@ def test_every_pool_size_gives_the_serial_results(monkeypatch):
     for workers in (None, 2):
         got = hyperbolicity_report(X, workers), min_delta_4pt_witness(X, workers)
         assert got == want
-    monkeypatch.setattr(lspace, "ProcessPoolExecutor", SerialPool)
+    pools = []
+    monkeypatch.setattr(lspace, "_scan_chunks", serial_chunks(pools))
     monkeypatch.setattr(lspace, "_core_count", lambda: 3)
     got = hyperbolicity_report(X, 3), min_delta_4pt_witness(X, 3)
     assert got == want
+    assert pools == [3, 3]
+
+
+@pytest.mark.parametrize("fails_in", ("children", "parent"))
+def test_a_failing_scan_raises_and_leaves_no_child(monkeypatch, fails_in):
+    X = random_metric_space(Random(12), 12, maxw=9)
+    parent = os.getpid()
+    scan = lspace._scan_quads_num
+
+    def failing_scan(P, idxs, n):
+        if (os.getpid() == parent) == (fails_in == "parent"):
+            raise ValueError("scan failed")
+        return scan(P, idxs, n)
+
+    monkeypatch.setattr(lspace, "_scan_quads_num", failing_scan)
+    monkeypatch.setattr(lspace, "_core_count", lambda: 3)
+    # two children fail, and the parent raises once
+    want = (RuntimeError, "exited with status 1") if fails_in == "children" \
+        else (ValueError, "scan failed")
+    with pytest.raises(want[0], match=want[1]):
+        lspace._four_point(X, workers=3)
+    # every child was reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_forking_delta_run_prints_each_line_once(tmp_path, capsys, monkeypatch):
+    # 70 points hold 916,895 quadruples, enough for two processes, so the
+    # command forks on a machine with two cores or more
+    X = random_metric_space(Random(70), 70, maxw=9)
+    space = tmp_path / "seventy.lms"
+    space.write_text(write_lms(X))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-m", "lhyp.cli", "delta", "--space",
+                          str(space)], env=env, stdout=subprocess.PIPE, text=True,
+                         timeout=120)
+    assert res.returncode == 0
+    monkeypatch.setattr(lspace, "_core_count", lambda: 1)
+    assert main(["delta", "--space", str(space)]) == 0
+    want = capsys.readouterr().out
+    assert res.stdout == want
+    lines = want.splitlines()
+    assert len(lines) == len(set(lines)) == 78
 
 
 @pytest.mark.parametrize("chunked", (False, True))
@@ -284,7 +327,7 @@ def test_report_matches_every_basepoint_scan(chunked, seed, n, kind):
     with pytest.MonkeyPatch.context() as mp:
         if chunked:
             # three chunks merged in this process
-            mp.setattr(lspace, "ProcessPoolExecutor", SerialPool)
+            mp.setattr(lspace, "_scan_chunks", serial_chunks([]))
             mp.setattr(lspace, "_core_count", lambda: 3)
         hr = hyperbolicity_report(X, workers=3 if chunked else 1)
     raw = raw_of(X)

@@ -239,6 +239,12 @@ def test_threshold_brackets_are_certified():
     assert 11353 < lo.lower < lo.upper < 11354
 
 
+def test_the_stored_log2_154_bracket_holds():
+    p, e = relhyp._LOG2_154
+    power = 154 ** e
+    assert 2 ** p <= power < 2 ** (p + 1)
+
+
 @given(st.integers(min_value=0, max_value=40))
 def test_threshold_is_affine_in_delta(d):
     t0, td = pn_threshold(0), pn_threshold(d)
