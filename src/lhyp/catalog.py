@@ -630,8 +630,7 @@ def product_space(X: FiniteLambdaSpace, T: FiniteLambdaSpace,
     space = FiniteLambdaSpace(labels, dist, domain=X.domain)
     report = validate_metric(space)
     if not report.ok:
-        raise ConstructionError("bundle distance fails %s at %s"
-                                % (report.axiom, report.witness))
+        raise ConstructionError("bundle distance fails %s" % (report,))
     return space
 
 

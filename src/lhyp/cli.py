@@ -4,6 +4,12 @@ Reports are plain ``key value`` lines in a fixed order so golden files
 can be compared byte for byte.  Wall time goes to stderr to keep stdout
 stable across runs.  Exit codes: 0 clean, 1 mathematical violation or
 counterexample found, 2 unreadable or malformed input.
+
+Each flag value is checked by its argparse type, and a value outside
+its domain exits 2 on one line naming the flag: ``error: lhyp lenfun:
+argument --regular: expected a natural number, got '-1'``.  Only the
+delta's rank, the input's, is checked later.  ``Report.read`` reads and
+digests every input file.
 """
 
 import argparse
@@ -15,7 +21,7 @@ import time
 # HelpFormatter; imported here, they cost start-up time, not command time
 import locale
 import shutil
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .catalog import read_grp, read_len
 from .completion import check_RS, gamma1, gamma2, write_cg
@@ -26,18 +32,6 @@ from .lspace import hyperbolicity_report, read_lms, validate_metric
 from .ordgroup import LexElem, parse_lex
 from .relhyp import (RelCayley, check_Pn, check_qi, short_pair_report,
                      verify_relhyp_geodesics)
-
-
-def _read(path: str) -> Tuple[str, bytes]:
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc)) from None
-    try:
-        return data.decode("utf-8"), data
-    except UnicodeDecodeError:
-        raise InputError("%s is not utf-8 text" % path) from None
 
 
 def _fmt(value) -> str:
@@ -71,54 +65,85 @@ class Report:
             if witness is not None:
                 self.add(key + "_witness", witness)
 
-    def digest(self, role: str, path: str, data: bytes) -> None:
-        line = ("input_" + role,
-                "%s sha256:%s" % (path, hashlib.sha256(data).hexdigest()))
+    def read(self, role: str, path: str, name: Optional[str] = None) -> str:
+        """The text of the file at path; its digest line, under name (the
+        path by default), joins the report once."""
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise InputError("cannot read %s: %s" % (path, exc)) from None
+        line = ("input_" + role, "%s sha256:%s"
+                % (name or path, hashlib.sha256(data).hexdigest()))
         if line not in self.lines:
             self.lines.append(line)
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise InputError("%s is not utf-8 text" % path) from None
+
+    def loader(self, path: str) -> Callable[[str], str]:
+        """Reads the group files that the file at path refers to, each
+        relative to that file's directory."""
+        base = os.path.dirname(os.path.abspath(path))
+        return lambda ref: self.read("group", os.path.join(base, ref), ref)
 
     def emit(self) -> None:
         for key, value in self.lines:
             sys.stdout.write("%s %s\n" % (key, value))
 
 
-def _parse_delta(text: str, rank: int) -> LexElem:
-    # a bare integer is the first coordinate, padded with zeros to the rank
-    if text.startswith("("):
-        d = parse_lex(text, rank)
-    else:
+def _int_from(low: int, domain: str) -> Callable[[str], int]:
+    """The argparse type of an int flag whose values start at low."""
+    def parse(text: str) -> int:
         try:
-            d = LexElem((int(text),) + (0,) * (rank - 1))
+            value = int(text)
         except ValueError:
-            raise InputError("bad delta %r" % text) from None
-    # every delta bounds a defect, which is never negative
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (domain, text))
+        return value
+    return parse
+
+
+_positive = _int_from(1, "a positive integer")
+_natural_number = _int_from(0, "a natural number")
+
+
+def _delta(text: str) -> Union[int, LexElem]:
+    """The argparse type of a delta in Lambda: a tuple, or a bare integer
+    that stands for the first coordinate.  Every delta bounds a defect,
+    which is never negative."""
+    try:
+        d = parse_lex(text)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if d.sign() < 0:
-        raise InputError("delta %s is negative" % d.render())
+        raise argparse.ArgumentTypeError("expected a delta of at least 0, got %r" % text)
+    return d if text.strip().startswith("(") else d.coords[0]
+
+
+def _delta_at_rank(args, rank: int) -> LexElem:
+    """args.delta in the input's rank: a bare integer is padded with zeros."""
+    d = args.delta
+    if isinstance(d, int):
+        return LexElem((d,) + (0,) * (rank - 1))
+    if d.rank != rank:
+        raise InputError("lhyp %s: argument --delta: %s has rank %d, but the "
+                         "input has rank %d" % (args.cmd, d.render(), d.rank, rank))
     return d
-
-
-def _natural(value: int, what: str) -> None:
-    if value < 0:
-        raise InputError("%s must be a natural number" % what)
-
-
-def _load_space(rep: Report, path: str):
-    text, data = _read(path)
-    rep.digest("space", path, data)
-    return read_lms(text)
 
 
 # -- check ----------------------------------------------------------------
 
 def cmd_check(args) -> Report:
     rep = Report("check")
-    X = _load_space(rep, args.space)
+    X = read_lms(rep.read("space", args.space))
     rep.add("points", len(X))
     rep.add("rank", X.rank)
     rep.add("domain", X.domain)
     v = validate_metric(X)
-    wit = None if v.ok else "%s at %s" % (v.axiom, ",".join(v.witness))
-    rep.verdict("metric", v.ok, wit)
+    rep.verdict("metric", v.ok, str(v))
     if not v.ok:
         return rep
     hr = hyperbolicity_report(X)
@@ -138,10 +163,10 @@ def cmd_check(args) -> Report:
 
 def cmd_delta(args) -> Report:
     rep = Report("delta")
-    X = _load_space(rep, args.space)
+    X = read_lms(rep.read("space", args.space))
     v = validate_metric(X)
     if not v.ok:
-        rep.verdict("metric", False, "%s at %s" % (v.axiom, ",".join(v.witness)))
+        rep.verdict("metric", False, str(v))
         return rep
     hr = hyperbolicity_report(X)
     rep.add("points", len(X))
@@ -159,12 +184,11 @@ def cmd_delta(args) -> Report:
 
 def cmd_complete(args) -> Report:
     rep = Report("complete")
-    X = _load_space(rep, args.space)
-    _natural(args.delta, "delta")
+    X = read_lms(rep.read("space", args.space))
     rep.add("method", args.method)
     rep.add("delta", args.delta)
     if args.method == "gamma2":
-        ok, table = check_RS(X, LexElem((args.delta,) + (0,) * (X.rank - 1)))
+        ok, table = check_RS(X, _delta_at_rank(args, X.rank))
         if not ok:
             rep.verdict("midpoints", False,
                         "no %d-central point for %s" %
@@ -216,12 +240,9 @@ def _render_cert(cert: ClassCert) -> str:
 
 def cmd_classify(args) -> Report:
     rep = Report("classify")
-    X = _load_space(rep, args.space)
-    text, data = _read(args.perm)
-    rep.digest("perm", args.perm, data)
-    perm = read_perm(text)
-    pi = IsoPerm(X, perm)
-    delta = _parse_delta(args.delta, X.rank)
+    X = read_lms(rep.read("space", args.space))
+    pi = IsoPerm(X, read_perm(rep.read("perm", args.perm)))
+    delta = _delta_at_rank(args, X.rank)
     cert = classify_certificate(X, pi, delta, args.K)
     rep.add("delta", delta)
     rep.add("K", args.K)
@@ -234,28 +255,16 @@ def cmd_classify(args) -> Report:
 
 # -- lenfun ---------------------------------------------------------------
 
-def _len_loader(rep: Report, base: str):
-    def loader(ref: str) -> str:
-        path = os.path.join(base, ref)
-        text, data = _read(path)
-        rep.digest("group", ref, data)
-        return text
-    return loader
-
-
 def cmd_lenfun(args) -> Report:
     rep = Report("lenfun")
-    text, data = _read(args.len)
-    rep.digest("len", args.len, data)
-    table = read_len(text, _len_loader(rep, os.path.dirname(os.path.abspath(args.len))))
-    if args.regular is not None:
-        _natural(args.regular, "regular k")
+    table = read_len(rep.read("len", args.len), rep.loader(args.len))
+    delta = _delta_at_rank(args, table.rank)
+    if not (args.axioms or args.regular is not None or args.complete or args.free):
+        raise InputError("pick at least one of --axioms --regular --complete --free")
     rep.add("elements", len(table))
     rep.add("rank", table.rank)
     sample = table.elements()
-    ran_any = False
     if args.axioms:
-        ran_any = True
         ax = check_axioms(table, sample)
         rep.verdict("axiom_nonneg", ax.nonneg_ok, ax.nonneg_witness)
         rep.verdict("axiom_symmetric", ax.symmetric_ok, ax.symmetric_witness)
@@ -264,10 +273,7 @@ def cmd_lenfun(args) -> Report:
         rep.add("delta_witness", ax.delta_witness)
         rep.add("pairs_checked", ax.pairs_checked)
         rep.add("triples_checked", ax.triples_checked)
-    delta = _parse_delta(args.delta, table.rank) if args.delta else \
-        LexElem.zero(table.rank)
     if args.regular is not None:
-        ran_any = True
         rg = check_regular(table, sample, args.regular, delta)
         rep.add("regular_k", rg.k)
         rep.verdict("r1", rg.r1_ok, rg.r1_witness)
@@ -275,18 +281,14 @@ def cmd_lenfun(args) -> Report:
         rep.verdict("r1_implies_r2", rg.implication_r1_to_r2)
         rep.verdict("r2_implies_r1", rg.implication_r2_to_r1)
     if args.complete:
-        ran_any = True
         cp = check_complete(table, sample, delta)
         rep.verdict("complete", cp.complete, cp.witness)
         rep.verdict("prefix_gap", cp.prefix_gap_ok, cp.prefix_gap_witness)
         rep.add("prefix_gap_max", cp.prefix_gap_max)
     if args.free:
-        ran_any = True
         fr = check_free(table, sample, delta)
         rep.verdict("free", fr.free, fr.witness)
         rep.verdict("kernel_trivial", fr.kernel_trivial)
-    if not ran_any:
-        raise InputError("pick at least one of --axioms --regular --complete --free")
     return rep
 
 
@@ -294,16 +296,14 @@ def cmd_lenfun(args) -> Report:
 
 def cmd_relcayley(args) -> Report:
     rep = Report("relcayley")
-    gtext, gdata = _read(args.group)
-    rep.digest("group", args.group, gdata)
-    ltext, ldata = _read(args.len)
-    rep.digest("len", args.len, ldata)
-    gbase = os.path.dirname(os.path.abspath(args.group))
-    group, gens = read_grp(gtext, _len_loader(rep, gbase))
-    table = read_len(ltext, _len_loader(rep, os.path.dirname(os.path.abspath(args.len))))
+    gtext = rep.read("group", args.group)
+    ltext = rep.read("len", args.len)
+    group, gens = read_grp(gtext, rep.loader(args.group))
+    table = read_len(ltext, rep.loader(args.len))
     if group != table.group:
         raise InputError("group file holds %r but the length file's group is %r"
                          % (group, table.group))
+    delta = _delta_at_rank(args, table.rank)
     rc = RelCayley(table.group, table, args.N, args.radius,
                    gens=gens if gens else None)
     rep.add("N", args.N)
@@ -321,8 +321,6 @@ def cmd_relcayley(args) -> Report:
     rep.add("unreachable", qi.unreachable)
     rep.verdict("qi_upper", qi.upper_ok, qi.witness)
     rep.verdict("qi_lower", qi.lower_ok, qi.witness)
-    delta = _parse_delta(args.delta, table.rank) if args.delta else \
-        LexElem.zero(table.rank)
     ge = verify_relhyp_geodesics(rc, args.K, delta)
     rep.add("geodesic_two_edge_checked", ge.two_edge_checked)
     rep.verdict("geodesic_two_edge", ge.two_edge_ok, ge.witness)
@@ -366,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("complete", help="run a completion stage")
     c.add_argument("--space", required=True, metavar="F.lms")
     c.add_argument("--method", required=True, choices=("gamma1", "gamma2"))
-    c.add_argument("--delta", required=True, type=int)
+    c.add_argument("--delta", required=True, type=_natural_number)
     c.add_argument("--seed", type=int, default=None,
                    help="shuffle construction order (default: canonical)")
     c.add_argument("--out", metavar="F.cg", help="write the graph here")
@@ -375,28 +373,28 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("classify", help="certificate for a finite isometry")
     c.add_argument("--space", required=True, metavar="F.lms")
     c.add_argument("--perm", required=True, metavar="F.perm")
-    c.add_argument("--delta", required=True, metavar="Q")
-    c.add_argument("--K", type=int, default=0, metavar="K")
+    c.add_argument("--delta", required=True, type=_delta, metavar="Q")
+    c.add_argument("--K", type=_natural_number, default=0, metavar="K")
     c.set_defaults(func=cmd_classify)
 
     c = sub.add_parser("lenfun", help="length function checks")
     c.add_argument("--len", required=True, metavar="F.len")
     c.add_argument("--axioms", action="store_true")
-    c.add_argument("--regular", type=int, default=None, metavar="K")
+    c.add_argument("--regular", type=_natural_number, default=None, metavar="K")
     c.add_argument("--complete", action="store_true")
     c.add_argument("--free", action="store_true")
-    c.add_argument("--delta", default=None, metavar="Q")
+    c.add_argument("--delta", type=_delta, default=0, metavar="Q")
     c.set_defaults(func=cmd_lenfun)
 
     c = sub.add_parser("relcayley", help="relative Cayley graph reports")
     c.add_argument("--group", required=True, metavar="F.grp")
     c.add_argument("--len", required=True, metavar="F.len")
-    c.add_argument("--N", required=True, type=int)
-    c.add_argument("--radius", required=True, type=int)
-    c.add_argument("--pn", type=int, default=None, metavar="N",
+    c.add_argument("--N", required=True, type=_positive)
+    c.add_argument("--radius", required=True, type=_positive)
+    c.add_argument("--pn", type=_natural_number, default=None, metavar="N",
                    help="also run the ball property at this n")
-    c.add_argument("--K", type=int, default=1, metavar="K")
-    c.add_argument("--delta", default=None, metavar="Q")
+    c.add_argument("--K", type=_positive, default=1, metavar="K")
+    c.add_argument("--delta", type=_delta, default=0, metavar="Q")
     c.set_defaults(func=cmd_relcayley)
     return p
 

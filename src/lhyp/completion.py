@@ -27,9 +27,9 @@ from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
 from .errors import ConstructionError, InputError
 from .geodspace import DisjointSets, _Masks, _space_masks, distances_from
 from .isometry import IsoPerm
-from .lspace import (FiniteLambdaSpace, _rank_one_space, min_delta_4pt,
+from .lspace import (FiniteLambdaSpace, _rank_one_space, require_four_point,
                      validate_metric)
-from .ordgroup import LexElem, Packing, QLexElem
+from .ordgroup import LexElem, Packing
 
 ESSENTIAL = "essential"
 AUXILIARY = "auxiliary"
@@ -120,17 +120,14 @@ def _input_masks(space: FiniteLambdaSpace) -> _Masks:
             raise InputError("label %r uses a reserved character" % lab)
     report = validate_metric(space)
     if not report.ok:
-        raise InputError("input is not a metric space: %s at %s"
-                         % (report.axiom, report.witness))
+        raise InputError("input is not a metric space: %s" % (report,))
     return _space_masks(space)
 
 
 def _require_delta(space: FiniteLambdaSpace, delta: int) -> None:
     if delta < 0:
         raise InputError("delta must be a natural number")
-    if QLexElem.from_lex(LexElem((delta,))) < min_delta_4pt(space):
-        raise InputError("delta=%d is below the four-point constant of the input"
-                         % delta)
+    require_four_point(space, LexElem((delta,)))
 
 
 def _central_codes(space: FiniteLambdaSpace,
@@ -388,8 +385,6 @@ def _stage_one(space: FiniteLambdaSpace, M: _Masks, delta: int,
                 side[(i, j, t)] = path[t]
 
     def side_vertex(c: int, a: int, t: int) -> Optional[int]:
-        if t == 0:
-            return c
         if t == D[c][a]:
             return a
         key = (c, a, t) if c < a else (a, c, D[c][a] - t)

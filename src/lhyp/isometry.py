@@ -18,8 +18,8 @@ from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequenc
 
 from .errors import ConstructionError, InputError
 from .lspace import (FiniteLambdaSpace, _tokens, convex_classes, min_delta_4pt,
-                     quotient_by_convex)
-from .ordgroup import LexElem, QLexElem, height
+                     quotient_by_convex, require_four_point)
+from .ordgroup import LexElem, height
 
 
 class IsoPerm:
@@ -131,9 +131,7 @@ def classify_certificate(space: FiniteLambdaSpace, pi: IsoPerm, delta: LexElem,
     if len(delta.coords) != space.rank:
         raise InputError("delta rank %d does not match the space rank %d"
                          % (len(delta.coords), space.rank))
-    if QLexElem.from_lex(delta) < min_delta_4pt(space):
-        raise InputError("delta %s is below the four-point constant"
-                         % delta.render())
+    require_four_point(space, delta)
     horizon = "%d basepoints, K=%d" % (len(space), K)
     bound3 = delta * 3
     for i, lab in enumerate(space.labels):

@@ -446,9 +446,8 @@ def to_space(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> CosetSp
     space = FiniteLambdaSpace(labels, dist)
     report = validate_metric(space)
     if not report.ok:
-        raise ConstructionError("coset distances fail %s at %s; the length "
-                                "axioms do not hold on the sample"
-                                % (report.axiom, report.witness))
+        raise ConstructionError("coset distances fail %s; the length axioms "
+                                "do not hold on the sample" % (report,))
     reps = {G.render(sample[r]): sample[r] for r in reps_idx}
     members = {sample[i]: G.render(sample[class_of[i]]) for i in range(n)}
     base = members[G.identity()]

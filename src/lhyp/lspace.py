@@ -131,9 +131,10 @@ class ValidationReport(NamedTuple):
     witness: Tuple[str, ...] = ()
 
     def __str__(self):
+        # the failed axiom at its points, as in "LM3 at p,q"
         if self.ok:
             return "metric ok"
-        return "violates %s at %s" % (self.axiom, ",".join(self.witness))
+        return "%s at %s" % (self.axiom, ",".join(self.witness))
 
 
 def validate_metric(X: FiniteLambdaSpace) -> ValidationReport:
@@ -373,6 +374,14 @@ def _four_point(X: FiniteLambdaSpace, workers: Optional[int] = None):
 
 def min_delta_4pt(X: FiniteLambdaSpace, workers: Optional[int] = None) -> QLexElem:
     return min_delta_4pt_witness(X, workers)[0]
+
+
+def require_four_point(X: FiniteLambdaSpace, delta: LexElem) -> None:
+    """Refuse a delta below the four-point constant of X."""
+    least = min_delta_4pt(X)
+    if QLexElem.from_lex(delta) < least:
+        raise InputError("delta %s is below the four-point constant %s of "
+                         "the input" % (delta.render(), least.render()))
 
 
 def min_delta_4pt_witness(

@@ -59,6 +59,14 @@ ASYMMETRIC = ("lambda Z^1\n"
               "(0) (2)\n"
               "(1) (0)\n")
 
+# a 4-cycle, whose four-point constant is (1)
+CYCLE = ("lambda Z^1\n"
+         "points 4 a b c d\n"
+         "(0) (1) (2) (1)\n"
+         "(1) (0) (1) (2)\n"
+         "(2) (1) (0) (1)\n"
+         "(1) (2) (1) (0)\n")
+
 
 def put(tmp_path, name, text):
     path = tmp_path / name
@@ -126,6 +134,14 @@ def test_check_malformed_file(tmp_path, capsys):
 def test_check_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "check", "--space", str(tmp_path / "nope.lms"))
     assert code == 2 and err.startswith("error: ")
+
+
+def test_a_non_utf8_input_is_refused(tmp_path, capsys):
+    space = tmp_path / "latin1.lms"
+    space.write_bytes(TREE.replace(" a ", " \xe9 ").encode("latin-1"))
+    code, out, err = run(capsys, "check", "--space", str(space))
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: %s is not utf-8 text" % space]
 
 
 def test_argparse_failures_exit_two(tmp_path, capsys):
@@ -300,6 +316,41 @@ def test_complete_scans_the_midpoint_triples_once(tmp_path, capsys,
         assert code == 0 and len(scans) == want
 
 
+def test_complete_cannot_write_into_a_missing_directory(tmp_path, capsys):
+    space = put(tmp_path, "tree.lms", TREE)
+    target = str(tmp_path / "missing" / "tree.cg")
+    code, out, err = run(capsys, "complete", "--space", space, "--method",
+                         "gamma1", "--delta", "0", "--out", target)
+    assert code == 2 and out == ""
+    (line,) = error_lines(err)
+    assert line.startswith("error: cannot write %s: " % target)
+
+
+@pytest.mark.parametrize("method", ["gamma1", "gamma2"])
+def test_complete_refuses_a_non_metric_input(tmp_path, capsys, method):
+    space = put(tmp_path, "bad.lms", ASYMMETRIC)
+    code, out, err = run(capsys, "complete", "--space", space, "--method",
+                         method, "--delta", "0")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: input is not a metric space: LM3 at p,q"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["complete", "--method", "gamma1"],
+    ["complete", "--method", "gamma2"],
+    ["classify", "--perm", "id.perm"],
+], ids=["gamma1", "gamma2", "classify"])
+def test_a_delta_below_the_four_point_constant_is_refused(tmp_path, capsys,
+                                                           argv):
+    space = put(tmp_path, "cycle.lms", CYCLE)
+    put(tmp_path, "id.perm", "0 1 2 3\n")
+    argv = [str(tmp_path / a) if a == "id.perm" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--space", space, "--delta", "0")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: delta (0) is below the four-point "
+                                "constant (1) of the input"]
+
+
 def test_complete_seed_is_cosmetic(tmp_path, capsys):
     space = put(tmp_path, "tri.lms", TRIANGLE)
     _, base, _ = run(capsys, "complete", "--method", "gamma2",
@@ -404,6 +455,16 @@ def test_classify_rejects_a_non_permutation(tmp_path, capsys):
 # -- lenfun ---------------------------------------------------------------
 
 
+def test_classify_rejects_a_negative_K(tmp_path, capsys):
+    space = put(tmp_path, "tree.lms", TREE)
+    perm = put(tmp_path, "id.perm", "0 1 2 3\n")
+    code, out, err = run(capsys, "classify", "--space", space, "--perm", perm,
+                         "--delta", "1", "--K", "-1")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: lhyp classify: argument --K: expected "
+                                "a natural number, got '-1'"]
+
+
 def f2_fixture(tmp_path, radius=2, table_radius=None):
     put(tmp_path, "f2.grp", write_grp(FreeGroup(2)))
     return put(tmp_path, "f2.len",
@@ -451,13 +512,15 @@ def test_lenfun_rejects_a_negative_regular_k(tmp_path, capsys):
     code, out, err = run(capsys, "lenfun", "--len", table, "--axioms",
                          "--regular", "-1")
     assert code == 2 and out == ""
-    assert error_lines(err) == ["error: regular k must be a natural number"]
+    assert error_lines(err) == ["error: lhyp lenfun: argument --regular: "
+                                "expected a natural number, got '-1'"]
     # the same check as complete's --delta
     space = put(tmp_path, "tree.lms", TREE)
     code, out, err = run(capsys, "complete", "--space", space, "--method",
                          "gamma1", "--delta", "-1")
     assert code == 2 and out == ""
-    assert error_lines(err) == ["error: delta must be a natural number"]
+    assert error_lines(err) == ["error: lhyp complete: argument --delta: "
+                                "expected a natural number, got '-1'"]
 
 
 def test_lenfun_group_files_may_share_but_not_cycle(tmp_path, capsys):
@@ -785,8 +848,9 @@ def test_a_negative_delta_is_refused(tmp_path, capsys):
             (relcayley + ["--group", zz_grp, "--len", zz], "(5,-1)")]:
         code, out, err = run(capsys, *argv, "--delta", delta)
         assert code == 2 and out == ""
-        assert error_lines(err) == ["error: delta (%s) is negative"
-                                    % delta.strip("()")]
+        assert error_lines(err) == ["error: lhyp %s: argument --delta: expected "
+                                    "a delta of at least 0, got '%s'"
+                                    % (argv[0], delta)]
 
 
 def test_relcayley_rejects_an_identity_beyond_the_radius(tmp_path, capsys):
@@ -807,6 +871,20 @@ def test_relcayley_rejects_a_negative_length(tmp_path, capsys):
                          "--N", "2", "--radius", "1")
     assert code == 2 and out == ""
     assert error_lines(err) == ["error: length (-1) of A is negative"]
+
+
+def test_a_construction_error_exits_one(tmp_path, capsys):
+    # under N = 1 no quotient joins {a, A} to {1, aa, AA}: l(a) = 5 and
+    # l(a^-1 AA) = 6
+    grp = put(tmp_path, "aa.grp", "free 1\ngens aa\n")
+    put(tmp_path, "z.grp", write_grp(FreeGroup(1)))
+    table = put(tmp_path, "z.len", "group z.grp\nlambda Z^1\n1 0\na 5\nA 5\n"
+                                   "aa 1\nAA 1\naaa 6\nAAA 6\naaaa 7\nAAAA 7\n")
+    code, out, err = run(capsys, "relcayley", "--group", grp, "--len", table,
+                         "--N", "1", "--radius", "5")
+    assert code == 1 and out == ""
+    assert error_lines(err) == ["error: coset graph disconnected at N=1 "
+                                "within radius 5"]
 
 
 UNUSED_MODULES = ("dataclasses", "inspect", "concurrent.futures",

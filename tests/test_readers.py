@@ -153,13 +153,16 @@ def mutated_runs(draw):
 
 def run_main(files, argv):
     """Exit code, stdout and the error lines of main on files in a fresh
-    directory; a file's name in argv stands for its path."""
+    directory; argv is a list, or a string split at whitespace, and a
+    file's name in it stands for its path."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(text)
-        args = [os.path.join(tmp, a) if a in files else a for a in argv.split()]
+        if isinstance(argv, str):
+            argv = argv.split()
+        args = [os.path.join(tmp, a) if a in files else a for a in argv]
         # main catches InputError and ConstructionError; anything else
         # raised inside fails the test
         with redirect_stdout(out), redirect_stderr(err):
@@ -175,6 +178,123 @@ def test_main_on_mutated_inputs(run):
     assert code in (0, 1, 2)
     if code == 2:
         assert len(errors) == 1 and out == ""
+
+
+# -- main on drawn flag values --------------------------------------------
+
+LEX = ("lambda Z^2\n"
+       "points 3 x y z\n"
+       "(0,0) (1,0) (0,1)\n"
+       "(1,0) (0,0) (0,1)\n"
+       "(0,1) (0,1) (0,0)\n")
+
+Z2_LEN = "group z.grp\nlambda Z^2\n1 0 0\na 1 0\nA 1 0\naa 2 0\nAA 2 0\n"
+
+# each subcommand on a rank-1 and a rank-2 input, every flag value in
+# its domain; the files' ranks come first
+FLAG_RUNS = [
+    (1, {"t.lms": TREE}, "check --space t.lms"),
+    (2, {"l.lms": LEX}, "check --space l.lms"),
+    (1, {"t.lms": TREE}, "delta --space t.lms"),
+    (2, {"p.lms": PLANE}, "delta --space p.lms"),
+    (1, {"t.lms": TREE},
+     "complete --space t.lms --method gamma2 --delta 1 --seed 3"),
+    (2, {"l.lms": LEX},
+     "complete --space l.lms --method gamma1 --delta 0 --seed 3"),
+    (1, {"t.lms": TREE, "r.perm": PERM},
+     "classify --space t.lms --perm r.perm --delta 0 --K 1"),
+    (2, {"l.lms": LEX, "s.perm": "1 0 2\n"},
+     "classify --space l.lms --perm s.perm --delta (0,1) --K 1"),
+    (1, {"f2.len": F2_LEN, "f2.grp": GROUPS["f2.grp"]},
+     "lenfun --len f2.len --axioms --regular 1 --complete --free --delta 0"),
+    (2, {"z2.len": Z2_LEN, "z.grp": GROUPS["z.grp"]},
+     "lenfun --len z2.len --axioms --regular 1 --free --delta (0,1)"),
+    (1, {"z.grp": GROUPS["z.grp"], "z.len": Z_LEN},
+     "relcayley --group z.grp --len z.len --N 1 --radius 1 --K 1 --pn 1 "
+     "--delta 0"),
+    (2, {"z.grp": GROUPS["z.grp"], "z2.len": Z2_LEN},
+     "relcayley --group z.grp --len z2.len --N 1 --radius 1 --K 1 --pn 0 "
+     "--delta (0,1)"),
+]
+
+# negative, zero, huge, fractional, empty and malformed values, and
+# tuples of ranks 0 to 3; the last integer is past int()'s digit limit
+FLAG_VALUES = ("-7", "-1", "0", "1", "2", "3", str(10 ** 40), "1/2", "-3/4",
+               "2.5", "", " ", "x", "(", "()", "(0)", "(1)", "(-1)", "(0,1)",
+               "(1,0)", "(2,3)", "(5,-1)", "(-5,1)", "(0,0,1)", "(1,-1,0)",
+               "gamma1", "9" * 5000)
+
+FILE_FLAGS = ("--space", "--perm", "--len", "--group")
+
+
+def as_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def flag_accepts(cmd, flag, value, rank):
+    """Is value in the domain of the flag, at an input of the given rank?"""
+    if flag == "--method":
+        return value in ("gamma1", "gamma2")
+    if flag == "--delta" and cmd != "complete":
+        # a tuple, or a bare integer for the first coordinate; the last
+        # coordinate is the most significant, and delta is at least 0
+        if value.startswith("(") and value.endswith(")"):
+            body = value[1:-1]
+            coords = [as_int(t) for t in body.split(",")] if body else []
+            if len(coords) != rank:
+                return False
+        else:
+            coords = [as_int(value)]
+        if None in coords:
+            return False
+        nonzero = [c for c in coords if c]
+        return not nonzero or nonzero[-1] > 0
+    n = as_int(value)
+    if n is None:
+        return False
+    if flag == "--seed":
+        return True
+    low = 1 if flag in ("--N", "--radius") or (cmd, flag) == ("relcayley", "--K") \
+        else 0
+    return n >= low
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.sampled_from(FLAG_RUNS), st.data())
+def test_main_on_drawn_flag_values(run, data):
+    rank, files, argv = run
+    argv = argv.split()
+    cmd = argv[0]
+    i = data.draw(st.sampled_from(
+        [i for i in range(1, len(argv) - 1) if not argv[i + 1].startswith("--")]))
+    flag, value = argv[i], data.draw(st.sampled_from(FLAG_VALUES))
+    argv[i + 1] = value
+    code, out, errors = run_main(files, argv)
+    if code == 2:
+        assert out == "" and len(errors) == 1
+    else:
+        assert code in (0, 1) and out.startswith("command %s\n" % cmd)
+        assert errors == []
+    if flag in FILE_FLAGS:
+        return
+    # a refused value is named with its flag; checks that need the input,
+    # such as n <= radius, keep their own text
+    names_flag = code == 2 and errors[0].startswith(
+        "error: lhyp %s: argument %s: " % (cmd, flag))
+    assert names_flag != flag_accepts(cmd, flag, value, rank)
+
+
+def test_an_empty_delta_is_refused_alike():
+    for rank, files, argv in FLAG_RUNS:
+        cmd = argv.split()[0]
+        if cmd in ("lenfun", "relcayley", "classify"):
+            code, out, errors = run_main(files, argv.split() + ["--delta", ""])
+            assert (code, out, errors) == (
+                2, "", ["error: lhyp %s: argument --delta: bad coordinate ''"
+                        % cmd])
 
 
 @pytest.mark.parametrize("grp, word, error", [
