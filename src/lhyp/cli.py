@@ -24,8 +24,8 @@ import shutil
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .catalog import read_grp, read_len
-from .completion import check_RS, gamma1, gamma2, write_cg
-from .errors import ConstructionError, InputError
+from .completion import MissingMidpoint, gamma1, gamma2, write_cg
+from .errors import ConstructionError, InputError, quoted
 from .isometry import ClassCert, IsoPerm, classify_certificate, read_perm
 from .lenfun import check_axioms, check_complete, check_free, check_regular
 from .lspace import hyperbolicity_report, read_lms, validate_metric
@@ -99,9 +99,9 @@ def _int_from(low: int, domain: str) -> Callable[[str], int]:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+            raise argparse.ArgumentTypeError("invalid int value: %s" % quoted(text)) from None
         if value < low:
-            raise argparse.ArgumentTypeError("expected %s, got %r" % (domain, text))
+            raise argparse.ArgumentTypeError("expected %s, got %s" % (domain, quoted(text)))
         return value
     return parse
 
@@ -119,7 +119,7 @@ def _delta(text: str) -> Union[int, LexElem]:
     except InputError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if d.sign() < 0:
-        raise argparse.ArgumentTypeError("expected a delta of at least 0, got %r" % text)
+        raise argparse.ArgumentTypeError("expected a delta of at least 0, got %s" % quoted(text))
     return d if text.strip().startswith("(") else d.coords[0]
 
 
@@ -188,14 +188,14 @@ def cmd_complete(args) -> Report:
     rep.add("method", args.method)
     rep.add("delta", args.delta)
     if args.method == "gamma2":
-        ok, table = check_RS(X, _delta_at_rank(args, X.rank))
-        if not ok:
-            rep.verdict("midpoints", False,
-                        "no %d-central point for %s" %
-                        (2 * args.delta, ",".join(table.failing or ())))
+        # gamma2 checks its input before it looks for midpoints
+        try:
+            out = gamma2(X, args.delta, order_seed=args.seed)
+        except MissingMidpoint as exc:
+            rep.verdict("midpoints", False, "no %d-central point for %s"
+                        % (2 * args.delta, ",".join(exc.triple)))
             return rep
         rep.add("midpoints", True)
-        out = gamma2(X, args.delta, order_seed=args.seed)
     else:
         out = gamma1(X, args.delta, order_seed=args.seed)
     rep.add("vertices", len(out.labels))

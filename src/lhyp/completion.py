@@ -17,12 +17,10 @@ its unit adjacency and its least geodesics.
 """
 
 from collections import deque
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from random import Random
-from types import MappingProxyType
-from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ConstructionError, InputError
 from .geodspace import DisjointSets, _Masks, _space_masks, distances_from
@@ -156,33 +154,29 @@ def midpoints(space: FiniteLambdaSpace, x: str, y: str, z: str,
     return tuple(space.labels[v] for v in found)
 
 
-class MidpointTable(NamedTuple):
-    delta: LexElem
-    entries: Mapping[Tuple[str, str, str], Tuple[str, ...]]
-    failing: Optional[Tuple[str, str, str]] = None
-
-
-@lru_cache(maxsize=1)
-def check_RS(space: FiniteLambdaSpace, delta: LexElem) -> Tuple[bool, MidpointTable]:
-    """Does every triple admit a 2*delta-central point?
+def check_RS(space: FiniteLambdaSpace,
+             delta: LexElem) -> Tuple[bool, Optional[Tuple[str, str, str]]]:
+    """Does every triple admit a 2*delta-central point?  The verdict, and
+    the first triple in combinations order without one, or None.
 
     Triples with a repeated entry always do (the repeated point works),
-    so only distinct triples are tabulated.  The last call's verdict is
-    kept, like ``_space_masks``'s masks, so a check made before ``gamma2``
-    is not repeated inside it; every caller shares its read-only table.
+    so only distinct triples are scanned.
     """
-    entries: Dict[Tuple[str, str, str], Tuple[str, ...]] = {}
-    failing = None
     L = space.labels
-    triples = list(combinations(range(len(L)), 3))
-    if triples:  # fewer than three points never meet delta
+    failing = None
+    if len(L) >= 3:  # fewer than three points never meet delta
         D, slack = _central_codes(space, delta)
-    for x, y, z in triples:
-        found = tuple(L[v] for v in _central(D, slack, x, y, z))
-        entries[(L[x], L[y], L[z])] = found
-        if not found and failing is None:
-            failing = (L[x], L[y], L[z])
-    return failing is None, MidpointTable(delta, MappingProxyType(entries), failing)
+        failing = next(((L[x], L[y], L[z]) for x, y, z in combinations(range(len(L)), 3)
+                        if not _central(D, slack, x, y, z)), None)
+    return failing is None, failing
+
+
+class MissingMidpoint(InputError):
+    """``gamma2``'s refusal of a triple without a 2*delta-central point."""
+
+    def __init__(self, triple: Tuple[str, str, str]):
+        super().__init__("no 2*delta-central point for triple %r" % (triple,))
+        self.triple = triple
 
 
 # tau[0..k] for each delta, grown on demand: tau depends on (k, delta)
@@ -463,10 +457,9 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
     M = _input_masks(space)
     D = M.D
     _require_delta(space, delta)
-    ok, table = check_RS(space, LexElem((delta,)))
+    ok, failing = check_RS(space, LexElem((delta,)))
     if not ok:
-        raise InputError("no 2*delta-central point for triple %r"
-                         % (table.failing,))
+        raise MissingMidpoint(failing)
     n = len(space)
     diam = max((D[i][j] for i, j in combinations(range(n), 2)), default=0)
     full = cap is None or cap >= diam

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the quoting of input in their messages."""
 
 
 class InputError(ValueError):
@@ -7,3 +7,11 @@ class InputError(ValueError):
 
 class ConstructionError(RuntimeError):
     """A construction postcondition failed; carries diagnostics in args."""
+
+
+def quoted(text: str) -> str:
+    """text as ``%r`` shows it, or its first 40 characters and its length
+    when longer, so that an error line echoing it stays short."""
+    if len(text) <= 40:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:40], len(text))

@@ -38,7 +38,7 @@ from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
 from .errors import ConstructionError, InputError
-from .lspace import (FiniteLambdaSpace, _rank_one_space, _tokens,
+from .lspace import (FiniteLambdaSpace, _bits, _rank_one_space, _tokens,
                      min_delta_4pt)
 from .ordgroup import LexElem, QLexElem
 
@@ -292,14 +292,6 @@ class _Masks:
         for t in range(d + 1):
             out |= Si[t] & Sj[d - t]
         return out
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The points of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 def _names(X: FiniteLambdaSpace, points: Iterable[int]) -> Tuple[str, ...]:

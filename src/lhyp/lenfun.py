@@ -16,8 +16,8 @@ multiply no group elements.  The group elements come from the group's
 quotients table of s_a^-1 s_b, which a direct product builds from its
 factors' tables, and the lengths read off it are kept for the last table
 and sample, so the modes of one lenfun command build one table.  The
-triple scans walk only the triples whose three products are known, by
-intersecting bitmasks of known columns, and count the rest as skipped.
+least delta is ``lspace.defect_scan``'s, over the known products, as
+for a basepoint; the triples with a product unknown count as skipped.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import (Any, Dict, Iterator, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .catalog import GroupHandle, LengthTable, generated_within
 from .errors import ConstructionError, InputError
-from .lspace import FiniteLambdaSpace, level_masks, validate_metric
+from .lspace import FiniteLambdaSpace, defect_scan, level_masks, validate_metric
 from .ordgroup import LexElem, Packing, QLexElem, height
 
 Elem = Any
@@ -118,37 +118,6 @@ class _Sample:
         q = self.quot[a][b]
         return None if q is None else self.lengths[a] + self.lengths[b] - q
 
-    def known_triples(self) -> Iterator[Tuple[int, int, int, int, int, int]]:
-        """(i, j, k, 2c(i,j), 2c(i,k), 2c(j,k)) for every i < j < k whose
-        three doubled Gromov products are known, in combinations order.
-
-        Row i keeps a bitmask of the columns k > i with 2c(i,k) known; for
-        each known pair i < j the k are the bits of the two rows' masks
-        taken together, lowest first.
-        """
-        L = self.lengths
-        c2 = [[None if q is None else la + lb - q for lb, q in zip(L, row)]
-              for la, row in zip(L, self.quot)]
-        known = []
-        for i, row in enumerate(c2):
-            bits = "".join("0" if v is None else "1" for v in reversed(row[i + 1:]))
-            known.append(int(bits or "0", 2) << (i + 1))
-        for i, ci in enumerate(c2):
-            ki = known[i]
-            js = ki
-            while js:
-                low = js & -js
-                js ^= low
-                j = low.bit_length() - 1
-                cj = c2[j]
-                cij = ci[j]
-                ks = ki & known[j]
-                while ks:
-                    low = ks & -ks
-                    ks ^= low
-                    k = low.bit_length() - 1
-                    yield i, j, k, cij, ci[k], cj[k]
-
 
 def gromov_product(l: LengthTable, g: Elem, h: Elem) -> QLexElem:
     G = l.group
@@ -186,28 +155,40 @@ def _min_delta(l: LengthTable, S: _Sample):
 
     Returns (delta, witness, checked, skipped); delta is None when no
     triple had all three Gromov products available.  Only the products
-    c(s_i, s_j) with i < j are read.  S must pack zero among its extras.
+    c(s_i, s_j) with i < j are read: ``defect_scan`` takes them mirrored,
+    each row holding its known columns but the diagonal, with the known
+    pairs i < j.  A second pass at delta finds the witness: the first
+    triple in combinations order with a defect of delta, at the first of
+    its pairs (i,j), (i,k), (j,k) with that defect, then the third point.
+    A pair's least such (triple, pair) key is at its lowest column.
+    S must pack zero among its extras.
     """
-    # a triple's largest defect is its spread, the middle of its three
-    # products minus the least; a spread is never negative, so the first
-    # triple beats -1
-    best = -1
-    witness = None
-    checked = 0
-    for i, j, k, cij, cik, cjk in S.known_triples():
-        checked += 1
-        if cij <= cik:
-            spread = cik - cij if cik <= cjk else cjk - cij if cij <= cjk else cij - cjk
-        else:
-            spread = cij - cik if cij <= cjk else cjk - cik if cik <= cjk else cik - cjk
-        if spread <= best:
-            continue
-        # witness: the two whose product falls short, then the third
-        for pair, a, b, case in ((cij, cik, cjk, 0), (cik, cij, cjk, 1),
-                                 (cjk, cij, cik, 2)):
-            defect = (a if a < b else b) - pair
-            if best < defect:
-                best, witness = defect, ((i, j, k), (i, k, j), (j, k, i))[case]
+    L, Q = S.lengths, S.quot
+    m = len(L)
+    # D[i][j] = 2c(s_i, s_j) for a known pair i < j, and D[j][i] its mirror
+    D = [{} for _ in L]
+    partners = []
+    for i, (la, row) in enumerate(zip(L, Q)):
+        Di = D[i]
+        js = [j for j in range(i + 1, m) if row[j] is not None]
+        for j in js:
+            Di[j] = D[j][i] = la + L[j] - row[j]
+        partners.append(js)
+    best, _, levels, above = defect_scan(D, partners, [Di.keys() for Di in D])
+    checked, key, witness = 0, None, None
+    for i, js in enumerate(partners):
+        Di, li, ai = D[i], levels[i], above[i]
+        # past row f, the first of the best key, only columns up to f beat it
+        low = -1 if key is None or key[0][0] >= i else (2 << key[0][0]) - 1
+        for j in js:
+            checked += ((ai[0] & above[j][0]) >> (j + 1)).bit_count()
+            bar = best + Di[j] - 1
+            hit = ai[bisect_right(li, bar)] & above[j][bisect_right(levels[j], bar)] & low
+            if hit:
+                k = (hit & -hit).bit_length() - 1
+                cand = (sorted((i, j, k)), (k < j) + (k < i))
+                if key is None or cand < key:
+                    key, witness = cand, (i, j, k)
     skipped = comb(len(S.elems), 3) - checked
     if witness is None:
         return None, None, checked, skipped
@@ -370,7 +351,10 @@ def lambda0_kernel(l: LengthTable, i: int,
         vacuous_ok = True
         S = _Sample(l, members, (delta * 2,))
         (d2,) = S.extra
-        for a, b, c, cab, cac, cbc in S.known_triples():
+        for a, b, c in combinations(range(len(members)), 3):
+            cab, cac, cbc = S.c2(a, b), S.c2(a, c), S.c2(b, c)
+            if None in (cab, cac, cbc):
+                continue
             checked += 1
             if not vacuous_ok:
                 continue
@@ -769,7 +753,7 @@ def axiom4_scan(l: LengthTable, delta: LexElem,
                              % (G.render(S.elems[i]), G.render(S.elems[j])))
         keys.append(row)
     (slack,) = S.extra
-    levels, above = zip(*map(level_masks, keys)) if keys else ((), ())
+    levels, above = zip(*map(level_masks, keys, [range(n)] * n)) if keys else ((), ())
     violations = 0
     witness = None
     for i in range(n):

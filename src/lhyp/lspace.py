@@ -11,11 +11,12 @@ runs on one table of ints per space, packed by ``ordgroup.Packing`` for
 every rank and both domains and unpacked only for results.  The triple
 condition at basepoint w, less d(x,w)+d(y,w)+d(z,w) on both sides, is the
 four-point condition (Gromov 1987, 1.1), so one quadruple scan yields
-every constant; ``min_delta_at`` scans one basepoint, testing each pair
-against the running maximum by threshold bitmasks.  The scan runs in this
-process unless its quadruple count repays more processes: then this
-process and forked children share it, one process per
-``_QUADS_PER_WORKER`` quadruples and at most one per core.
+every constant.  ``defect_scan`` tests pairs against the running largest
+triple defect by threshold bitmasks, for one basepoint here and, over
+the known products, for a length function at the identity in ``lenfun``.
+The quadruple scan runs in this process unless its quadruple count
+repays more: then this process and forked children share it, one
+process per ``_QUADS_PER_WORKER`` quadruples and at most one per core.
 """
 
 import marshal
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import chain
 from math import comb
 from operator import add
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import ConstructionError, InputError
 from .ordgroup import LexElem, Packing, QLexElem, distinct, parse_lex
@@ -177,12 +178,21 @@ def min_delta_at(X: FiniteLambdaSpace, v) -> QLexElem:
     return min_delta_at_witness(X, v)[0]
 
 
-def level_masks(row: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """The distinct values of row, increasing, and for each the bitmask of
-    the columns at or above it, with 0 appended past the top: the columns
-    of row above a threshold t are ``masks[bisect_right(values, t)]``."""
+def _bits(mask: int) -> Iterator[int]:
+    """The points of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def level_masks(row: Sequence[int], cols: Iterable[int]) -> Tuple[List[int], List[int]]:
+    """The distinct values of row over the columns cols, increasing, and
+    for each the bitmask of those columns at or above it, with 0 appended
+    past the top: the columns above a threshold t are
+    ``masks[bisect_right(values, t)]``."""
     values, masks, mask = [], [], 0
-    for t in sorted(range(len(row)), key=row.__getitem__, reverse=True):
+    for t in sorted(cols, key=row.__getitem__, reverse=True):
         mask |= 1 << t
         if values and values[-1] == row[t]:
             masks[-1] = mask
@@ -195,20 +205,40 @@ def level_masks(row: Sequence[int]) -> Tuple[List[int], List[int]]:
     return values, masks
 
 
+def defect_scan(D, partners: Sequence[Iterable[int]], cols: Sequence[Iterable[int]]):
+    """The largest pair defect max_k min{D[i][k], D[j][k]} - D[i][j], over
+    the pairs (i, j) with j in partners[i] and the columns k in cols[i]
+    and cols[j]: (best, pair, levels, above), with the rows' level_masks
+    over their columns; best is -1 and pair None when no defect is >= 0.
+
+    A pair beats the running best exactly when the two rows' masks of the
+    columns above best + D[i][j] meet; only then is its defect taken, over
+    the columns where they meet, which hold the largest.  Only a strictly
+    larger defect replaces the best, so pair is the first to reach it.
+    """
+    levels, above = zip(*map(level_masks, D, cols)) if D else ((), ())
+    best, pair = -1, None
+    for i, js in enumerate(partners):
+        Di, li, ai = D[i], levels[i], above[i]
+        for j in js:
+            bar = best + Di[j]
+            hit = ai[bisect_right(li, bar)] & above[j][bisect_right(levels[j], bar)]
+            if hit:
+                Dj = D[j]
+                best = max([min(Di[k], Dj[k]) for k in _bits(hit)]) - Di[j]
+                pair = i, j
+    return best, pair, levels, above
+
+
 def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, str, str]]:
     """Least delta making the triple condition at basepoint v hold.
 
     Scans ordered triples in index order; the witness is the first
     maximizing triple (x,y,z) of the defect min{(x.z)_v,(z.y)_v}-(x.y)_v.
     The defect is symmetric in x and y, so the first maximizing pair in
-    index order has i <= j, and only those pairs are scanned.  The pair
-    i == j has defect >= 0, so the constant is never negative.
-
-    A pair beats the running best exactly when some column z has both
-    2(x.z)_v and 2(y.z)_v above best + 2(x.y)_v, that is when the two
-    rows' masks of the columns above that threshold meet; only then is
-    its defect computed.  The best starts at -1, below the defect of the
-    pair (0, 0), and only a strictly larger defect replaces it.
+    index order has i <= j, and only those pairs go to ``defect_scan``,
+    over every column.  The pair i == j has defect >= 0, so the constant
+    is never negative.
     """
     vi = X.index(v)
     P = X.packed_table()
@@ -216,14 +246,7 @@ def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, 
     # D[x][y] = 2(x.y)_v
     D = [[a + b - c for b, c in zip(dv, Pa)] for a, Pa in zip(dv, P)]
     n = len(X)
-    levels, above = zip(*map(level_masks, D))
-    best, bi, bj = -1, 0, 0
-    for i in range(n):
-        Di, li, ai = D[i], levels[i], above[i]
-        for j in range(i, n):
-            bar = best + Di[j]
-            if ai[bisect_right(li, bar)] & above[j][bisect_right(levels[j], bar)]:
-                best, bi, bj = max(map(min, Di, D[j])) - Di[j], i, j
+    best, (bi, bj), _, _ = defect_scan(D, [range(i, n) for i in range(n)], [range(n)] * n)
     Di, Dj = D[bi], D[bj]
     target = best + Di[bj]
     bk = next(k for k in range(n) if min(Di[k], Dj[k]) == target)

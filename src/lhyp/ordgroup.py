@@ -17,7 +17,7 @@ from functools import reduce
 from math import gcd, lcm
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .errors import InputError
+from .errors import InputError, quoted
 
 Coord = Union[int, Fraction]
 
@@ -433,11 +433,11 @@ def parse_coord(tok: str, domain: str) -> Coord:
         p, q = tok.split("/", 1)
         frac = Fraction(int(p), int(q))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("bad coordinate %r" % (tok,)) from exc
+        raise InputError("bad coordinate %s" % quoted(tok)) from exc
     # raised outside the try: InputError is a ValueError, and the
     # handler above would replace this message with "bad coordinate"
     if domain == "Z":
-        raise InputError("fractional coordinate %r in Z^n" % (tok,))
+        raise InputError("fractional coordinate %s in Z^n" % quoted(tok))
     return frac
 
 
@@ -446,14 +446,14 @@ def parse_lex(text: str, rank: int = None, domain: str = "Z") -> LexElem:
     text = text.strip()
     if text.startswith("("):
         if not text.endswith(")"):
-            raise InputError("unbalanced parentheses in %r" % (text,))
+            raise InputError("unbalanced parentheses in %s" % quoted(text))
         body = text[1:-1].strip()
         toks = [t.strip() for t in body.split(",")] if body else []
     else:
         toks = [text]
     e = LexElem(tuple(parse_coord(t, domain) for t in toks), domain)
     if rank is not None and e.rank != rank:
-        raise InputError("expected rank %d, got %r" % (rank, text))
+        raise InputError("expected rank %d, got %s" % (rank, quoted(text)))
     return e
 
 

@@ -298,8 +298,7 @@ def test_complete_writes_cg_file(tmp_path, capsys):
 
 def test_complete_scans_the_midpoint_triples_once(tmp_path, capsys,
                                                   monkeypatch):
-    # check_RS runs for the midpoints line and again inside gamma2; the
-    # second call reads the first one's verdict
+    # gamma2 scans the triples for its midpoints line once
     scans = []
     central_codes = completion._central_codes
 
@@ -333,6 +332,23 @@ def test_complete_refuses_a_non_metric_input(tmp_path, capsys, method):
                          method, "--delta", "0")
     assert code == 2 and out == ""
     assert error_lines(err) == ["error: input is not a metric space: LM3 at p,q"]
+
+
+@pytest.mark.parametrize("domain", ["Z", "Q"])
+def test_gamma2_refuses_a_rank_two_table_before_its_midpoints(tmp_path, capsys,
+                                                             domain):
+    # the midpoint scan on such a table would print a verdict on an input
+    # that gamma2 refuses, or an error of its own
+    # an equilateral triangle, with no (2,0)-central point
+    space = put(tmp_path, "plane.lms", "lambda %s^2\npoints 3 x y z\n"
+                "(0,0) (0,2) (0,2)\n(0,2) (0,0) (0,2)\n(0,2) (0,2) (0,0)\n"
+                % domain)
+    for method in ("gamma1", "gamma2"):
+        code, out, err = run(capsys, "complete", "--space", space, "--method",
+                             method, "--delta", "1")
+        assert code == 2 and out == ""
+        assert error_lines(err) == ["error: completion needs integer distances "
+                                    "(rank-1 Z table)"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -851,6 +867,23 @@ def test_a_negative_delta_is_refused(tmp_path, capsys):
         assert error_lines(err) == ["error: lhyp %s: argument --delta: expected "
                                     "a delta of at least 0, got '%s'"
                                     % (argv[0], delta)]
+
+
+def test_a_refused_long_value_is_echoed_cut_short(tmp_path, capsys):
+    # 5,000 digits are past int()'s limit; a refused delta is echoed by
+    # the parser of group elements
+    relcayley = ["relcayley", "--group", "z.grp", "--len", "z.len", "--radius", "1"]
+    lenfun = ["lenfun", "--len", "z.len", "--axioms"]
+    for argv, flag, value, why in [
+            (relcayley, "--N", "9" * 5000, "invalid int value: "),
+            (relcayley, "--N", "-" + "9" * 4000, "expected a positive integer, got "),
+            (lenfun, "--delta", "x" * 3000, "bad coordinate "),
+            (lenfun, "--delta", "-" + "9" * 2999, "expected a delta of at least 0, got "),
+            (lenfun, "--delta", "(" + "1," * 1500, "unbalanced parentheses in ")]:
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 2 and out == ""
+        assert error_lines(err) == ["error: lhyp %s: argument %s: %s%r... (%d characters)"
+                                    % (argv[0], flag, why, value[:40], len(value))]
 
 
 def test_relcayley_rejects_an_identity_beyond_the_radius(tmp_path, capsys):

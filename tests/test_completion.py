@@ -56,10 +56,8 @@ def test_midpoints_on_triangle():
 
 
 def test_check_rs_verdicts():
-    ok1, table = check_RS(triangle(), L(1))
-    assert ok1 and table.failing is None
-    ok0, table0 = check_RS(triangle(), L(0))
-    assert not ok0 and table0.failing == ("x", "y", "z")
+    assert check_RS(triangle(), L(1)) == (True, None)
+    assert check_RS(triangle(), L(0)) == (False, ("x", "y", "z"))
 
 
 @given(seeds, st.sampled_from([(1, "Z", 9), (2, "Z", 9), (2, "Z", 10 ** 7),
@@ -74,17 +72,16 @@ def test_check_rs_matches_oracle(seed, kind, above):
     last = top + 1 if above else rng.randint(0, 1)
     delta = LexElem([rng.randint(-low, low) for _ in range(rank - 1)] + [last],
                     domain)
-    ok, table = check_RS(X, delta)
+    ok, got = check_RS(X, delta)
     lab = X.labels
     failing = None
     for x, y, z in combinations(range(len(X)), 3):
         want = tuple(lab[v] for v in
                      oracle_central_points(raw, delta.coords, x, y, z))
-        assert table.entries[(lab[x], lab[y], lab[z])] == want
         assert midpoints(X, lab[x], lab[y], lab[z], delta) == want
         if not want and failing is None:
             failing = (lab[x], lab[y], lab[z])
-    assert table.failing == failing and ok == (failing is None)
+    assert got == failing and ok == (failing is None)
 
 
 # -- tau ------------------------------------------------------------------
