@@ -8,6 +8,10 @@ pairs downward, dropping any pair that can be routed around a strict
 between-point, and finally reattaches every stray auxiliary vertex to
 the surviving skeleton by short bridges measured in the stage-one graph.
 
+Stage two's midpoint check, ``midpoints`` and its pair removal read one
+table of each pair's 2*delta-central points; its stretch bound
+``tau_max`` is a closed form.
+
 Both outputs are graphs whose path metric is geodesic by construction:
 every edge is a unit edge except the bookkeeping chords of stage one,
 which restate input distances that unit paths already realize.  So the
@@ -17,7 +21,7 @@ its unit adjacency and its least geodesics.
 """
 
 from collections import deque
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
@@ -25,7 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from .errors import ConstructionError, InputError
 from .geodspace import DisjointSets, _Masks, _space_masks, distances_from
 from .isometry import IsoPerm
-from .lspace import (FiniteLambdaSpace, _rank_one_space, require_four_point,
+from .lspace import (FiniteLambdaSpace, _bits, _rank_one_space, require_four_point,
                      validate_metric)
 from .ordgroup import LexElem, Packing
 
@@ -130,28 +134,35 @@ def _require_delta(space: FiniteLambdaSpace, delta: int) -> None:
 
 def _central_codes(space: FiniteLambdaSpace,
                    delta: LexElem) -> Tuple[List[List[int]], int]:
-    # delta may exceed every entry, so it joins the packing; each test in
-    # _central is a signed sum of five codes, within the packing's headroom
+    # delta may exceed every entry, so it joins the packing; a mask test
+    # is a signed sum of five codes, within the packing's headroom
     packing = Packing([e for row in space.dist for e in row] + [delta])
     table = [[packing.pack(e) for e in row] for row in space.dist]
     return table, 2 * packing.pack(delta)
 
 
-def _central(D: Sequence[Sequence[int]], slack: int, x: int, y: int,
-             z: int) -> List[int]:
-    Dx, Dy = D[x], D[y]
-    sxy, sxz, syz = Dx[y] + slack, Dx[z] + slack, Dy[z] + slack
-    return [v for v, Dv in enumerate(D)
-            if Dx[v] + Dv[y] <= sxy and Dx[v] + Dv[z] <= sxz
-            and Dy[v] + Dv[z] <= syz]
+@lru_cache(maxsize=1)
+def _central_masks(space: FiniteLambdaSpace, delta: LexElem) -> List[List[int]]:
+    """Bit v of T[x][y] is set when d(x,v) + d(v,y) <= d(x,y) + 2*delta, so
+    a triple's 2*delta-central points are the AND of its pairs' masks.  The
+    last table is kept: gamma2's pair loop reads the one check_RS built."""
+    D, slack = _central_codes(space, delta)
+    n = len(D)
+    T = [[0] * n for _ in range(n)]
+    for x, Dx in enumerate(D):
+        for y in range(x, n):
+            bound = Dx[y] + slack
+            T[x][y] = T[y][x] = sum(1 << v for v, (a, b) in enumerate(zip(Dx, D[y]))
+                                    if a + b <= bound)
+    return T
 
 
 def midpoints(space: FiniteLambdaSpace, x: str, y: str, z: str,
               delta: LexElem) -> Tuple[str, ...]:
     """Points v that are 2*delta-central for the triple x, y, z."""
-    D, slack = _central_codes(space, delta)
-    found = _central(D, slack, space.index(x), space.index(y), space.index(z))
-    return tuple(space.labels[v] for v in found)
+    T = _central_masks(space, delta)
+    x, y, z = space.index(x), space.index(y), space.index(z)
+    return tuple(space.labels[v] for v in _bits(T[x][y] & T[x][z] & T[y][z]))
 
 
 def check_RS(space: FiniteLambdaSpace,
@@ -165,9 +176,9 @@ def check_RS(space: FiniteLambdaSpace,
     L = space.labels
     failing = None
     if len(L) >= 3:  # fewer than three points never meet delta
-        D, slack = _central_codes(space, delta)
+        T = _central_masks(space, delta)
         failing = next(((L[x], L[y], L[z]) for x, y, z in combinations(range(len(L)), 3)
-                        if not _central(D, slack, x, y, z)), None)
+                        if not T[x][y] & T[x][z] & T[y][z]), None)
     return failing is None, failing
 
 
@@ -179,35 +190,19 @@ class MissingMidpoint(InputError):
         self.triple = triple
 
 
-# tau[0..k] for each delta, grown on demand: tau depends on (k, delta)
-# only, so one row serves every caller in the process
-_TAU_ROWS: Dict[int, List[int]] = {}
-
-
 def tau_max(n: int, delta: int) -> int:
     """Worst stretch of a length-n pair under repeated between-point splits.
 
     A pair of length k <= 2*delta is kept as is; otherwise it splits
     into two strictly shorter pairs whose lengths sum to at most
-    k + 2*delta, and the stretch is the worst total over leaf pairs.
+    k + 2*delta, and the stretch is the worst total over leaf pairs:
+    n when delta = 0 or n <= 2*delta, and 4*delta*(n - 2*delta) above.
     """
     if n < 0 or delta < 0:
         raise InputError("tau_max needs natural arguments")
     if delta == 0 or n <= 2 * delta:
         return n
-    tau = _TAU_ROWS.get(delta)
-    if tau is None:
-        tau = _TAU_ROWS[delta] = list(range(2 * delta + 1))
-    for k in range(len(tau), n + 1):
-        best = 0
-        # tau is increasing, so the partner length is taken maximal
-        for k1 in range(1, k):
-            k2 = min(k - 1, k + 2 * delta - k1)
-            total = tau[k1] + tau[k2]
-            if total > best:
-                best = total
-        tau.append(best)
-    return tau[n]
+    return 4 * delta * (n - 2 * delta)
 
 
 class _Builder:
@@ -284,23 +279,21 @@ class _Builder:
         for i in range(len(self.labels)):
             groups.setdefault(self.sets.find(i), []).append(i)
         # essential vertices first, in creation order; they are never
-        # identified with one another, so this keeps input indices stable
+        # identified with one another, so this keeps input indices stable.
+        # A root is its class's least member by (class rank, label, index).
         def group_key(root: int) -> Tuple[int, int, str]:
-            best = min(groups[root],
-                       key=lambda m: (_CLASS_RANK[self.klass[m]], self.labels[m]))
-            if self.klass[best] == ESSENTIAL:
-                return (0, best, "")
-            return (_CLASS_RANK[self.klass[best]], -1, self.labels[best])
+            if self.klass[root] == ESSENTIAL:
+                return (0, root, "")
+            return (_CLASS_RANK[self.klass[root]], -1, self.labels[root])
 
         roots = sorted(groups, key=group_key)
         final_of: Dict[int, int] = {}
         labels, klass, prov = [], [], []
         for f, root in enumerate(roots):
-            members = sorted(groups[root],
-                             key=lambda m: (_CLASS_RANK[self.klass[m]], self.labels[m]))
+            members = sorted(groups[root], key=self.sets.key)
             final_of[root] = f
-            labels.append(self.labels[members[0]])
-            klass.append(self.klass[members[0]])
+            labels.append(self.labels[root])
+            klass.append(self.klass[root])
             prov.append(tuple(self.labels[m] for m in members))
         edges: Set[Tuple[int, int, int]] = set()
         for root in roots:
@@ -477,7 +470,8 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
 
     # the path of each surviving pair, in path order
     paths: Dict[Tuple[int, int], List[int]] = {}
-    two = 2 * delta
+    T = _central_masks(space, LexElem((delta,)))
+    near = [ball[min(2 * delta, diam)] for ball in M.ball]
     for i, j in pairs:
         d = D[i][j]
         if d >= 2 and M.between(i, j) & ~(1 << i | 1 << j):
@@ -485,19 +479,11 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
             # carry the distance; a fresh basic path would keep geodesic
             # inputs from coming back unchanged
             continue
-        # the first 2*delta-central point of a triple (i, j, z) that lies
-        # farther than 2*delta from both ends removes the pair
-        Di, Dj = D[i], D[j]
-        v = next((v for z in range(n) if z != i and z != j
-                  for v in _central(D, two, i, j, z)
-                  if Di[v] > two and Dj[v] > two), None)
-        if v is not None:
-            # a removal witness must sit strictly inside the pair
-            if not (Di[v] < d and Dj[v] < d):
-                raise ConstructionError(
-                    "removal witness %s for (%s, %s) is not strictly"
-                    " closer to both ends"
-                    % (space.labels[v], space.labels[i], space.labels[j]))
+        # a 2*delta-central point of a triple (i, j, z) that lies farther
+        # than 2*delta from both ends removes the pair; z in {i, j} adds
+        # nothing, since T[i][i] holds only points within delta of i
+        far = T[i][j] & ~(near[i] | near[j])
+        if any(far & T[i][z] & T[j][z] for z in range(n)):
             continue
         paths[(i, j)] = g.chain(i, j, d, AUXILIARY,
                                 _aux_stub(space.labels[i], space.labels[j]))

@@ -2,7 +2,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lhyp import completion
 from lhyp.completion import (AUXILIARY, ESSENTIAL, NEGLIGIBLE,
@@ -109,29 +109,17 @@ def test_tau_monotone(n, d):
     assert tau_max(n, d) <= tau_max(n + 1, d)
 
 
-def test_tau_table_matches_oracle_in_any_call_order(monkeypatch):
-    pairs = [(n, d) for d in range(5) for n in range(61)]
-    expected = {(n, d): oracle_tau(n, d) for n, d in pairs}
-    descending = sorted(pairs, reverse=True)
-    orders = [descending]
-    for seed in range(3):
-        shuffled = list(pairs)
-        Random(seed).shuffle(shuffled)
-        orders.append(shuffled)
-    for order in orders:
-        monkeypatch.setattr(completion, "_TAU_ROWS", {})
-        assert [tau_max(n, d) for n, d in order] == [expected[p] for p in order]
+def test_tau_closed_form_matches_oracle():
+    for d in range(5):
+        for n in range(61):
+            assert tau_max(n, d) == oracle_tau(n, d), (n, d)
 
 
-def test_tau_cache_untouched_by_rejected_and_trivial_calls(monkeypatch):
-    monkeypatch.setattr(completion, "_TAU_ROWS", {})
-    tau_max(9, 2)
-    before = {d: list(row) for d, row in completion._TAU_ROWS.items()}
+def test_tau_rejects_negative_arguments_and_keeps_short_lengths():
     for n, d in [(-1, 2), (5, -1), (100, -3)]:
         with pytest.raises(InputError):
             tau_max(n, d)
     assert tau_max(50, 0) == 50 and tau_max(6, 3) == 6
-    assert completion._TAU_ROWS == before
 
 
 # -- stage one ------------------------------------------------------------
@@ -345,6 +333,35 @@ def test_stage_two_sandwich_on_random_rs_instances(seed):
             dv = X.d(a, b).coords[0]
             d2 = Y.d(a, b).coords[0]
             assert dv <= d2 <= tau_max(dv, d)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(seeds, st.integers(min_value=3, max_value=8), st.booleans())
+def test_stage_two_keeps_exactly_the_pairs_no_far_central_point_removes(
+        seed, n, loose):
+    rng = Random(seed)
+    X = random_metric_space(rng, n, maxw=rng.choice((3, 6, 12)))
+    d = ceil_delta_int(X) + loose
+    if not check_RS(X, L(d))[0]:
+        return
+    raw = [[e.coords for e in row] for row in X.dist]
+    D = [[c[0] for c in row] for row in raw]
+    kept = set()
+    for recs in gamma2(X, d).provenance:
+        for r in recs:
+            if r.startswith("p:"):
+                a, b = r[2:].rsplit(":", 1)[0].split("|")
+                kept.add((X.index(a), X.index(b)))
+    want = set()
+    for i, j in combinations(range(n), 2):
+        if D[i][j] < 2 or any(D[i][v] + D[v][j] == D[i][j]
+                              for v in range(n) if v not in (i, j)):
+            continue
+        if not any(D[i][v] > 2 * d and D[j][v] > 2 * d
+                   for z in range(n)
+                   for v in oracle_central_points(raw, (d,), i, j, z)):
+            want.add((i, j))
+    assert kept == want
 
 
 # -- certificates and maps ------------------------------------------------

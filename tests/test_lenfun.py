@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lhyp.catalog import (FiniteGroup, FreeGroup, LengthTable, cayley_graph,
                           product_length, word_length_table, write_grp, write_len)
@@ -518,6 +518,28 @@ def test_word_length_delta_is_the_cayley_graph_constant(gens):
     # by isometries, so that is the four-point constant too
     G, S = permutation_group(*gens)
     radius = len(G.table)    # past the diameter: every l(g^-1 h) is known
+    X = cayley_graph(G, S, radius).as_space()
+    delta = check_axioms(word_length_table(G, S, radius)).delta
+    assert delta == min_delta_at(X, G.render(G.identity())) == min_delta_4pt(X)
+
+
+@st.composite
+def permutation_gens(draw):
+    """One to three distinct permutations of 0..3 or 0..4, none the
+    identity."""
+    one = tuple(range(draw(st.sampled_from((4, 5)))))
+    return draw(st.lists(st.permutations(one).map(tuple).filter(lambda g: g != one),
+                         min_size=1, max_size=3, unique=True))
+
+
+@settings(derandomize=True, max_examples=40)
+@given(permutation_gens())
+def test_word_length_delta_is_the_cayley_graph_constant_on_drawn_subgroups(gens):
+    G, S = permutation_group(*gens)
+    # check_axioms reports no delta without a triple; S5 itself is a fixed
+    # case above, and its four-point scan takes a second
+    assume(3 <= len(G.table) < 120)
+    radius = len(G.table)
     X = cayley_graph(G, S, radius).as_space()
     delta = check_axioms(word_length_table(G, S, radius)).delta
     assert delta == min_delta_at(X, G.render(G.identity())) == min_delta_4pt(X)

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lhyp.catalog import read_grp, read_len
 from lhyp.cli import main
@@ -21,8 +21,9 @@ from lhyp.isometry import read_perm
 from lhyp.lspace import read_lms
 from lhyp.ordgroup import parse_lex
 
-from oracles import (oracle_delta_4pt, oracle_delta_at,
-                     oracle_delta_at_witness, rkey)
+from oracles import (floyd, oracle_central_points, oracle_delta_4pt,
+                     oracle_delta_at, oracle_delta_at_witness,
+                     oracle_geodesic_gap, oracle_tau, rkey)
 
 TREE = ("lambda Z^1\n"
         "points 4 a b c d\n"
@@ -532,3 +533,81 @@ def test_main_on_edge_inputs_matches_the_oracles(space, command):
         assert got["doubling_sweep"] == ("yes" if doubling else "no")
         assert got["four_point_sweep"] == ("yes" if four_point else "no")
         assert code == (0 if doubling and four_point else 1)
+
+
+@st.composite
+def rs_spaces(draw):
+    """(table, delta) of a small rank-1 metric in which every triple has a
+    2*delta-central point, delta the least natural number at or above the
+    four-point constant; half the tables are unit-graph metrics."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if draw(st.booleans()):
+        # a spanning tree plus drawn extra edges, all of weight 1
+        edges = [(draw(st.integers(min_value=0, max_value=i - 1)), i, 1)
+                 for i in range(1, n)]
+        edges += [(i, j, 1) for i, j in pairs if draw(st.booleans())]
+    else:
+        edges = [(i, j, draw(st.integers(min_value=1, max_value=4)))
+                 for i, j in pairs]
+    rows = floyd(n, edges)
+    raw = [[(c,) for c in row] for row in rows]
+    d4 = oracle_delta_4pt(raw)[0]
+    delta = -(-d4.numerator // d4.denominator)
+    for x in range(n):
+        for y in range(x + 1, n):
+            for z in range(y + 1, n):
+                assume(oracle_central_points(raw, (delta,), x, y, z))
+    return rows, delta
+
+
+def read_cg(text):
+    """Header counts, (class, records) per vertex and the edges of a .cg
+    file."""
+    lines = text.splitlines()
+    _, nv, ne = lines[0].split()
+    verts = [line.split()[2:] for line in lines if line.startswith("v ")]
+    edges = [tuple(map(int, line.split()[1:])) for line in lines
+             if line.startswith("e ")]
+    return (int(nv), int(ne)), [(v[0], v[1:]) for v in verts], edges
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(rs_spaces(), st.sampled_from(("gamma1", "gamma2")))
+def test_complete_out_meets_its_contract(space, method):
+    rows, delta = space
+    n = len(rows)
+    labels = ["p%d" % i for i in range(n)]
+    text = "lambda Z^1\npoints %d %s\n%s\n" % (
+        n, " ".join(labels),
+        "\n".join(" ".join("(%d)" % c for c in row) for row in rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "out.cg")
+        code, out, errors = run_main(
+            {"s.lms": text}, ["complete", "--space", "s.lms", "--method", method,
+                              "--delta", str(delta), "--out", target])
+        with open(target) as fh:
+            header, verts, edges = read_cg(fh.read())
+    assert (code, errors) == (0, [])
+    got = dict(line.split(" ", 1) for line in out.splitlines())
+    V = len(verts)
+    assert header == (V, len(edges))
+    assert (got["vertices"], got["edges"]) == (str(V), str(len(edges)))
+    # the input points come first, under their own labels, and only they
+    # are essential
+    assert verts[:n] == [("essential", [lab]) for lab in labels]
+    assert all(klass != "essential" for klass, _ in verts[n:])
+    # the path metric over every edge is the unit-edge metric, and it is
+    # geodesic
+    unit = floyd(V, [e for e in edges if e[2] == 1])
+    assert floyd(V, edges) == unit
+    assert oracle_geodesic_gap(unit) is None
+    for i in range(n):
+        for j in range(n):
+            d = rows[i][j]
+            if method == "gamma1":
+                assert unit[i][j] == d
+            else:
+                assert d <= unit[i][j] <= oracle_tau(d, delta)
+    identity = V == n and all(unit[i] == rows[i] for i in range(n))
+    assert (got["certificate"] == "identity") == identity
