@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import add
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, int_token, quoted
 from .lspace import FiniteLambdaSpace, _lines, validate_metric
 from .ordgroup import LexElem
 from .geodspace import GeodesicGraph
@@ -131,10 +131,11 @@ class FreeGroup(GroupHandle):
             # name the first character the table lacks
             ch = next(ch for ch in text if ch not in codes)
             if ch not in string.ascii_letters:
-                raise InputError("bad letter %r in word %r" % (ch, text)) from None
-            raise InputError("letter %r outside rank %d" % (ch, self.rank)) from None
+                raise InputError("bad letter %s in word %s"
+                                 % (quoted(ch), quoted(text))) from None
+            raise InputError("letter %s outside rank %d" % (quoted(ch), self.rank)) from None
         if 0 in map(add, letters, letters[1:]):
-            raise InputError("word %r is not reduced" % text)
+            raise InputError("word %s is not reduced" % quoted(text))
         return letters
 
     def __eq__(self, other: object) -> bool:
@@ -225,7 +226,7 @@ class FiniteGroup(GroupHandle):
         try:
             return self.names.index(text)
         except ValueError:
-            raise InputError("unknown element name %r" % text) from None
+            raise InputError("unknown element name %s" % quoted(text)) from None
 
     def __len__(self) -> int:
         return len(self.table)
@@ -296,7 +297,7 @@ class DirectProduct(GroupHandle):
     def parse(self, text: str) -> Tuple[Elem, Elem]:
         # the left component must not itself contain a separator
         if "|" not in text:
-            raise InputError("product element %r lacks a | separator" % text)
+            raise InputError("product element %s lacks a | separator" % quoted(text))
         ls, rs = text.split("|", 1)
         return (self.left.parse(ls), self.right.parse(rs))
 
@@ -379,15 +380,15 @@ class FreeProduct(GroupHandle):
         syllables = []
         for tok in tokens:
             if len(tok) < 4 or tok[0] not in "LR" or tok[1] != "(" or tok[-1] != ")":
-                raise InputError("bad syllable %r, expected L(...) or R(...)" % tok)
+                raise InputError("bad syllable %s, expected L(...) or R(...)" % quoted(tok))
             side = 0 if tok[0] == "L" else 1
             x = self.factors[side].parse(tok[2:-1])
             if x == self.factors[side].identity():
-                raise InputError("identity syllable %r in normal form" % tok)
+                raise InputError("identity syllable %s in normal form" % quoted(tok))
             syllables.append((side, x))
         for first, second in zip(syllables, syllables[1:]):
             if first[0] == second[0]:
-                raise InputError("syllables in %r do not alternate" % text)
+                raise InputError("syllables in %s do not alternate" % quoted(text))
         return tuple(syllables)
 
     def __eq__(self, other: object) -> bool:
@@ -682,30 +683,18 @@ def _read_grp(text: str, loader: Optional[Callable[[str], str]],
     if kind == "free":
         if len(head) != 2:
             raise InputError("free header needs exactly one rank")
-        try:
-            rank = int(head[1])
-        except ValueError:
-            raise InputError("bad rank %r" % head[1]) from None
-        group: GroupHandle = FreeGroup(rank)
+        group: GroupHandle = FreeGroup(int_token(head[1], "rank"))
     elif kind == "finite":
         if len(head) != 2:
             raise InputError("finite header needs exactly one order")
-        try:
-            k = int(head[1])
-        except ValueError:
-            raise InputError("bad order %r" % head[1]) from None
+        k = int_token(head[1], "order")
         names = None
         if rest and rest[0][0] == "names":
             names = rest[0][1:]
             rest = rest[1:]
         if len(rest) < k:
             raise InputError("finite table needs %d rows" % k)
-        table = []
-        for row in rest[:k]:
-            try:
-                table.append([int(v) for v in row])
-            except ValueError:
-                raise InputError("bad table row %r" % (row,)) from None
+        table = [[int_token(v, "table entry") for v in row] for row in rest[:k]]
         rest = rest[k:]
         group = FiniteGroup(table, names)
     elif kind in ("product", "freeprod"):
@@ -718,23 +707,23 @@ def _read_grp(text: str, loader: Optional[Callable[[str], str]],
             # open_refs are the files still being read further up; meeting
             # one again means the files refer to each other without end
             if ref in open_refs:
-                raise InputError("group file %r refers back to itself" % ref)
+                raise InputError("group file %s refers back to itself" % quoted(ref))
             # each level costs every group operation a few stack frames, so
             # a deeper chain would run into Python's recursion limit
             if len(open_refs) == MAX_GROUP_NESTING:
-                raise InputError("group file %r is nested more than %d "
-                                 "files deep" % (ref, MAX_GROUP_NESTING))
+                raise InputError("group file %s is nested more than %d "
+                                 "files deep" % (quoted(ref), MAX_GROUP_NESTING))
             factors.append(_read_grp(loader(ref), loader, open_refs + (ref,))[0])
         left, right = factors
         group = DirectProduct(left, right) if kind == "product" else FreeProduct(left, right)
     else:
-        raise InputError("unknown group kind %r" % kind)
+        raise InputError("unknown group kind %s" % quoted(kind))
     gens = None
     for row in rest:
         if row[0] == "gens":
             gens = tuple(group.parse(tok) for tok in row[1:])
         else:
-            raise InputError("unexpected line %r" % " ".join(row))
+            raise InputError("unexpected line %s" % quoted(" ".join(row)))
     if gens is None:
         if open_refs:
             # a factor's generators are never used, and the default ones
@@ -766,10 +755,7 @@ def read_len(text: str, loader: Callable[[str], str]) -> LengthTable:
     lam = rows[1]
     if len(lam) != 2 or not lam[1].startswith("Z^"):
         raise InputError("lambda line must read: lambda Z^<rank>")
-    try:
-        rank = int(lam[1][2:])
-    except ValueError:
-        raise InputError("bad rank in %r" % lam[1]) from None
+    rank = int_token(lam[1][2:], "rank")
     if rank < 1:
         raise InputError("rank must be positive")
     rows = rows[2:]
@@ -777,10 +763,7 @@ def read_len(text: str, loader: Callable[[str], str]) -> LengthTable:
     if rows and rows[0][0] == "radius":
         if len(rows[0]) != 2:
             raise InputError("radius line needs exactly one value")
-        try:
-            radius = int(rows[0][1])
-        except ValueError:
-            raise InputError("bad radius %r" % rows[0][1]) from None
+        radius = int_token(rows[0][1], "radius")
         rows = rows[1:]
     values: Dict[Elem, LexElem] = {}
     # each distinct tuple of coordinate tokens is converted once, at its
@@ -790,8 +773,8 @@ def read_len(text: str, loader: Callable[[str], str]) -> LengthTable:
     lex: Dict[Tuple[int, ...], LexElem] = {}
     for row in rows:
         if len(row) != 1 + rank:
-            raise InputError("value line %r needs a form and %d coordinates"
-                             % (" ".join(row), rank))
+            raise InputError("value line %s needs a form and %d coordinates"
+                             % (quoted(" ".join(row)), rank))
         g = group.parse(row[0])
         if g in values:
             raise InputError("element %s listed twice" % row[0])
@@ -801,7 +784,7 @@ def read_len(text: str, loader: Callable[[str], str]) -> LengthTable:
             try:
                 coords = tuple(map(int, tokens))
             except ValueError:
-                raise InputError("bad coordinates in %r" % " ".join(row)) from None
+                raise InputError("bad coordinates in %s" % quoted(" ".join(row))) from None
             value = by_text[tokens] = lex.setdefault(coords, LexElem(coords))
         values[g] = value
     return LengthTable(group, values, radius=radius)

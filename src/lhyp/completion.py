@@ -26,7 +26,7 @@ from itertools import combinations
 from random import Random
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, quoted
 from .geodspace import DisjointSets, _Masks, _space_masks, distances_from
 from .isometry import IsoPerm
 from .lspace import (FiniteLambdaSpace, _bits, _rank_one_space, require_four_point,
@@ -119,7 +119,7 @@ def _input_masks(space: FiniteLambdaSpace) -> _Masks:
         # created vertices encode their origin in the label, so the
         # record separators cannot appear in input labels
         if any(c in lab for c in "|:&"):
-            raise InputError("label %r uses a reserved character" % lab)
+            raise InputError("label %s uses a reserved character" % quoted(lab))
     report = validate_metric(space)
     if not report.ok:
         raise InputError("input is not a metric space: %s" % (report,))
@@ -371,11 +371,10 @@ def _stage_one(space: FiniteLambdaSpace, M: _Masks, delta: int,
             for t in range(1, d):
                 side[(i, j, t)] = path[t]
 
+    # side holds the interiors of the auxiliary paths, so an end of a
+    # pair, at t = 0 or t = d, is never found there
     def side_vertex(c: int, a: int, t: int) -> Optional[int]:
-        if t == D[c][a]:
-            return a
-        key = (c, a, t) if c < a else (a, c, D[c][a] - t)
-        return side.get(key)
+        return side.get((c, a, t) if c < a else (a, c, D[c][a] - t))
 
     span = 4 * delta
     for x, y, z in triples:
@@ -385,8 +384,6 @@ def _stage_one(space: FiniteLambdaSpace, M: _Masks, delta: int,
                 u = side_vertex(c, a, t)
                 v = side_vertex(c, b, t)
                 if u is None or v is None:
-                    continue
-                if g.klass[u] != AUXILIARY or g.klass[v] != AUXILIARY:
                     continue
                 if delta == 0:
                     g.identify(u, v)
@@ -438,8 +435,7 @@ def _verify_stage(out: CompletionGraph, space: FiniteLambdaSpace,
 
 
 def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
-           order_seed: Optional[int] = None,
-           H_override: Optional[int] = None) -> CompletionGraph:
+           order_seed: Optional[int] = None) -> CompletionGraph:
     """Stage-two completion: keep only unsplittable pairs, then re-anchor.
 
     With ``cap`` below the diameter, returns the intermediate graph
@@ -498,8 +494,7 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
     if -1 in partial.unit_row(0):
         raise ConstructionError("completion graph is not connected")
 
-    H_measured = hausdorff_const(g1, partial)
-    H = H_measured if H_override is None else H_override
+    H = hausdorff_const(g1, partial)
     dp = 29 * delta
     B = 2 * H + 2 * dp
 
@@ -545,7 +540,7 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
         "delta": str(delta),
         "delta_prime": str(dp),
         "H": str(H),
-        "H_measured": str(H_measured),
+        "H_measured": str(H),
         "B": str(B),
         "delta_bound": str(dpp),
         "geodesic": "yes",

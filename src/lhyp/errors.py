@@ -1,4 +1,8 @@
-"""Shared exception types, and the quoting of input in their messages."""
+"""Shared exception types, and the quoting of input in their messages.
+
+``quoted`` caps the text that an error line echoes, and ``int_token``
+is the one reader of an int token from an input file.
+"""
 
 
 class InputError(ValueError):
@@ -15,3 +19,11 @@ def quoted(text: str) -> str:
     if len(text) <= 40:
         return repr(text)
     return "%r... (%d characters)" % (text[:40], len(text))
+
+
+def int_token(text: str, what: str) -> int:
+    """int(text), or an InputError reading ``bad <what> <quoted text>``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError("bad %s %s" % (what, quoted(text))) from None

@@ -37,7 +37,7 @@ from operator import or_
 from typing import (Callable, Dict, Hashable, Iterable, Iterator, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, int_token
 from .lspace import (FiniteLambdaSpace, _bits, _rank_one_space, _tokens,
                      min_delta_4pt)
 from .ordgroup import LexElem, QLexElem
@@ -200,22 +200,14 @@ def read_gg(text: str) -> GeodesicGraph:
     toks = _tokens(text)
     if len(toks) < 2 or toks[0] != "graph":
         raise InputError("expected 'graph k' header")
-    try:
-        k = int(toks[1])
-    except ValueError as exc:
-        raise InputError("bad vertex count %r" % (toks[1],)) from exc
+    k = int_token(toks[1], "vertex count")
     if k < 1:
         raise InputError("need at least one vertex")
     rest = toks[2:]
     if len(rest) % 2:
         raise InputError("odd number of edge endpoints")
-    edges = []
-    for a, b in zip(rest[::2], rest[1::2]):
-        try:
-            edges.append((int(a), int(b)))
-        except ValueError as exc:
-            raise InputError("bad edge endpoint %r %r" % (a, b)) from exc
-    return GeodesicGraph([str(i) for i in range(k)], edges)
+    ends = [int_token(t, "edge endpoint") for t in rest]
+    return GeodesicGraph([str(i) for i in range(k)], zip(ends[::2], ends[1::2]))
 
 
 def write_gg(G: GeodesicGraph) -> str:

@@ -13,10 +13,11 @@ so the residual tag is Undetermined.
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, int_token
 from .lspace import (FiniteLambdaSpace, _tokens, convex_classes, min_delta_4pt,
                      quotient_by_convex, require_four_point)
 from .ordgroup import LexElem, height
@@ -25,7 +26,7 @@ from .ordgroup import LexElem, height
 class IsoPerm:
     """A verified isometric permutation of a finite space."""
 
-    __slots__ = ("space", "perm", "order")
+    __slots__ = ("space", "perm", "cycles", "order")
 
     def __init__(self, space: FiniteLambdaSpace, perm: Sequence[int]) -> None:
         n = len(space)
@@ -37,23 +38,29 @@ class IsoPerm:
             raise InputError("permutation does not preserve d(%s, %s)" % witness)
         self.space = space
         self.perm = perm
-        order = 1
-        current = perm
-        ident = tuple(range(n))
-        while current != ident:
-            current = tuple(perm[i] for i in current)
-            order += 1
-        self.order = order
+        # cycles start at their least points, in the order of those points,
+        # so the elliptic witness is the first label whose orbit is short
+        cycles = []
+        seen = set()
+        for i in range(n):
+            if i not in seen:
+                cycle = [i]
+                while perm[cycle[-1]] != i:
+                    cycle.append(perm[cycle[-1]])
+                seen.update(cycle)
+                cycles.append(tuple(cycle))
+        self.cycles = tuple(cycles)
+        self.order = lcm(*map(len, cycles))
 
     def apply(self, label: str) -> str:
         return self.space.labels[self.perm[self.space.index(label)]]
 
     def power(self, k: int) -> "IsoPerm":
-        k %= self.order
-        current = tuple(range(len(self.perm)))
-        for _ in range(k):
-            current = tuple(self.perm[i] for i in current)
-        return IsoPerm(self.space, current)
+        image = [0] * len(self.perm)
+        for cycle in self.cycles:
+            for t, i in enumerate(cycle):
+                image[i] = cycle[(t + k) % len(cycle)]
+        return IsoPerm(self.space, image)
 
     def inverse(self) -> "IsoPerm":
         inv = [0] * len(self.perm)
@@ -94,11 +101,7 @@ def check_isometry(space: FiniteLambdaSpace, perm: Sequence[int]
 
 def orbit_diameter(space: FiniteLambdaSpace, pi: IsoPerm, x: str) -> LexElem:
     i = space.index(x)
-    orbit = [i]
-    j = pi.perm[i]
-    while j != i:
-        orbit.append(j)
-        j = pi.perm[j]
+    orbit = next(c for c in pi.cycles if i in c)
     best = space.dist[i][i]
     for a, b in combinations(orbit, 2):
         if space.dist[a][b] > best:
@@ -140,7 +143,8 @@ def classify_certificate(space: FiniteLambdaSpace, pi: IsoPerm, delta: LexElem,
         if space.dist[i][jj] > space.dist[i][j] + bound3:
             return ClassCert("hyperbolic_or_inversion", lab, None, horizon)
     bound_orb = delta * K
-    for lab in space.labels:
+    for cycle in pi.cycles:
+        lab = space.labels[cycle[0]]
         if orbit_diameter(space, pi, lab) <= bound_orb:
             return ClassCert("elliptic", lab, K, horizon)
     i = height(delta)
@@ -316,10 +320,7 @@ def isometries_extending(space: FiniteLambdaSpace, fixed: Mapping[str, str],
 
 def read_perm(text: str) -> Tuple[int, ...]:
     """One line of space-separated image indices."""
-    try:
-        perm = tuple(int(t) for t in _tokens(text))
-    except ValueError:
-        raise InputError("permutation file must contain integers") from None
+    perm = tuple(int_token(t, "image") for t in _tokens(text))
     if sorted(perm) != list(range(len(perm))):
         raise InputError("not a permutation of 0..%d" % (len(perm) - 1))
     return perm

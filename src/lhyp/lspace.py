@@ -28,7 +28,7 @@ from math import comb
 from operator import add
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import ConstructionError, InputError
+from .errors import ConstructionError, InputError, int_token, quoted
 from .ordgroup import LexElem, Packing, QLexElem, distinct, parse_lex
 
 
@@ -548,11 +548,11 @@ def parse_group_header(tok: str) -> Tuple[str, int]:
         try:
             rank = int(r)
         except ValueError as exc:
-            raise InputError("bad group %r" % (tok,)) from exc
+            raise InputError("bad group %s" % quoted(tok)) from exc
     else:
         dom, rank = tok, 1
     if dom not in ("Z", "Q") or rank < 1:
-        raise InputError("bad group %r" % (tok,))
+        raise InputError("bad group %s" % quoted(tok))
     return dom, rank
 
 
@@ -564,10 +564,7 @@ def read_lms(text: str) -> FiniteLambdaSpace:
     domain, rank = parse_group_header(toks[1])
     if len(toks) < 4 or toks[2] != "points":
         raise InputError("expected 'points k'")
-    try:
-        k = int(toks[3])
-    except ValueError as exc:
-        raise InputError("bad point count %r" % (toks[3],)) from exc
+    k = int_token(toks[3], "point count")
     if k < 1:
         raise InputError("need at least one point")
     need = 4 + k + k * k

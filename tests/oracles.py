@@ -781,3 +781,44 @@ def oracle_canonical_key(adj: Sequence[int]) -> int:
     """The largest bitstring over all n! labellings: equal exactly on
     isomorphic graphs."""
     return max(oracle_labelling_keys(adj))
+
+
+def oracle_classify(dist: List[List[Raw]], perm: Sequence[int], delta: Raw,
+                    K: int):
+    """(order, kind, witness) for a distance-preserving permutation, by
+    three tests in turn: the first x with d(x, pi^2 x) > d(x, pi x) +
+    3 delta; the first x whose orbit has diameter at most K delta; and,
+    with i the height of delta and no class of d in Lambda_i fixed by
+    pi, the first class that pi^2 fixes.  A witness is a point, or a
+    class as its sorted points; the order is found by composing pi with
+    itself until it is the identity."""
+    n = len(dist)
+    power, order = tuple(perm), 1
+    while power != tuple(range(n)):
+        power = tuple(perm[x] for x in power)
+        order += 1
+    for x in range(n):
+        bar = vec_add(dist[x][perm[x]], scaled(3, delta))
+        if rkey(dist[x][perm[perm[x]]]) > rkey(bar):
+            return order, "hyperbolic_or_inversion", x
+    for x in range(n):
+        orbit, y = [x], perm[x]
+        while y != x:
+            orbit.append(y)
+            y = perm[y]
+        if all(rlex_le(dist[a][b], scaled(K, delta)) for a in orbit for b in orbit):
+            return order, "elliptic", x
+    # d lies in Lambda_i when every coordinate past the i-th is zero
+    i = max((k + 1 for k, c in enumerate(delta) if c), default=0)
+    if i:
+        classes = sorted({tuple(b for b in range(n) if not any(dist[a][b][i:]))
+                          for a in range(n)})
+
+        def image(c):
+            return tuple(sorted(perm[a] for a in c))
+
+        if all(image(c) != c for c in classes):
+            for c in classes:
+                if image(image(c)) == c:
+                    return order, "inversion", c
+    return order, "undetermined", None

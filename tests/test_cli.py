@@ -10,7 +10,8 @@ from lhyp import cli, completion
 from lhyp.catalog import (MAX_GROUP_NESTING, FiniteGroup, FreeGroup,
                           product_length, write_grp, write_len)
 from lhyp.cli import main
-from lhyp.geodspace import distances_from
+from lhyp.errors import InputError
+from lhyp.geodspace import distances_from, read_gg
 from lhyp.lspace import write_lms
 
 from helpers import cycle_space, f2_table, z_table
@@ -884,6 +885,35 @@ def test_a_refused_long_value_is_echoed_cut_short(tmp_path, capsys):
         assert code == 2 and out == ""
         assert error_lines(err) == ["error: lhyp %s: argument %s: %s%r... (%d characters)"
                                     % (argv[0], flag, why, value[:40], len(value))]
+
+
+# a long token in each reader's file; no subcommand reads a graph file,
+# so the .gg case reads it directly
+@pytest.mark.parametrize("files, argv, error, token", [
+    ({"s.lms": "lambda Z^1\npoints %s a\n(0)\n" % ("9" * 5000)},
+     "check --space s.lms", "bad point count %s", "9" * 5000),
+    ({"g.gg": "graph 2\n0 %s\n" % ("x" * 3000)}, None,
+     "bad edge endpoint %s", "x" * 3000),
+    ({"c.grp": "finite 2\n0 1\n1 %s\n" % ("x" * 3000),
+      "c.len": "group c.grp\nlambda Z^1\n0 0\n"},
+     "lenfun --len c.len --axioms", "bad table entry %s", "x" * 3000),
+    ({"z.grp": "free 1\n", "z.len": "group z.grp\nlambda Z^1\n%s 1\n" % ("aA" * 1500)},
+     "lenfun --len z.len --axioms", "word %s is not reduced", "aA" * 1500),
+    ({"s.lms": TREE, "r.perm": "0 1 2 %s\n" % ("x" * 3000)},
+     "classify --space s.lms --perm r.perm --delta 0", "bad image %s", "x" * 3000),
+], ids=["lms", "gg", "grp", "len", "perm"])
+def test_a_refused_long_file_token_is_echoed_cut_short(tmp_path, capsys, files,
+                                                       argv, error, token):
+    paths = {name: put(tmp_path, name, text) for name, text in files.items()}
+    if argv is None:
+        with pytest.raises(InputError) as info:
+            read_gg(files["g.gg"])
+        code, out, err = 2, "", "error: %s\n" % info.value
+    else:
+        code, out, err = run(capsys, *[paths.get(a, a) for a in argv.split()])
+    assert code == 2 and out == ""
+    capped = "%r... (%d characters)" % (token[:40], len(token))
+    assert error_lines(err) == ["error: " + error % capped]
 
 
 def test_relcayley_rejects_an_identity_beyond_the_radius(tmp_path, capsys):

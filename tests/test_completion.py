@@ -309,14 +309,6 @@ def test_stage_two_order_invariance():
         assert graph_fingerprint(gamma2(X, 1, order_seed=seed)) == base
 
 
-def test_stage_two_h_override_loosens_the_net():
-    X = thin_triangle()
-    g = gamma2(X, 1, H_override=3)
-    assert g.certificate["H"] == "3"
-    assert g.certificate["H_measured"] == gamma2(X, 1).certificate["H_measured"]
-    assert int(g.certificate["B"]) == 2 * 3 + 2 * 29
-
-
 @given(seeds)
 def test_stage_two_sandwich_on_random_rs_instances(seed):
     rng = Random(seed)

@@ -42,6 +42,21 @@ def test_isoperm_validates_and_orders():
         IsoPerm(X, (0, 1, 2, 2))
 
 
+def test_order_and_powers_of_a_permutation_of_large_order():
+    # one cycle for each of the first nine primes: the order is their
+    # product, far beyond composing the permutation with itself
+    n = 100
+    X = space_rank1([[int(i != j) for j in range(n)] for i in range(n)])
+    perm = []
+    for m in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        perm += [len(perm) + (t + 1) % m for t in range(m)]
+    pi = IsoPerm(X, perm)
+    assert pi.order == 223092870
+    assert pi.power(pi.order + 1) == pi
+    assert pi.power(pi.order) == identity_perm(X)
+    assert pi.power(-1) == pi.inverse()
+
+
 def test_non_isometry_rejected_with_witness():
     X = path_space(3)
     ok, wit = check_isometry(X, (1, 0, 2))

@@ -15,6 +15,7 @@ from lhyp.lenfun import (QuasiReport, _quotient_lengths, axiom4_scan,
                          quasigeodesic_check, to_space)
 from lhyp.lspace import FiniteLambdaSpace, min_delta_4pt, min_delta_at
 from lhyp.ordgroup import LexElem, QLexElem
+from lhyp.relhyp import RelCayley
 
 from helpers import L, f2_table, space_rank1, z_table
 from oracles import (oracle_axiom4, oracle_axioms, oracle_complete, oracle_lambda0,
@@ -543,6 +544,30 @@ def test_word_length_delta_is_the_cayley_graph_constant_on_drawn_subgroups(gens)
     X = cayley_graph(G, S, radius).as_space()
     delta = check_axioms(word_length_table(G, S, radius)).delta
     assert delta == min_delta_at(X, G.render(G.identity())) == min_delta_4pt(X)
+
+
+def assert_unit_coset_graph_is_the_cayley_graph(G, S, R):
+    # at N = 1 two cosets are joined exactly when a generator moves one to
+    # the other, and the word length has a trivial kernel; a table of
+    # radius 2R holds l(g^-1 h) for every pair of the radius-R ball
+    rc = RelCayley(G, word_length_table(G, S, 2 * R), 1, R, gens=S)
+    X = cayley_graph(G, S, R)
+    assert sorted(rc.labels) == sorted(X.labels)
+    at = [rc.index(lab) for lab in X.labels]
+    assert [[rc.d[i][j] for j in at] for i in at] == [list(row) for row in X.dist]
+
+
+@pytest.mark.parametrize("R", [1, 2, 3])
+def test_unit_coset_graph_of_f2_is_its_cayley_graph(R):
+    F = FreeGroup(2)
+    assert_unit_coset_graph_is_the_cayley_graph(F, F.gens(), R)
+
+
+@settings(derandomize=True, max_examples=20)
+@given(permutation_gens(), st.integers(min_value=1, max_value=3))
+def test_unit_coset_graph_is_the_cayley_graph_on_drawn_subgroups(gens, R):
+    G, S = permutation_group(*gens)
+    assert_unit_coset_graph_is_the_cayley_graph(G, S, R)
 
 
 # -- one quotient table per table and sample ------------------------------

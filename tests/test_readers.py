@@ -4,6 +4,7 @@ inputs near the edges go through main and are checked against the
 oracles."""
 
 import io
+import math
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,8 +22,8 @@ from lhyp.isometry import read_perm
 from lhyp.lspace import read_lms
 from lhyp.ordgroup import parse_lex
 
-from oracles import (floyd, oracle_central_points, oracle_delta_4pt,
-                     oracle_delta_at, oracle_delta_at_witness,
+from oracles import (floyd, oracle_central_points, oracle_classify,
+                     oracle_delta_4pt, oracle_delta_at, oracle_delta_at_witness,
                      oracle_geodesic_gap, oracle_tau, rkey)
 
 TREE = ("lambda Z^1\n"
@@ -611,3 +612,79 @@ def test_complete_out_meets_its_contract(space, method):
                 assert d <= unit[i][j] <= oracle_tau(d, delta)
     identity = V == n and all(unit[i] == rows[i] for i in range(n))
     assert (got["certificate"] == "identity") == identity
+
+
+@st.composite
+def classify_cases(draw):
+    """(table, permutation, delta) of an isometry: a cycle space under a
+    drawn rotation or reflection, a path space under its reflection, an
+    all-ones metric under a permutation of drawn cycle lengths on drawn
+    points, or the rank-2 space of two points under their swap.  Delta
+    lies 0 to 2 above the four-point constant rounded up; the swap's
+    also draws its last coordinate."""
+    family = draw(st.sampled_from(("cycle", "path", "ones", "swap")))
+    if family == "swap":
+        rows = [[(0, 0), (0, 1)], [(0, 1), (0, 0)]]
+        return rows, (1, 0), (draw(st.integers(min_value=0, max_value=2)),
+                              draw(st.integers(min_value=0, max_value=1)))
+    if family == "ones":
+        lengths = draw(st.lists(st.integers(min_value=1, max_value=4),
+                                min_size=1, max_size=3))
+        n = sum(lengths)
+        where = draw(st.permutations(range(n)))
+        perm = [0] * n
+        start = 0
+        for m in lengths:
+            for t in range(m):
+                perm[where[start + t]] = where[start + (t + 1) % m]
+            start += m
+        perm = tuple(perm)
+        rows = [[(int(i != j),) for j in range(n)] for i in range(n)]
+    elif family == "cycle":
+        n = draw(st.integers(min_value=3, max_value=8))
+        rows = [[(min(abs(i - j), n - abs(i - j)),) for j in range(n)] for i in range(n)]
+        k = draw(st.integers(min_value=0, max_value=n - 1))
+        reflect = draw(st.booleans())
+        perm = tuple((k - i) % n if reflect else (i + k) % n for i in range(n))
+    else:
+        n = draw(st.integers(min_value=1, max_value=8))
+        rows = [[(abs(i - j),) for j in range(n)] for i in range(n)]
+        perm = tuple(range(n - 1, -1, -1))
+    low = math.ceil(oracle_delta_4pt(rows)[0])
+    return rows, perm, (draw(st.integers(min_value=low, max_value=low + 2)),)
+
+
+CERT_NAMES = {"elliptic": "Elliptic(%d)", "hyperbolic_or_inversion":
+              "HyperbolicOrInversion", "inversion": "InversionCert",
+              "undetermined": "Undetermined"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(classify_cases(), st.integers(min_value=0, max_value=3))
+def test_main_classify_matches_the_oracle(case, K):
+    rows, perm, delta = case
+    n = len(rows)
+    labels = ["p%d" % i for i in range(n)]
+    raw = "(%s)" % ",".join(map(str, delta))
+    text = "lambda Z^%d\npoints %d %s\n%s\n" % (
+        len(delta), n, " ".join(labels),
+        "\n".join(" ".join("(%s)" % ",".join(map(str, t)) for t in row)
+                  for row in rows))
+    code, out, errors = run_main(
+        {"s.lms": text, "s.perm": " ".join(map(str, perm)) + "\n"},
+        ["classify", "--space", "s.lms", "--perm", "s.perm", "--delta", raw,
+         "--K", str(K)])
+    assert (code, errors) == (0, [])
+    got = dict(line.split(" ", 1) for line in out.splitlines())
+    order, kind, witness = oracle_classify(rows, perm, delta, K)
+    if witness is None:
+        shown = "none"
+    elif kind == "inversion":
+        shown = ",".join(labels[a] for a in witness)
+    else:
+        shown = labels[witness]
+    assert got["order"] == str(order)
+    assert got["certificate"] == (CERT_NAMES[kind] % K if kind == "elliptic"
+                                  else CERT_NAMES[kind])
+    assert got["witness"] == shown
+    assert got["horizon"] == "%d basepoints, K=%d" % (n, K)
