@@ -777,7 +777,7 @@ def read_len(text: str, loader: Callable[[str], str]) -> LengthTable:
                              % (quoted(" ".join(row)), rank))
         g = group.parse(row[0])
         if g in values:
-            raise InputError("element %s listed twice" % row[0])
+            raise InputError("element %s listed twice" % quoted(row[0]))
         tokens = tuple(row[1:])
         value = by_text.get(tokens)
         if value is None:

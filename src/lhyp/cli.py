@@ -14,6 +14,7 @@ digests every input file.
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -93,7 +94,7 @@ class Report:
             sys.stdout.write("%s %s\n" % (key, value))
 
 
-def _int_from(low: int, domain: str) -> Callable[[str], int]:
+def _int_from(low: float, domain: str) -> Callable[[str], int]:
     """The argparse type of an int flag whose values start at low."""
     def parse(text: str) -> int:
         try:
@@ -304,8 +305,7 @@ def cmd_relcayley(args) -> Report:
         raise InputError("group file holds %r but the length file's group is %r"
                          % (group, table.group))
     delta = _delta_at_rank(args, table.rank)
-    rc = RelCayley(table.group, table, args.N, args.radius,
-                   gens=gens if gens else None)
+    rc = RelCayley(table.group, table, args.N, args.radius, gens=gens)
     rep.add("N", args.N)
     rep.add("radius", args.radius)
     rep.add("cosets", len(rc))
@@ -365,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--space", required=True, metavar="F.lms")
     c.add_argument("--method", required=True, choices=("gamma1", "gamma2"))
     c.add_argument("--delta", required=True, type=_natural_number)
-    c.add_argument("--seed", type=int, default=None,
+    c.add_argument("--seed", type=_int_from(-math.inf, "an integer"), default=None,
                    help="shuffle construction order (default: canonical)")
     c.add_argument("--out", metavar="F.cg", help="write the graph here")
     c.set_defaults(func=cmd_complete)

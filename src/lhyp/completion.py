@@ -24,7 +24,7 @@ from collections import deque
 from functools import cached_property, lru_cache
 from itertools import combinations
 from random import Random
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ConstructionError, InputError, quoted
 from .geodspace import DisjointSets, _Masks, _space_masks, distances_from
@@ -398,12 +398,13 @@ def _stage_one(space: FiniteLambdaSpace, M: _Masks, delta: int,
         "geodesic": "yes",
     }
     out = g.finish(chords, cert)
-    _verify_stage(out, space, D, chords_expected=True)
+    _verify_stage(out, space, D, lambda d: d)
     return out
 
 
 def _verify_stage(out: CompletionGraph, space: FiniteLambdaSpace,
-                  D: Sequence[Sequence[int]], chords_expected: bool) -> None:
+                  D: Sequence[Sequence[int]], upper: Callable[[int], int]) -> None:
+    """Check a stage's graph: an essential pair at d comes out in [d, upper(d)]."""
     n = len(space)
     if out.labels[:n] != space.labels:
         raise ConstructionError("essential vertices lost or reordered")
@@ -422,13 +423,13 @@ def _verify_stage(out: CompletionGraph, space: FiniteLambdaSpace,
         if c == NEGLIGIBLE and len(unit[i]) != 2:
             raise ConstructionError("bridge interior %r has degree %d"
                                     % (out.labels[i], len(unit[i])))
-    if chords_expected:
-        for i, j in combinations(range(n), 2):
-            dij = out.unit_row(i)[j]
-            if dij != D[i][j]:
-                raise ConstructionError(
-                    "distance between %s and %s came out %d, input says %d"
-                    % (out.labels[i], out.labels[j], dij, D[i][j]))
+    for i, j in combinations(range(n), 2):
+        dij = out.unit_row(i)[j]
+        lo, hi = D[i][j], upper(D[i][j])
+        if not lo <= dij <= hi:
+            raise ConstructionError(
+                "derived distance %d for (%s, %s) escapes [%d, %d]"
+                % (dij, out.labels[i], out.labels[j], lo, hi))
     # the unit graph is connected exactly when vertex 0 reaches every vertex
     if -1 in out.unit_row(0):
         raise ConstructionError("completion graph is not connected")
@@ -550,14 +551,7 @@ def gamma2(space: FiniteLambdaSpace, delta: int, cap: Optional[int] = None,
         "long_short_k": str(30 * dp ** 2),
     }
     out = g.finish({}, cert)
-    _verify_stage(out, space, D, chords_expected=False)
-    for i, j in combinations(range(n), 2):
-        dij = out.unit_row(i)[j]
-        lo, hi = D[i][j], tau_max(D[i][j], delta)
-        if not lo <= dij <= hi:
-            raise ConstructionError(
-                "derived distance %d for (%s, %s) escapes [%d, %d]"
-                % (dij, out.labels[i], out.labels[j], lo, hi))
+    _verify_stage(out, space, D, lambda d: tau_max(d, delta))
     return out
 
 

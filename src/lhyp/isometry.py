@@ -17,7 +17,7 @@ from math import lcm
 from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple, Union)
 
-from .errors import ConstructionError, InputError, int_token
+from .errors import ConstructionError, InputError, int_token, quoted
 from .lspace import (FiniteLambdaSpace, _tokens, convex_classes, min_delta_4pt,
                      quotient_by_convex, require_four_point)
 from .ordgroup import LexElem, height
@@ -31,8 +31,11 @@ class IsoPerm:
     def __init__(self, space: FiniteLambdaSpace, perm: Sequence[int]) -> None:
         n = len(space)
         perm = tuple(perm)
+        if len(perm) != n:
+            raise InputError("permutation has %d images for %d points" % (len(perm), n))
         if sorted(perm) != list(range(n)):
-            raise InputError("not a permutation of 0..%d: %r" % (n - 1, perm))
+            raise InputError("not a permutation of 0..%d: %s"
+                             % (n - 1, quoted(" ".join(map(str, perm)))))
         ok, witness = check_isometry(space, perm)
         if not ok:
             raise InputError("permutation does not preserve d(%s, %s)" % witness)

@@ -10,14 +10,14 @@ some needed product fell outside the table.
 All comparisons are exact.  Gromov products are half-integers at worst,
 so internally the doubled quantity l(g) + l(h) - l(g^-1 h) is used and
 halved only for display.  The scans over a sample index it once: a
-_Sample holds every l(s_a), l(s_a^-1 s_b), l(s_a^-1) and l(s_a s_b),
-packed once into ints by one Packing, so their loops compare ints and
-multiply no group elements.  The group elements come from the group's
-quotients table of s_a^-1 s_b, which a direct product builds from its
-factors' tables, and the lengths read off it are kept for the last table
-and sample, so the modes of one lenfun command build one table.  The
-least delta is ``lspace.defect_scan``'s, over the known products, as
-for a basepoint; the triples with a product unknown count as skipped.
+_Sample holds every l(s_a) and l(s_a^-1 s_b), packed once into ints by
+one Packing, so their loops compare ints and multiply no group elements.
+The group elements come from the group's quotients table of s_a^-1 s_b,
+which a direct product builds from its factors' tables, and the lengths
+read off it are kept for the last table and sample, so the modes of one
+lenfun command build one table.  The least delta is
+``lspace.defect_scan``'s, over the known products, as for a basepoint;
+the triples with a product unknown count as skipped.
 """
 
 from __future__ import annotations
@@ -42,76 +42,46 @@ def _quotient_lengths(l: LengthTable, sample: Tuple[Elem, ...]):
     """The lengths a _Sample packs; the last table and sample's are kept,
     so the modes of one command multiply the sample once.
 
-    Returns (lengths, quot, inverse, own): lengths[a] is l(s_a) and
-    quot[a][b] is l(s_a^-1 s_b), one G.quotients table; inverse[a] is
-    the c with s_c = s_a^-1, or None when s_a^-1 is outside the sample,
-    and for each such a, own[a] is l(s_a^-1) followed by the row of
-    l(s_a s_b), one more G.quotients table over those a.  A length is None
-    when its element is outside the table.  The cache knows a table by its identity, so a table's values
-    must not change once it has been read; every caller gets the same
-    objects, so the rows are tuples.
+    Returns (lengths, quot): lengths[a] is l(s_a) and quot[a][b] is
+    l(s_a^-1 s_b), one G.quotients table, or None when s_a^-1 s_b is
+    outside the table.  The cache knows a table by its identity, so a
+    table's values must not change once it has been read; every caller
+    gets the same objects, so the rows are tuples.
     """
-    G = l.group
     get = l.values.get
     lengths = tuple([l.l(g) for g in sample])
-    index = {g: a for a, g in enumerate(sample)}
-    inverses = [G.inv(g) for g in sample]
-    quot = tuple([tuple(map(get, row)) for row in G.quotients(sample, sample)])
-    inverse = tuple([index.get(gi) for gi in inverses])
-    outside = [a for a, c in enumerate(inverse) if c is None]
-    own = {}
-    if outside:
-        # (s_a^-1)^-1 s_b = s_a s_b
-        rows = G.quotients([inverses[a] for a in outside], sample)
-        own = {a: (get(inverses[a]),) + tuple(map(get, row))
-               for a, row in zip(outside, rows)}
-    return lengths, quot, inverse, own
+    quot = tuple([tuple(map(get, row)) for row in l.group.quotients(sample, sample)])
+    return lengths, quot
 
 
 class _Sample:
     """A sample indexed 0..m-1, with its lengths packed into ints.
 
     ``elems[a]`` is the a-th element s_a, ``lengths[a]`` the code of
-    l(s_a) and ``quot[a][b]`` the code of l(s_a^-1 s_b); ``inv_lengths[a]``
-    is the code of l(s_a^-1) and ``prod[a][b]`` that of l(s_a s_b).  Each
-    is None when its element is outside the table.  The lengths come from
-    _quotient_lengths, which keeps the last table and sample's: one
-    G.quotients table of s_a^-1 s_b, and one of s_a s_b over the rows
-    whose inverse is outside the sample.  When s_c = s_a^-1 is in the
-    sample, ``inv_lengths[a]`` is ``lengths[c]`` and ``prod[a]`` is
-    ``quot[c]``.  One Packing, built per sample, covers these lengths and
-    ``extra``, the constants a scan compares against, whose codes are
-    ``self.extra``.  Every scan compares signed sums of at most
-    PACK_HEADROOM codes, so integer order is the order of the group.
-    relhyp.RelCayley reads its edge weights and coset lengths off a
-    sample of its coset representatives, with N as the one extra.
+    l(s_a) and ``quot[a][b]`` the code of l(s_a^-1 s_b), or None when
+    s_a^-1 s_b is outside the table; they come from _quotient_lengths.
+    One Packing, built per sample, covers these lengths and ``extra``,
+    the other lengths a scan compares against, whose codes are
+    ``self.extra``; ``codes`` packs any row of them.  Every scan compares
+    signed sums of at most PACK_HEADROOM codes, so integer order is the
+    order of the group.  relhyp.RelCayley reads its edge weights and
+    coset lengths off a sample of its coset representatives, with N as
+    the one extra.
     """
 
     def __init__(self, l: LengthTable, sample: Sequence[Elem],
                  extra: Sequence[LexElem] = ()):
         elems = self.elems = list(sample)
-        lengths, quot, inverse, own = _quotient_lengths(l, tuple(elems))
-        self.packing = Packing([*lengths, *(v for rows in (quot, own.values())
-                                            for row in rows for v in row if v is not None),
+        lengths, quot = _quotient_lengths(l, tuple(elems))
+        self.packing = Packing([*lengths, *(v for row in quot for v in row if v is not None),
                                 *extra])
+        self.lengths = self.codes(lengths)
+        self.quot = [self.codes(row) for row in quot]
+        self.extra = self.codes(extra)
+
+    def codes(self, row: Sequence[Optional[LexElem]]) -> List[Optional[int]]:
         pack = self.packing.pack
-
-        def codes(row):
-            return [None if v is None else pack(v) for v in row]
-
-        self.lengths = codes(lengths)
-        self.quot = [codes(row) for row in quot]
-        self.extra = codes(extra)
-        self.inv_lengths: List[Optional[int]] = []
-        self.prod: List[List[Optional[int]]] = []
-        for a, c in enumerate(inverse):
-            if c is None:
-                inv, *row = codes(own[a])
-                self.inv_lengths.append(inv)
-                self.prod.append(row)
-            else:
-                self.inv_lengths.append(self.lengths[c])
-                self.prod.append(self.quot[c])
+        return [None if v is None else pack(v) for v in row]
 
     def c2(self, a: int, b: int) -> Optional[int]:
         """Code of 2 c(s_a, s_b), or None if l(s_a^-1 s_b) is unknown."""
@@ -199,15 +169,28 @@ def _min_delta(l: LengthTable, S: _Sample):
 def check_axioms(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> AxiomReport:
     """Non-negativity, symmetry, subadditivity and the least delta.
 
-    Everything is read off one _Sample: symmetry compares its l(g^-1)
-    with l(g), and subadditivity its l(gh) with l(g) + l(h).
+    Symmetry compares l(s_a^-1) with l(s_a), and subadditivity each
+    l(s_a s_b) with l(s_a) + l(s_b).  For s_a^-1 = s_c in the sample these
+    are l(s_c) and the _Sample's quotient row of c; the other a get theirs
+    from one more G.quotients table, packed as the sample's extras.
     """
     if sample is None:
         sample = l.elements()
     G = l.group
+    values = l.values
     zero = LexElem.zero(l.rank)
-    S = _Sample(l, sample, (zero,))
-    elems, lengths, values = S.elems, S.lengths, l.values
+    elems = list(sample)
+    index = {g: c for c, g in enumerate(elems)}
+    inverses = [G.inv(g) for g in elems]
+    outside = [a for a, gi in enumerate(inverses) if gi not in index]
+    own = {}
+    if outside:
+        # (s_a^-1)^-1 s_b = s_a s_b
+        rows = G.quotients([inverses[a] for a in outside], elems)
+        own = {a: [values.get(inverses[a]), *map(values.get, row)]
+               for a, row in zip(outside, rows)}
+    S = _Sample(l, elems, [zero, *(v for row in own.values() for v in row if v is not None)])
+    lengths = S.lengths
     nonneg_ok, nonneg_witness = True, None
     if values[G.identity()] != zero:
         nonneg_ok, nonneg_witness = False, G.render(G.identity())
@@ -217,19 +200,22 @@ def check_axioms(l: LengthTable, sample: Optional[Sequence[Elem]] = None) -> Axi
             nonneg_ok, nonneg_witness = False, G.render(elems[a])
     symmetric_ok, symmetric_witness = True, None
     inv_skipped = 0
-    for a, li in enumerate(S.inv_lengths):
-        if li is None:
-            inv_skipped += 1
-        elif li != lengths[a]:
-            symmetric_ok, symmetric_witness = False, G.render(elems[a])
-            break
     bad = None
     m = len(elems)
     pairs_checked = 0
-    for a, row in enumerate(S.prod):
+    for a, (lg, gi) in enumerate(zip(lengths, inverses)):
+        if a in own:
+            li, *row = S.codes(own[a])
+        else:
+            c = index[gi]
+            li, row = lengths[c], S.quot[c]
+        if symmetric_ok:
+            if li is None:
+                inv_skipped += 1
+            elif li != lg:
+                symmetric_ok, symmetric_witness = False, G.render(elems[a])
         pairs_checked += m - row.count(None)
         if bad is None:
-            lg = lengths[a]
             b = next((b for b, (lh, q) in enumerate(zip(lengths, row))
                       if q is not None and lg + lh < q), None)
             if b is not None:

@@ -875,8 +875,10 @@ def test_a_refused_long_value_is_echoed_cut_short(tmp_path, capsys):
     # the parser of group elements
     relcayley = ["relcayley", "--group", "z.grp", "--len", "z.len", "--radius", "1"]
     lenfun = ["lenfun", "--len", "z.len", "--axioms"]
+    complete = ["complete", "--space", "s.lms", "--method", "gamma1", "--delta", "0"]
     for argv, flag, value, why in [
             (relcayley, "--N", "9" * 5000, "invalid int value: "),
+            (complete, "--seed", "9" * 5000, "invalid int value: "),
             (relcayley, "--N", "-" + "9" * 4000, "expected a positive integer, got "),
             (lenfun, "--delta", "x" * 3000, "bad coordinate "),
             (lenfun, "--delta", "-" + "9" * 2999, "expected a delta of at least 0, got "),
@@ -888,7 +890,8 @@ def test_a_refused_long_value_is_echoed_cut_short(tmp_path, capsys):
 
 
 # a long token in each reader's file; no subcommand reads a graph file,
-# so the .gg case reads it directly
+# so the .gg case reads it directly, and a permutation of the wrong size
+# is refused by its count of images, with no token
 @pytest.mark.parametrize("files, argv, error, token", [
     ({"s.lms": "lambda Z^1\npoints %s a\n(0)\n" % ("9" * 5000)},
      "check --space s.lms", "bad point count %s", "9" * 5000),
@@ -899,9 +902,15 @@ def test_a_refused_long_value_is_echoed_cut_short(tmp_path, capsys):
      "lenfun --len c.len --axioms", "bad table entry %s", "x" * 3000),
     ({"z.grp": "free 1\n", "z.len": "group z.grp\nlambda Z^1\n%s 1\n" % ("aA" * 1500)},
      "lenfun --len z.len --axioms", "word %s is not reduced", "aA" * 1500),
+    ({"z.grp": "free 1\n", "z.len": "group z.grp\nlambda Z^1\n%s 1\n%s 1\n"
+      % ("a" * 3000, "a" * 3000)},
+     "lenfun --len z.len --axioms", "element %s listed twice", "a" * 3000),
     ({"s.lms": TREE, "r.perm": "0 1 2 %s\n" % ("x" * 3000)},
      "classify --space s.lms --perm r.perm --delta 0", "bad image %s", "x" * 3000),
-], ids=["lms", "gg", "grp", "len", "perm"])
+    ({"s.lms": TREE, "r.perm": " ".join(map(str, range(5000))) + "\n"},
+     "classify --space s.lms --perm r.perm --delta 0",
+     "permutation has 5000 images for 4 points", None),
+], ids=["lms", "gg", "grp", "len", "len-twice", "perm", "perm-size"])
 def test_a_refused_long_file_token_is_echoed_cut_short(tmp_path, capsys, files,
                                                        argv, error, token):
     paths = {name: put(tmp_path, name, text) for name, text in files.items()}
@@ -912,8 +921,9 @@ def test_a_refused_long_file_token_is_echoed_cut_short(tmp_path, capsys, files,
     else:
         code, out, err = run(capsys, *[paths.get(a, a) for a in argv.split()])
     assert code == 2 and out == ""
-    capped = "%r... (%d characters)" % (token[:40], len(token))
-    assert error_lines(err) == ["error: " + error % capped]
+    if token is not None:
+        error %= "%r... (%d characters)" % (token[:40], len(token))
+    assert error_lines(err) == ["error: " + error]
 
 
 def test_relcayley_rejects_an_identity_beyond_the_radius(tmp_path, capsys):

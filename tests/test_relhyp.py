@@ -321,6 +321,27 @@ def test_relcayley_reads_one_sample_over_its_reps(monkeypatch):
     assert built == [(rc.table, rc.reps, (L(2),))]
 
 
+def test_relcayley_multiplies_only_its_reps(monkeypatch):
+    # S3 with kernel K = {e, (01)}: the reps 1, a, b are the least of their
+    # cosets, and a^-1 = c lies outside them, yet the sample forms one
+    # quotient table
+    perms = [(0, 1, 2), (1, 2, 0), (1, 0, 2), (0, 2, 1), (2, 0, 1), (2, 1, 0)]
+    table = [[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms]
+    G = FiniteGroup(table, ["1", "a", "k", "b", "c", "t"])
+    built = []
+    quotients = FiniteGroup.quotients
+
+    def counting(self, xs, ys):
+        built.append((len(xs), len(ys)))
+        return quotients(self, xs, ys)
+
+    monkeypatch.setattr(FiniteGroup, "quotients", counting)
+    lengths = LengthTable(G, {g: L(0 if g in (0, 2) else 1) for g in range(6)})
+    rc = RelCayley(G, lengths, 1, 1)
+    assert rc.labels == ("1", "a", "b") and G.render(G.inv(1)) == "c"
+    assert built == [(3, 3)]
+
+
 def test_relcayley_disconnected_truncation():
     # a^5 is a vertex but every edge out of it weighs more than N
     table = z_like_table({1: 1, 2: 7, 4: 9, 5: 5, 6: 11, 10: 15})
