@@ -10,6 +10,11 @@ its domain exits 2 on one line naming the flag: ``error: lhyp lenfun:
 argument --regular: expected a natural number, got '-1'``.  Only the
 delta's rank, the input's, is checked later.  ``Report.read`` reads and
 digests every input file.
+
+When the first argument names a subcommand, only that subcommand's
+parser is built, from its row of ``_COMMANDS``; any other command line
+builds all of them, so that help and every top-level error keep their
+bytes.
 """
 
 import argparse
@@ -349,60 +354,67 @@ class _Parser(argparse.ArgumentParser):
         raise InputError("%s: %s" % (self.prog, message))
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_SPACE = ("--space", dict(required=True, metavar="F.lms"))
+_DELTA = ("--delta", dict(type=_delta, default=0, metavar="Q"))
+
+# name -> (help, handler, flags), each flag (name, add_argument keywords),
+# in the order of lhyp --help
+_COMMANDS = {
+    "check": ("validate a space and its constants", cmd_check, [_SPACE]),
+    "delta": ("hyperbolicity constants per basepoint", cmd_delta, [_SPACE]),
+    "complete": ("run a completion stage", cmd_complete, [
+        _SPACE,
+        ("--method", dict(required=True, choices=("gamma1", "gamma2"))),
+        ("--delta", dict(required=True, type=_natural_number)),
+        ("--seed", dict(type=_int_from(-math.inf, "an integer"), default=None,
+                        help="shuffle construction order (default: canonical)")),
+        ("--out", dict(metavar="F.cg", help="write the graph here"))]),
+    "classify": ("certificate for a finite isometry", cmd_classify, [
+        _SPACE,
+        ("--perm", dict(required=True, metavar="F.perm")),
+        ("--delta", dict(required=True, type=_delta, metavar="Q")),
+        ("--K", dict(type=_natural_number, default=0, metavar="K"))]),
+    "lenfun": ("length function checks", cmd_lenfun, [
+        ("--len", dict(required=True, metavar="F.len")),
+        ("--axioms", dict(action="store_true")),
+        ("--regular", dict(type=_natural_number, default=None, metavar="K")),
+        ("--complete", dict(action="store_true")),
+        ("--free", dict(action="store_true")),
+        _DELTA]),
+    "relcayley": ("relative Cayley graph reports", cmd_relcayley, [
+        ("--group", dict(required=True, metavar="F.grp")),
+        ("--len", dict(required=True, metavar="F.len")),
+        ("--N", dict(required=True, type=_positive)),
+        ("--radius", dict(required=True, type=_positive)),
+        ("--pn", dict(type=_natural_number, default=None, metavar="N",
+                      help="also run the ball property at this n")),
+        ("--K", dict(type=_positive, default=1, metavar="K")),
+        _DELTA]),
+}
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for argv: only the subcommand argv[0] names, or all of
+    them when it names none."""
     p = _Parser(prog="lhyp", description="finite Lambda-metric space toolkit")
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    c = sub.add_parser("check", help="validate a space and its constants")
-    c.add_argument("--space", required=True, metavar="F.lms")
-    c.set_defaults(func=cmd_check)
-
-    c = sub.add_parser("delta", help="hyperbolicity constants per basepoint")
-    c.add_argument("--space", required=True, metavar="F.lms")
-    c.set_defaults(func=cmd_delta)
-
-    c = sub.add_parser("complete", help="run a completion stage")
-    c.add_argument("--space", required=True, metavar="F.lms")
-    c.add_argument("--method", required=True, choices=("gamma1", "gamma2"))
-    c.add_argument("--delta", required=True, type=_natural_number)
-    c.add_argument("--seed", type=_int_from(-math.inf, "an integer"), default=None,
-                   help="shuffle construction order (default: canonical)")
-    c.add_argument("--out", metavar="F.cg", help="write the graph here")
-    c.set_defaults(func=cmd_complete)
-
-    c = sub.add_parser("classify", help="certificate for a finite isometry")
-    c.add_argument("--space", required=True, metavar="F.lms")
-    c.add_argument("--perm", required=True, metavar="F.perm")
-    c.add_argument("--delta", required=True, type=_delta, metavar="Q")
-    c.add_argument("--K", type=_natural_number, default=0, metavar="K")
-    c.set_defaults(func=cmd_classify)
-
-    c = sub.add_parser("lenfun", help="length function checks")
-    c.add_argument("--len", required=True, metavar="F.len")
-    c.add_argument("--axioms", action="store_true")
-    c.add_argument("--regular", type=_natural_number, default=None, metavar="K")
-    c.add_argument("--complete", action="store_true")
-    c.add_argument("--free", action="store_true")
-    c.add_argument("--delta", type=_delta, default=0, metavar="Q")
-    c.set_defaults(func=cmd_lenfun)
-
-    c = sub.add_parser("relcayley", help="relative Cayley graph reports")
-    c.add_argument("--group", required=True, metavar="F.grp")
-    c.add_argument("--len", required=True, metavar="F.len")
-    c.add_argument("--N", required=True, type=_positive)
-    c.add_argument("--radius", required=True, type=_positive)
-    c.add_argument("--pn", type=_natural_number, default=None, metavar="N",
-                   help="also run the ball property at this n")
-    c.add_argument("--K", type=_positive, default=1, metavar="K")
-    c.add_argument("--delta", type=_delta, default=0, metavar="Q")
-    c.set_defaults(func=cmd_relcayley)
+    # with prog given, argparse need not format a usage line to name
+    # the subparsers lhyp check, lhyp delta, ...
+    sub = p.add_subparsers(dest="cmd", required=True, prog="lhyp")
+    chosen = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in chosen:
+        help_text, func, flags = _COMMANDS[name]
+        c = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            c.add_argument(flag, **options)
+        c.set_defaults(func=func)
     return p
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv).parse_args(argv)
         rep = args.func(args)
     except InputError as exc:
         sys.stderr.write("error: %s\n" % exc)

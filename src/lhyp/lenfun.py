@@ -123,18 +123,22 @@ class AxiomReport(NamedTuple):
 def _min_delta(l: LengthTable, S: _Sample):
     """Smallest delta making the hyperbolicity axiom hold on the sample.
 
-    Returns (delta, witness, checked, skipped); delta is None when no
-    triple had all three Gromov products available.  Only the products
-    c(s_i, s_j) with i < j are read: ``defect_scan`` takes them mirrored,
-    each row holding its known columns but the diagonal, with the known
-    pairs i < j.  A second pass at delta finds the witness: the first
-    triple in combinations order with a defect of delta, at the first of
-    its pairs (i,j), (i,k), (j,k) with that defect, then the third point.
-    A pair's least such (triple, pair) key is at its lowest column.
-    S must pack zero among its extras.
+    Returns (delta, witness, checked, skipped).  A sample of fewer than
+    three elements holds the axiom vacuously, at delta zero; delta is
+    None when the sample has triples but none had all three Gromov
+    products available.  Only the products c(s_i, s_j) with i < j are
+    read: ``defect_scan`` takes them mirrored, each row holding its known
+    columns but the diagonal, with the known pairs i < j.  A second pass
+    at delta finds the witness: the first triple in combinations order
+    with a defect of delta, at the first of its pairs (i,j), (i,k), (j,k)
+    with that defect, then the third point.  A pair's least such
+    (triple, pair) key is at its lowest column.  S must pack zero among
+    its extras.
     """
     L, Q = S.lengths, S.quot
     m = len(L)
+    if m < 3:
+        return QLexElem.zero(l.rank), None, 0, 0
     # D[i][j] = 2c(s_i, s_j) for a known pair i < j, and D[j][i] its mirror
     D = [{} for _ in L]
     partners = []

@@ -372,6 +372,7 @@ def oracle_axioms(sample: Sequence, length: dict, mul, inv) -> dict:
       products c(s_i, s_j), c(s_i, s_k), c(s_j, s_k) are known, the
       largest min(c(x, z), c(y, z)) - c(x, y), clipped at 0 and halved;
       the witness (x, y, z) is the first triple and order reaching it.
+      With fewer than three elements the axiom holds vacuously: delta 0.
     """
     e = mul(inv(sample[0]), sample[0])
     zero = tuple(0 for _ in length[e])
@@ -415,6 +416,8 @@ def oracle_axioms(sample: Sequence, length: dict, mul, inv) -> dict:
             defect = vec_sub(u if rlex_le(u, w) else w, pair)
             if best is None or rkey(best) < rkey(defect):
                 best, delta_witness = defect, named
+    if len(sample) < 3:
+        best = zero
     delta = None if best is None else half(best if rlex_le(zero, best) else zero)
     return dict(nonneg_ok=nonneg_witness is None, nonneg_witness=nonneg_witness,
                 symmetric_ok=symmetric_witness is None,

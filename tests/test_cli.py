@@ -150,8 +150,16 @@ def test_argparse_failures_exit_two(tmp_path, capsys):
     # line naming the parser, no usage text, nothing on stdout (the list
     # of choices is left out, as its quoting varies across Pythons)
     for argv, start in [
+            ([], "error: lhyp: the following arguments are required: cmd"),
             (["frobnicate"], "error: lhyp: argument cmd: invalid choice: "
                              "'frobnicate'"),
+            # no abbreviations: a prefix of a command is no command
+            (["chec"], "error: lhyp: argument cmd: invalid choice: 'chec'"),
+            # an option before the command is read as the top level's
+            (["--space", "x", "check"], "error: lhyp: argument cmd: invalid "
+                                        "choice: 'x'"),
+            (["check", "--space", "x", "extra"], "error: lhyp: unrecognized "
+                                                 "arguments: extra"),
             (["check"], "error: lhyp check: the following arguments are "
                         "required: --space"),
             (["relcayley", "--N", "1/2"], "error: lhyp relcayley: argument "
@@ -161,10 +169,116 @@ def test_argparse_failures_exit_two(tmp_path, capsys):
         (line,) = error_lines(err)
         assert line.startswith(start)
         assert "usage" not in err
+
+
+# the help of lhyp and of each command at 80 columns
+HELP = {
+    "": """\
+usage: lhyp [-h] {check,delta,complete,classify,lenfun,relcayley} ...
+
+finite Lambda-metric space toolkit
+
+positional arguments:
+  {check,delta,complete,classify,lenfun,relcayley}
+    check               validate a space and its constants
+    delta               hyperbolicity constants per basepoint
+    complete            run a completion stage
+    classify            certificate for a finite isometry
+    lenfun              length function checks
+    relcayley           relative Cayley graph reports
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "check": """\
+usage: lhyp check [-h] --space F.lms
+
+options:
+  -h, --help     show this help message and exit
+  --space F.lms
+""",
+    "delta": """\
+usage: lhyp delta [-h] --space F.lms
+
+options:
+  -h, --help     show this help message and exit
+  --space F.lms
+""",
+    "complete": """\
+usage: lhyp complete [-h] --space F.lms --method {gamma1,gamma2} --delta DELTA
+                     [--seed SEED] [--out F.cg]
+
+options:
+  -h, --help            show this help message and exit
+  --space F.lms
+  --method {gamma1,gamma2}
+  --delta DELTA
+  --seed SEED           shuffle construction order (default: canonical)
+  --out F.cg            write the graph here
+""",
+    "classify": """\
+usage: lhyp classify [-h] --space F.lms --perm F.perm --delta Q [--K K]
+
+options:
+  -h, --help     show this help message and exit
+  --space F.lms
+  --perm F.perm
+  --delta Q
+  --K K
+""",
+    "lenfun": """\
+usage: lhyp lenfun [-h] --len F.len [--axioms] [--regular K] [--complete]
+                   [--free] [--delta Q]
+
+options:
+  -h, --help   show this help message and exit
+  --len F.len
+  --axioms
+  --regular K
+  --complete
+  --free
+  --delta Q
+""",
+    "relcayley": """\
+usage: lhyp relcayley [-h] --group F.grp --len F.len --N N --radius RADIUS
+                      [--pn N] [--K K] [--delta Q]
+
+options:
+  -h, --help       show this help message and exit
+  --group F.grp
+  --len F.len
+  --N N
+  --radius RADIUS
+  --pn N           also run the ball property at this n
+  --K K
+  --delta Q
+""",
+}
+
+COMMANDS = ["check", "delta", "complete", "classify", "lenfun", "relcayley"]
+
+
+@pytest.mark.parametrize("cmd", [""] + COMMANDS)
+def test_help_bytes(cmd, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as info:
-        main(["--help"])
+        main(cmd.split() + ["--help"])
     assert info.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: lhyp")
+    assert capsys.readouterr().out == HELP[cmd]
+
+
+def parser_choices(argv):
+    (sub,) = [a for a in cli._build_parser(argv)._actions if a.dest == "cmd"]
+    return list(sub.choices)
+
+
+def test_only_the_named_command_is_built():
+    for cmd in COMMANDS:
+        assert parser_choices([cmd, "--help"]) == [cmd]
+    assert parser_choices(["lenfun", "--len", "t.len", "--axioms"]) == ["lenfun"]
+    # anything else gets every command, for the top level's help and errors
+    for argv in ([], ["-h"], ["frob"], ["chec"], ["--space", "x", "check"]):
+        assert parser_choices(argv) == COMMANDS
 
 
 def test_threads_env(tmp_path, capsys, monkeypatch):
