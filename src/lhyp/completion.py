@@ -30,7 +30,7 @@ from .errors import ConstructionError, InputError, quoted
 from .geodspace import DisjointSets, _Masks, _space_masks, distances_from
 from .isometry import IsoPerm
 from .lspace import (FiniteLambdaSpace, _bits, _rank_one_space, require_four_point,
-                     validate_metric)
+                     require_metric)
 from .ordgroup import LexElem, Packing
 
 ESSENTIAL = "essential"
@@ -120,9 +120,7 @@ def _input_masks(space: FiniteLambdaSpace) -> _Masks:
         # record separators cannot appear in input labels
         if any(c in lab for c in "|:&"):
             raise InputError("label %s uses a reserved character" % quoted(lab))
-    report = validate_metric(space)
-    if not report.ok:
-        raise InputError("input is not a metric space: %s" % (report,))
+    require_metric(space)
     return _space_masks(space)
 
 

@@ -19,7 +19,7 @@ from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequenc
 
 from .errors import ConstructionError, InputError, int_token, quoted
 from .lspace import (FiniteLambdaSpace, _tokens, convex_classes, min_delta_4pt,
-                     quotient_by_convex, require_four_point)
+                     quotient_by_convex, require_four_point, require_metric)
 from .ordgroup import LexElem, height
 
 
@@ -137,6 +137,9 @@ def classify_certificate(space: FiniteLambdaSpace, pi: IsoPerm, delta: LexElem,
     if len(delta.coords) != space.rank:
         raise InputError("delta rank %d does not match the space rank %d"
                          % (len(delta.coords), space.rank))
+    # the four-point scans are exact only on a metric, which nothing
+    # before this point checks
+    require_metric(space)
     require_four_point(space, delta)
     horizon = "%d basepoints, K=%d" % (len(space), K)
     bound3 = delta * 3
@@ -205,6 +208,7 @@ def translation_length_tree(space: FiniteLambdaSpace,
     exist.  On tree metrics the value does not depend on y, which the
     report states after a full sweep.
     """
+    require_metric(space)
     if not min_delta_4pt(space).is_zero():
         raise InputError("translation length needs a 0-hyperbolic space")
     if not isinstance(pi, IsoPerm):

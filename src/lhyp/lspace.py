@@ -14,17 +14,15 @@ four-point condition (Gromov 1987, 1.1), so one quadruple scan yields
 every constant.  ``defect_scan`` tests pairs against the running largest
 triple defect by threshold bitmasks, for one basepoint here and, over
 the known products, for a length function at the identity in ``lenfun``.
-The quadruple scan runs in this process unless its quadruple count
-repays more: then this process and forked children share it, one
-process per ``_QUADS_PER_WORKER`` quadruples and at most one per core.
+The largest basepoint constant is the four-point one (Fournier, Ismail
+and Vigneron, IPL 2015), so from ``_SWEEP_FROM`` points on one
+``defect_scan`` per basepoint replaces the C(n,4) quadruple scan.  Every
+scan runs in this process.
 """
 
-import marshal
-import os
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import chain
-from math import comb
 from operator import add
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -190,18 +188,19 @@ def level_masks(row: Sequence[int], cols: Iterable[int]) -> Tuple[List[int], Lis
     """The distinct values of row over the columns cols, increasing, and
     for each the bitmask of those columns at or above it, with 0 appended
     past the top: the columns above a threshold t are
-    ``masks[bisect_right(values, t)]``."""
-    values, masks, mask = [], [], 0
-    for t in sorted(cols, key=row.__getitem__, reverse=True):
-        mask |= 1 << t
-        if values and values[-1] == row[t]:
-            masks[-1] = mask
-        else:
-            values.append(row[t])
-            masks.append(mask)
-    values.reverse()
-    masks.reverse()
-    masks.append(0)
+    ``masks[bisect_right(values, t)]``.  A row holds few distinct values,
+    so the columns are gathered by value and only the values sorted."""
+    at = {}
+    get = at.get
+    for t in cols:
+        x = row[t]
+        at[x] = get(x, 0) | 1 << t
+    values = sorted(at)
+    masks = [0] * (len(values) + 1)
+    mask = 0
+    for i in range(len(values) - 1, -1, -1):
+        mask |= at[values[i]]
+        masks[i] = mask
     return values, masks
 
 
@@ -240,17 +239,22 @@ def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, 
     over every column.  The pair i == j has defect >= 0, so the constant
     is never negative.
     """
-    vi = X.index(v)
-    P = X.packed_table()
-    dv = [row[vi] for row in P]
-    # D[x][y] = 2(x.y)_v
-    D = [[a + b - c for b, c in zip(dv, Pa)] for a, Pa in zip(dv, P)]
-    n = len(X)
-    best, (bi, bj), _, _ = defect_scan(D, [range(i, n) for i in range(n)], [range(n)] * n)
+    best, (bi, bj), D = _basepoint_scan(X.packed_table(), X.index(v))
     Di, Dj = D[bi], D[bj]
     target = best + Di[bj]
-    bk = next(k for k in range(n) if min(Di[k], Dj[k]) == target)
+    bk = next(k for k in range(len(X)) if min(Di[k], Dj[k]) == target)
     return QLexElem(X.unpack(best), 2), (X.labels[bi], X.labels[bj], X.labels[bk])
+
+
+def _basepoint_scan(P, v: int):
+    """``defect_scan`` at basepoint v of the packed table P, over the pairs
+    i <= j and every column: (best, pair, D), where D[x][y] = 2(x.y)_v and
+    best is twice the constant at v."""
+    dv = [row[v] for row in P]
+    D = [[a + b - c for b, c in zip(dv, Pa)] for a, Pa in zip(dv, P)]
+    n = len(P)
+    best, pair, _, _ = defect_scan(D, [range(i, n) for i in range(n)], [range(n)] * n)
+    return best, pair, D
 
 
 def min_delta_triple(X: FiniteLambdaSpace) -> QLexElem:
@@ -302,92 +306,39 @@ def _scan_quads_num(raw, idxs, n):
     return best, wit, pm
 
 
-def _chunk_first_indices(n: int, parts: int) -> List[List[int]]:
-    """First indices dealt back and forth, 0..parts-1 then parts-1..0: the
-    work of a first index falls as it grows, so the loads even out."""
-    lap = 2 * parts
-    return [[i for i in range(n - 3) if c in (i % lap, lap - 1 - i % lap)]
-            for c in range(min(parts, n - 3))]
+# points from which n basepoint scans replace one quadruple scan, both in
+# this process: the basepoint scans won from 54 points on over rank-one
+# metrics, 68 over Z^3 and 80 over Z^2; at 64 neither loses by more than
+# a sixth (timings in CHANGES.md)
+_SWEEP_FROM = 64
 
 
-# quadruples a worker must scan to repay starting it: two workers lost to
-# one process up to 64 points and won from 68 on (timings in CHANGES.md)
-_QUADS_PER_WORKER = 350_000
+def _four_point(X: FiniteLambdaSpace):
+    """The four-point constant of the metric space X, its first witness in
+    index order, and pm, where pm[v] is twice the constant at basepoint v,
+    all in this process.
 
-
-def _core_count() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _scan_in_child(w: int, P, chunk: List[int], n: int) -> None:
-    """Scan chunk in a forked child, send the result down pipe end w and
-    leave by ``os._exit``: the child neither flushes the stdio buffers it
-    shares with its parent nor runs the parent's exit handlers."""
-    status = 1
-    try:
-        with open(w, "wb") as out:
-            out.write(marshal.dumps(_scan_quads_num(P, chunk, n)))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _scan_chunks(P, chunks: List[List[int]], n: int) -> list:
-    """``_scan_quads_num`` over each chunk of first indices, in order: this
-    process scans the first and one forked child each other.  Every child
-    is reaped, whatever happens here; one that exits non-zero raises."""
-    pids, pipes = [], []
-    try:
-        for chunk in chunks[1:]:
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _scan_in_child(w, P, chunk, n)
-            finally:
-                # the parent's copy; later children must not hold it, or
-                # reading the pipe would wait for them too
-                os.close(w)
-            pids.append(pid)
-        results = [_scan_quads_num(P, chunks[0], n)]
-        sent = [pipe.read() for pipe in pipes]
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for pid, code in zip(pids, codes):
-        if code:
-            raise RuntimeError("four-point scan worker %d exited with status %d"
-                               % (pid, code))
-    return results + [marshal.loads(data) for data in sent]
-
-
-def _four_point(X: FiniteLambdaSpace, workers: Optional[int] = None):
-    """The four-point constant, its first witness in index order, and the
-    scan's per-point maxima.  At most ``workers`` processes split the scan,
-    or when that is None one per ``_QUADS_PER_WORKER`` quadruples, so a
-    short scan runs here alone; never more than one per core, this one
-    included, and only this one where ``os.fork`` is missing."""
+    Below ``_SWEEP_FROM`` points one quadruple scan gives them.  From there
+    on, pm[v] is ``_basepoint_scan``'s constant at v, and the largest, M,
+    is the four-point one.  A quadruple's defect is at most pm at each of
+    its points, so every point of a maximizing quadruple has pm == M; the
+    first such quadruple starts at p, the least point with pm == M, which
+    lies on one, and takes its other three among the later points with
+    pm == M: the quadruple scan over those points, at first index p,
+    finds it.
+    """
     n = len(X)
     if n < 4:
         return QLexElem.zero(X.rank, X.domain), None, [0] * n
     P = X.packed_table()
-    if workers is None:
-        workers = comb(n, 4) // _QUADS_PER_WORKER
-    # the core count is read only when the scan would fork
-    if workers > 1:
-        workers = min(workers, _core_count())
-    if workers <= 1 or not hasattr(os, "fork"):
+    if n < _SWEEP_FROM:
         best, quad, pm = _scan_quads_num(P, range(n - 3), n)
     else:
-        results = _scan_chunks(P, _chunk_first_indices(n, workers), n)
-        # the largest defect; on a tie, the first witness in index order
-        best, quad, _ = min(results, key=lambda r: (-r[0], r[1]))
-        pm = [max(vs) for vs in zip(*(r[2] for r in results))]
+        pm = [_basepoint_scan(P, v)[0] for v in range(n)]
+        best = max(pm)
+        top = [v for v in range(n) if pm[v] == best]
+        sub = [[P[a][b] for b in top] for a in top]
+        quad = tuple(top[t] for t in _scan_quads_num(sub, (0,), len(top))[1])
     i, j, k, l = quad
     # the witness pairs first the two points of the first largest sum
     sums = (P[i][j] + P[k][l], P[i][k] + P[j][l], P[i][l] + P[j][k])
@@ -397,6 +348,13 @@ def _four_point(X: FiniteLambdaSpace, workers: Optional[int] = None):
 
 def min_delta_4pt(X: FiniteLambdaSpace, workers: Optional[int] = None) -> QLexElem:
     return min_delta_4pt_witness(X, workers)[0]
+
+
+def require_metric(X: FiniteLambdaSpace) -> None:
+    """Refuse a table that is not a metric."""
+    report = validate_metric(X)
+    if not report.ok:
+        raise InputError("input is not a metric space: %s" % (report,))
 
 
 def require_four_point(X: FiniteLambdaSpace, delta: LexElem) -> None:
@@ -410,8 +368,10 @@ def require_four_point(X: FiniteLambdaSpace, delta: LexElem) -> None:
 def min_delta_4pt_witness(
     X: FiniteLambdaSpace, workers: Optional[int] = None
 ) -> Tuple[QLexElem, Optional[Tuple[str, str, str, str]]]:
-    """Least delta for the four-point condition, with first maximizing witness."""
-    return _four_point(X, workers)[:2]
+    """Least delta for the four-point condition, with first maximizing
+    witness.  ``workers`` is the most processes the scan may use; it uses
+    one."""
+    return _four_point(X)[:2]
 
 
 class HyperbolicityReport(NamedTuple):
@@ -425,7 +385,10 @@ class HyperbolicityReport(NamedTuple):
 
 def hyperbolicity_report(X: FiniteLambdaSpace,
                          workers: Optional[int] = None) -> HyperbolicityReport:
-    """Every constant of the metric space X from one four-point scan.
+    """Every constant of the metric space X, in this process: from one
+    quadruple scan, or from one basepoint scan per point from
+    ``_SWEEP_FROM`` points on.  ``workers`` is the most processes the
+    scan may use; it uses one.
 
     Twice the triple defect min{(x.z)_v,(y.z)_v} - (x.y)_v is d(x,y)+d(z,v)
     - max{d(x,z)+d(y,v), d(x,v)+d(y,z)}: delta at v is half the largest
@@ -433,7 +396,7 @@ def hyperbolicity_report(X: FiniteLambdaSpace,
     four-point one.  The witness triple is the first at the first basepoint
     of largest constant; both stay empty when every constant is 0.
     """
-    d4, w4, pm = _four_point(X, workers)
+    d4, w4, pm = _four_point(X)
     per = {lab: QLexElem(X.unpack(c), 2) for lab, c in zip(X.labels, pm)}
     bp, triple = "", ()
     if max(pm) > 0:

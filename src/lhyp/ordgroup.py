@@ -372,7 +372,8 @@ class QLexElem:
         return NotImplemented if keys is None else keys[0] >= keys[1]
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a whole value equals its LexElem, so it hashes as one
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
     def __abs__(self) -> "QLexElem":
         return -self if self.num.sign() < 0 else self

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -14,7 +15,7 @@ from lhyp.errors import InputError
 from lhyp.geodspace import distances_from, read_gg
 from lhyp.lspace import write_lms
 
-from helpers import cycle_space, f2_table, z_table
+from helpers import cycle_space, f2_table, random_metric_rows, space_rank1, z_table
 
 TREE = ("lambda Z^1\n"
         "points 4 a b c d\n"
@@ -581,6 +582,22 @@ def test_classify_rejects_a_non_permutation(tmp_path, capsys):
     code, _, err = run(capsys, "classify", "--space", space, "--perm", perm,
                        "--delta", "0")
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n, d01, axiom", [(4, 30, "LM4 at v0,v1,v2"),
+                                           (72, -3, "LM1 at v0,v1")])
+def test_classify_rejects_a_table_that_is_not_a_metric(tmp_path, capsys, n, d01,
+                                                      axiom):
+    # on both sides of the four-point crossover; the basepoint scans find
+    # no maximizing quadruple in the 72-point table
+    rows = random_metric_rows(Random(n), n, maxw=9)
+    rows[0][1] = rows[1][0] = d01
+    space = put(tmp_path, "bad.lms", write_lms(space_rank1(rows)))
+    perm = put(tmp_path, "id.perm", " ".join(map(str, range(n))) + "\n")
+    code, out, err = run(capsys, "classify", "--space", space, "--perm", perm,
+                         "--delta", "1")
+    assert code == 2 and out == ""
+    assert error_lines(err) == ["error: input is not a metric space: " + axiom]
 
 
 # -- lenfun ---------------------------------------------------------------

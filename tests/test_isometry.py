@@ -12,7 +12,7 @@ from lhyp.isometry import (IsoPerm, check_isometry, classify_certificate,
 from lhyp.lspace import FiniteLambdaSpace
 from lhyp.ordgroup import LexElem
 
-from helpers import L, cycle_space, random_tree_space, space_rank1
+from helpers import L, cycle_space, random_metric_rows, random_tree_space, space_rank1
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 
@@ -148,6 +148,16 @@ def test_translation_length_of_reflection_vanishes():
 def test_translation_length_needs_a_tree():
     X = cycle_space(4)
     with pytest.raises(InputError):
+        translation_length_tree(X, identity_perm(X))
+
+
+@pytest.mark.parametrize("n", (5, 72))
+def test_translation_length_needs_a_metric(n):
+    # on both sides of the four-point crossover
+    rows = random_metric_rows(Random(n), n, maxw=9)
+    rows[0][1] = rows[1][0] = -3
+    X = space_rank1(rows)
+    with pytest.raises(InputError, match="^input is not a metric space: LM1 at v0,v1$"):
         translation_length_tree(X, identity_perm(X))
 
 

@@ -1,8 +1,5 @@
 import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -209,127 +206,48 @@ def test_workers_agree_with_serial(seed):
     assert min_delta_4pt(X, workers=1) == min_delta_4pt(X, workers=3)
 
 
-def serial_chunks(sizes):
-    """A stand-in for ``lspace._scan_chunks`` that records how many
-    processes each split would use and scans every chunk here: nothing
-    forks."""
-    def scan(P, chunks, n):
-        sizes.append(len(chunks))
-        return [lspace._scan_quads_num(P, chunk, n) for chunk in chunks]
-    return scan
-
-
-def test_four_point_pool_is_capped_at_the_core_count(monkeypatch):
-    pools = []
-    X = random_metric_space(Random(7), 12, maxw=9)
-    want = min_delta_4pt_witness(X)
-    monkeypatch.setattr(lspace, "_scan_chunks", serial_chunks(pools))
-    # the cores this process may run on, not the cores of the machine
-    monkeypatch.setattr(lspace.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(lspace.os, "sched_getaffinity", lambda pid: {0, 2, 5},
-                        raising=False)
-    assert min_delta_4pt_witness(X, workers=10 ** 6) == want
-    assert pools == [3]
-    monkeypatch.setattr(lspace.os, "sched_getaffinity", lambda pid: {1})
-    assert min_delta_4pt_witness(X, workers=8) == want
-    assert pools == [3]
-    # platforms without an affinity call fall back to the core count
-    monkeypatch.delattr(lspace.os, "sched_getaffinity")
-    monkeypatch.setattr(lspace.os, "cpu_count", lambda: 3)
-    assert min_delta_4pt_witness(X, workers=10 ** 6) == want
-    assert pools == [3, 3]
-    monkeypatch.setattr(lspace.os, "cpu_count", lambda: None)
-    assert min_delta_4pt_witness(X, workers=10 ** 6) == want
-    assert pools == [3, 3]
-
-
-def test_short_scans_start_no_pool(monkeypatch):
-    pools = []
-    monkeypatch.setattr(lspace, "_scan_chunks", serial_chunks(pools))
-    monkeypatch.setattr(lspace, "_core_count", lambda: 8)
-    X = random_metric_space(Random(48), 48, maxw=20)
-    want = lspace._four_point(X, workers=1)
-    assert lspace._four_point(X) == want
-    assert pools == []
-    # 12 points hold 495 quadruples: at 150 a worker, three workers
-    Y = random_metric_space(Random(12), 12, maxw=9)
-    want = lspace._four_point(Y, workers=1)
-    monkeypatch.setattr(lspace, "_QUADS_PER_WORKER", 150)
-    assert lspace._four_point(Y) == want
-    assert pools == [3]
-    # however many the count repays, never more than the cores
-    monkeypatch.setattr(lspace, "_QUADS_PER_WORKER", 1)
-    assert lspace._four_point(Y) == want
-    assert pools == [3, 8]
-
-
-def test_every_pool_size_gives_the_serial_results(monkeypatch):
+def test_every_pool_size_gives_the_serial_results():
     X = random_metric_space(Random(11), 11, maxw=9)
     want = hyperbolicity_report(X, workers=1), min_delta_4pt_witness(X, workers=1)
     for workers in (None, 2):
         got = hyperbolicity_report(X, workers), min_delta_4pt_witness(X, workers)
         assert got == want
-    pools = []
-    monkeypatch.setattr(lspace, "_scan_chunks", serial_chunks(pools))
-    monkeypatch.setattr(lspace, "_core_count", lambda: 3)
-    got = hyperbolicity_report(X, 3), min_delta_4pt_witness(X, 3)
-    assert got == want
-    assert pools == [3, 3]
 
 
-@pytest.mark.parametrize("fails_in", ("children", "parent"))
-def test_a_failing_scan_raises_and_leaves_no_child(monkeypatch, fails_in):
-    X = random_metric_space(Random(12), 12, maxw=9)
-    parent = os.getpid()
-    scan = lspace._scan_quads_num
+def test_a_delta_run_past_the_crossover_forks_nothing(tmp_path, capsys, monkeypatch):
+    # 70 points take the basepoint scans, which start no process
+    X = random_metric_space(Random(70), 70, maxw=9)
+    assert len(X) >= lspace._SWEEP_FROM
+    space = tmp_path / "seventy.lms"
+    space.write_text(write_lms(X))
+    with monkeypatch.context() as mp:
+        mp.setattr(lspace, "_SWEEP_FROM", 71)
+        assert main(["delta", "--space", str(space)]) == 0
+        want = capsys.readouterr().out
 
-    def failing_scan(P, idxs, n):
-        if (os.getpid() == parent) == (fails_in == "parent"):
-            raise ValueError("scan failed")
-        return scan(P, idxs, n)
+    def no_fork():
+        raise AssertionError("the four-point report forked")
 
-    monkeypatch.setattr(lspace, "_scan_quads_num", failing_scan)
-    monkeypatch.setattr(lspace, "_core_count", lambda: 3)
-    # two children fail, and the parent raises once
-    want = (RuntimeError, "exited with status 1") if fails_in == "children" \
-        else (ValueError, "scan failed")
-    with pytest.raises(want[0], match=want[1]):
-        lspace._four_point(X, workers=3)
-    # every child was reaped
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["delta", "--space", str(space)]) == 0
+    assert capsys.readouterr().out == want
+    lines = want.splitlines()
+    assert len(lines) == len(set(lines)) == 78
+    assert min_delta_4pt(X, workers=8) == min_delta_4pt(X, workers=1)
+    # nor was a child started some other way and left behind
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_forking_delta_run_prints_each_line_once(tmp_path, capsys, monkeypatch):
-    # 70 points hold 916,895 quadruples, enough for two processes, so the
-    # command forks on a machine with two cores or more
-    X = random_metric_space(Random(70), 70, maxw=9)
-    space = tmp_path / "seventy.lms"
-    space.write_text(write_lms(X))
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    res = subprocess.run([sys.executable, "-m", "lhyp.cli", "delta", "--space",
-                          str(space)], env=env, stdout=subprocess.PIPE, text=True,
-                         timeout=120)
-    assert res.returncode == 0
-    monkeypatch.setattr(lspace, "_core_count", lambda: 1)
-    assert main(["delta", "--space", str(space)]) == 0
-    want = capsys.readouterr().out
-    assert res.stdout == want
-    lines = want.splitlines()
-    assert len(lines) == len(set(lines)) == 78
-
-
-@pytest.mark.parametrize("chunked", (False, True))
+@pytest.mark.parametrize("sweep", (False, True))
 @given(seeds, st.integers(min_value=1, max_value=8), kinds)
-def test_report_matches_every_basepoint_scan(chunked, seed, n, kind):
+def test_report_matches_every_basepoint_scan(sweep, seed, n, kind):
     X = some_space(seed, n, kind)
     with pytest.MonkeyPatch.context() as mp:
-        if chunked:
-            # three chunks merged in this process
-            mp.setattr(lspace, "_scan_chunks", serial_chunks([]))
-            mp.setattr(lspace, "_core_count", lambda: 3)
-        hr = hyperbolicity_report(X, workers=3 if chunked else 1)
+        if sweep:
+            # one basepoint scan per point, from four points on
+            mp.setattr(lspace, "_SWEEP_FROM", 4)
+        hr = hyperbolicity_report(X)
     raw = raw_of(X)
     per = [min_delta_at_witness(X, v) for v in range(n)]
     for v, lab in enumerate(X.labels):
@@ -337,6 +255,7 @@ def test_report_matches_every_basepoint_scan(chunked, seed, n, kind):
         assert got == per[v][0]
         assert tuple(Fraction(c, got.den) for c in got.num.coords) == oracle_delta_at(raw, v)
     assert hr.delta_triple == hr.delta_4pt == min_delta_4pt(X)
+    assert hr.witness_quad == (min_delta_4pt_witness(X)[1] or ())
     top = max(val for val, _ in per)
     if top.is_zero():
         assert hr.basepoint_of_witness == "" and hr.witness_triple == ()
@@ -344,6 +263,25 @@ def test_report_matches_every_basepoint_scan(chunked, seed, n, kind):
         first = next(v for v in range(n) if per[v][0] == top)
         assert hr.basepoint_of_witness == X.labels[first]
         assert hr.witness_triple == per[first][1]
+
+
+@pytest.mark.parametrize("n, kind", [
+    (48, (1, 1)), (64, (1, 2)), (72, (1, 3)), (100, (1, 2)),
+    (56, (2, "Z", 1)), (48, (2, "Q", 1)),
+])
+def test_both_four_point_paths_agree_on_tied_tables(n, kind, monkeypatch):
+    # weights of 1..3, or lower coordinates in -1..1, tie many quadruples
+    # at the largest defect, so the witness rule meets its hard cases
+    rng = Random(n)
+    if kind[0] == 1:
+        X = random_metric_space(rng, n, maxw=kind[1])
+    else:
+        X = random_lex_space(rng, n, *kind)
+    monkeypatch.setattr(lspace, "_SWEEP_FROM", n + 1)
+    want = hyperbolicity_report(X)
+    monkeypatch.setattr(lspace, "_SWEEP_FROM", n)
+    assert hyperbolicity_report(X) == want
+    assert min_delta_4pt_witness(X, workers=2) == (want.delta_4pt, want.witness_quad)
 
 
 def test_hyperbolicity_report_shape():

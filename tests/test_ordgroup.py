@@ -111,6 +111,19 @@ def test_qlex_mixed_comparison_with_lex():
     assert QLexElem(LexElem((2,)), 2) == LexElem((1,))
 
 
+@given(vec, st.integers(min_value=1, max_value=4), st.sampled_from(("Z", "Q")))
+def test_equal_lex_and_qlex_elements_hash_equal(v, m, domain):
+    e = LexElem(v, domain)
+    # from_lex, and a fraction whose denominator cancels
+    forms = (QLexElem.from_lex(e), QLexElem(e * m, m))
+    for q in forms:
+        assert q == e and hash(q) == hash(e)
+        assert len({e, q}) == 1
+        assert {e: "lex"}[q] == "lex" and {q: "qlex"}[e] == "qlex"
+    half = QLexElem(e, 2)
+    assert len({e, half}) == (1 if e.is_zero() else 2)
+
+
 @given(pair, st.integers(min_value=1, max_value=5))
 def test_qmax_qmin(ab, m):
     a, b = ab
