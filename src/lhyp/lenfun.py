@@ -128,10 +128,11 @@ def _min_delta(l: LengthTable, S: _Sample):
     None when the sample has triples but none had all three Gromov
     products available.  Only the products c(s_i, s_j) with i < j are
     read: ``defect_scan`` takes them mirrored, each row holding its known
-    columns but the diagonal, with the known pairs i < j.  A second pass
-    at delta finds the witness: the first triple in combinations order
-    with a defect of delta, at the first of its pairs (i,j), (i,k), (j,k)
-    with that defect, then the third point.  A pair's least such
+    columns but the diagonal, with the known pairs i < j and the rows'
+    level masks.  A second pass over the same masks, at delta, finds the
+    witness: the first triple in combinations order with a defect of
+    delta, at the first of its pairs (i,j), (i,k), (j,k) with that
+    defect, then the third point.  A pair's least such
     (triple, pair) key is at its lowest column.  S must pack zero among
     its extras.
     """
@@ -148,7 +149,8 @@ def _min_delta(l: LengthTable, S: _Sample):
         for j in js:
             Di[j] = D[j][i] = la + L[j] - row[j]
         partners.append(js)
-    best, _, levels, above = defect_scan(D, partners, [Di.keys() for Di in D])
+    levels, above = zip(*map(level_masks, D, [Di.keys() for Di in D]))
+    best, _ = defect_scan(D, partners, (levels, above))
     checked, key, witness = 0, None, None
     for i, js in enumerate(partners):
         Di, li, ai = D[i], levels[i], above[i]

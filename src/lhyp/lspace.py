@@ -12,16 +12,20 @@ every rank and both domains and unpacked only for results.  The triple
 condition at basepoint w, less d(x,w)+d(y,w)+d(z,w) on both sides, is the
 four-point condition (Gromov 1987, 1.1), so one quadruple scan yields
 every constant.  ``defect_scan`` tests pairs against the running largest
-triple defect by threshold bitmasks, for one basepoint here and, over
-the known products, for a length function at the identity in ``lenfun``.
-The largest basepoint constant is the four-point one (Fournier, Ismail
-and Vigneron, IPL 2015), so from ``_SWEEP_FROM`` points on one
-``defect_scan`` per basepoint replaces the C(n,4) quadruple scan.  Every
-scan runs in this process.
+triple defect, for one basepoint here and, over the known products, for a
+length function at the identity in ``lenfun``: by threshold bitmasks, or
+by skipping each pair that the two rows' largest entries rule out and
+walking the few left down one row's sorted columns.  The largest
+basepoint constant is the four-point one (Fournier, Ismail and Vigneron,
+IPL 2015), so from ``_SWEEP_FROM`` points on one scan per basepoint
+replaces the C(n,4) quadruple scan where the first basepoint's scan shows
+that the row maxima rule out most pairs.  Every scan runs in this
+process.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import add
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -136,8 +140,12 @@ class ValidationReport(NamedTuple):
         return "%s at %s" % (self.axiom, ",".join(self.witness))
 
 
+@lru_cache(maxsize=1)
 def validate_metric(X: FiniteLambdaSpace) -> ValidationReport:
-    """Check nonnegativity, identity of indiscernibles, symmetry, triangle."""
+    """Check nonnegativity, identity of indiscernibles, symmetry, triangle.
+
+    The last space's report is kept, so a caller that validates and then
+    asks for the four-point report validates once."""
     n = len(X)
     P = X.packed_table()
     labels = X.labels
@@ -204,29 +212,65 @@ def level_masks(row: Sequence[int], cols: Iterable[int]) -> Tuple[List[int], Lis
     return values, masks
 
 
-def defect_scan(D, partners: Sequence[Iterable[int]], cols: Sequence[Iterable[int]]):
-    """The largest pair defect max_k min{D[i][k], D[j][k]} - D[i][j], over
-    the pairs (i, j) with j in partners[i] and the columns k in cols[i]
-    and cols[j]: (best, pair, levels, above), with the rows' level_masks
-    over their columns; best is -1 and pair None when no defect is >= 0.
+def defect_scan(D, partners: Sequence[Iterable[int]], masks=None,
+                top: Optional[Sequence[int]] = None, limit: Optional[int] = None):
+    """The largest pair defect max_k min{D[i][k], D[j][k]} - D[i][j] over
+    the pairs (i, j) with j in partners[i] and their columns k: (best,
+    pair), with best -1 and pair None when no defect is >= 0.  A pair
+    beats the running best exactly when some column k holds D[i][k] and
+    D[j][k] above bar = best + D[i][j].  Give one of
 
-    A pair beats the running best exactly when the two rows' masks of the
-    columns above best + D[i][j] meet; only then is its defect taken, over
-    the columns where they meet, which hold the largest.  Only a strictly
-    larger defect replaces the best, so pair is the first to reach it.
+    - masks, the rows' ``level_masks`` over their columns: a pair is
+      tested by the two rows' masks of the columns above bar, and its
+      defect taken over the columns where they meet, which hold the
+      largest;
+    - top, where top[i] bounds every entry of row i that can be such a
+      column, as the caller shows: a pair is skipped unless bar is below
+      both top[i] and top[j], and one that gets through walks every
+      column of row i from its largest entry down, the row sorted when
+      first needed, until an entry is at or below bar or the largest
+      min{D[i][k], D[j][k]} found.  Past limit such pairs the scan gives
+      up and returns None.
+
+    Only a strictly larger defect replaces the best, so pair is the first
+    to reach it.
     """
-    levels, above = zip(*map(level_masks, D, cols)) if D else ((), ())
     best, pair = -1, None
+    if masks:
+        levels, above = masks
+        for i, js in enumerate(partners):
+            Di, li, ai = D[i], levels[i], above[i]
+            for j in js:
+                bar = best + Di[j]
+                hit = ai[bisect_right(li, bar)] & above[j][bisect_right(levels[j], bar)]
+                if hit:
+                    Dj = D[j]
+                    best = max([min(Di[k], Dj[k]) for k in _bits(hit)]) - Di[j]
+                    pair = i, j
+        return best, pair
+    left = len(D) ** 2 if limit is None else limit
     for i, js in enumerate(partners):
-        Di, li, ai = D[i], levels[i], above[i]
+        Di, ti = D[i], top[i]
+        order = None
         for j in js:
             bar = best + Di[j]
-            hit = ai[bisect_right(li, bar)] & above[j][bisect_right(levels[j], bar)]
-            if hit:
-                Dj = D[j]
-                best = max([min(Di[k], Dj[k]) for k in _bits(hit)]) - Di[j]
-                pair = i, j
-    return best, pair, levels, above
+            if bar < ti and bar < top[j]:
+                left -= 1
+                if left < 0:
+                    return None
+                if order is None:
+                    order = sorted(range(len(Di)), key=Di.__getitem__, reverse=True)
+                Dj, t = D[j], bar
+                for k in order:
+                    a = Di[k]
+                    if a <= t:
+                        break
+                    b = Dj[k]
+                    if b > t:
+                        t = a if a < b else b
+                if t > bar:
+                    best, pair = t - Di[j], (i, j)
+    return best, pair
 
 
 def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, str, str]]:
@@ -239,22 +283,46 @@ def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, 
     over every column.  The pair i == j has defect >= 0, so the constant
     is never negative.
     """
-    best, (bi, bj), D = _basepoint_scan(X.packed_table(), X.index(v))
+    P = X.packed_table()
+    best, (bi, bj), D = _basepoint_scan(P, X.index(v), tuple(zip(*P)) == P)
     Di, Dj = D[bi], D[bj]
     target = best + Di[bj]
     bk = next(k for k in range(len(X)) if min(Di[k], Dj[k]) == target)
     return QLexElem(X.unpack(best), 2), (X.labels[bi], X.labels[bj], X.labels[bk])
 
 
-def _basepoint_scan(P, v: int):
+def _basepoint_scan(P, v: int, symmetric: bool, masks: bool = False,
+                    limit: Optional[int] = None):
     """``defect_scan`` at basepoint v of the packed table P, over the pairs
     i <= j and every column: (best, pair, D), where D[x][y] = 2(x.y)_v and
-    best is twice the constant at v."""
+    best is twice the constant at v, or None past limit pairs walked.
+    With ``masks`` every pair is tested by level masks instead, and top is
+    not needed.
+
+    top[i] is the largest entry of row i off its diagonal, which bounds
+    every column k of a pair (i, j) but i and j.  Column j can beat the
+    best only if D[i][j] > best + D[i][j], and column i only if D[j][i] >
+    best + D[i][j]; on a symmetric table both need best < 0.  The first
+    pair, (0, 0), leaves best >= 0, its defect being at least min{D[0][0],
+    D[0][0]} - D[0][0] = 0.  So row 0, and every row of a table that is
+    not symmetric, takes its diagonal into top.
+    """
+    n = len(P)
     dv = [row[v] for row in P]
     D = [[a + b - c for b, c in zip(dv, Pa)] for a, Pa in zip(dv, P)]
-    n = len(P)
-    best, pair, _, _ = defect_scan(D, [range(i, n) for i in range(n)], [range(n)] * n)
-    return best, pair, D
+    pairs = [range(i, n) for i in range(n)]
+    if masks:
+        return (*defect_scan(D, pairs, tuple(zip(*map(level_masks, D, [range(n)] * n)))), D)
+    top = []
+    for i, Di in enumerate(D):
+        d = Di[i]
+        if symmetric:
+            # Di[0] stands in for the diagonal, which row 0 so keeps
+            Di[i] = Di[0]
+        top.append(max(Di))
+        Di[i] = d
+    found = defect_scan(D, pairs, top=top, limit=limit)
+    return None if found is None else (*found, D)
 
 
 def min_delta_triple(X: FiniteLambdaSpace) -> QLexElem:
@@ -306,39 +374,72 @@ def _scan_quads_num(raw, idxs, n):
     return best, wit, pm
 
 
-# points from which n basepoint scans replace one quadruple scan, both in
-# this process: the basepoint scans won from 54 points on over rank-one
-# metrics, 68 over Z^3 and 80 over Z^2; at 64 neither loses by more than
-# a sixth (timings in CHANGES.md)
-_SWEEP_FROM = 64
+def _top_quad(P, pm):
+    """(M, the first maximizing quadruple in index order) of the packed
+    metric table P, where pm[v] is twice the constant at basepoint v and
+    M, the largest, twice the four-point one.  A quadruple's defect is at
+    most pm at each of its points, so every point of a maximizing
+    quadruple has pm == M; the first such quadruple starts at p, the
+    least point with pm == M, which lies on one, and takes its other three
+    among the later points with pm == M: the quadruple scan over those
+    points, at first index p, finds it.
+    """
+    best = max(pm)
+    top = [v for v in range(len(P)) if pm[v] == best]
+    sub = [[P[a][b] for b in top] for a in top]
+    return best, tuple(top[t] for t in _scan_quads_num(sub, (0,), len(top))[1])
+
+
+# From _SWEEP_FROM points on, n basepoint scans may replace one quadruple
+# scan: basepoint 0 walks at most n² / _WALKED_SHARE pairs where the table
+# is swept by walking, and from _MASKS_FROM points on a table where more
+# pairs get through keeps the sweep, its pairs tested by masks.  Time of
+# _four_point over the quadruple scan below 64 points and over the mask
+# sweep from 64 on, in one process, best of 9, median of two seeds
+# (scripts/bench_fourpoint.py, BENCH_fourpoint.json; tree+k is a tree
+# with k more edges):
+#
+#     n     metric  Z^2   Z^3   cycle  tree  tree+1  tree+4
+#     24    1.00    1.00  1.01  1.00   1.02  1.01    1.00
+#     32    0.68    0.71  0.70  0.78   1.05  1.04    1.03
+#     48    0.42    0.43  0.41  0.48   1.03  1.02    1.01
+#     64    0.35    0.25  0.22  0.33   1.01  1.02    1.00
+#     100   0.37    0.24  0.20  0.31   1.01  0.99    0.76
+_SWEEP_FROM = 32
+_MASKS_FROM = 64
+_WALKED_SHARE = 16
 
 
 def _four_point(X: FiniteLambdaSpace):
-    """The four-point constant of the metric space X, its first witness in
-    index order, and pm, where pm[v] is twice the constant at basepoint v,
-    all in this process.
+    """The four-point constant of X, its first witness in index order, and
+    pm, where pm[v] is twice the constant at basepoint v, all in this
+    process.
 
-    Below ``_SWEEP_FROM`` points one quadruple scan gives them.  From there
-    on, pm[v] is ``_basepoint_scan``'s constant at v, and the largest, M,
-    is the four-point one.  A quadruple's defect is at most pm at each of
-    its points, so every point of a maximizing quadruple has pm == M; the
-    first such quadruple starts at p, the least point with pm == M, which
-    lies on one, and takes its other three among the later points with
-    pm == M: the quadruple scan over those points, at first index p,
-    finds it.
+    Below ``_SWEEP_FROM`` points one quadruple scan gives them.  From
+    there on X must be a metric, and basepoint 0's scan, walking the pairs
+    that get through the row maxima, picks the way: at most n² /
+    ``_WALKED_SHARE`` such pairs and every basepoint is scanned so; more,
+    as on trees, and the quadruple scan runs, or from ``_MASKS_FROM``
+    points on every basepoint is scanned with its pairs tested by masks.
+    pm[v] is then ``_basepoint_scan``'s constant at v, the largest is the
+    four-point one, and ``_top_quad`` finds the witness.
     """
     n = len(X)
     if n < 4:
         return QLexElem.zero(X.rank, X.domain), None, [0] * n
     P = X.packed_table()
-    if n < _SWEEP_FROM:
+    pm = None
+    if n >= _SWEEP_FROM:
+        require_metric(X)
+        first = _basepoint_scan(P, 0, True, limit=n * n // _WALKED_SHARE)
+        if first is not None:
+            pm = [first[0]] + [_basepoint_scan(P, v, True)[0] for v in range(1, n)]
+        elif n >= _MASKS_FROM:
+            pm = [_basepoint_scan(P, v, True, masks=True)[0] for v in range(n)]
+    if pm is None:
         best, quad, pm = _scan_quads_num(P, range(n - 3), n)
     else:
-        pm = [_basepoint_scan(P, v)[0] for v in range(n)]
-        best = max(pm)
-        top = [v for v in range(n) if pm[v] == best]
-        sub = [[P[a][b] for b in top] for a in top]
-        quad = tuple(top[t] for t in _scan_quads_num(sub, (0,), len(top))[1])
+        best, quad = _top_quad(P, pm)
     i, j, k, l = quad
     # the witness pairs first the two points of the first largest sum
     sums = (P[i][j] + P[k][l], P[i][k] + P[j][l], P[i][l] + P[j][k])
@@ -385,10 +486,12 @@ class HyperbolicityReport(NamedTuple):
 
 def hyperbolicity_report(X: FiniteLambdaSpace,
                          workers: Optional[int] = None) -> HyperbolicityReport:
-    """Every constant of the metric space X, in this process: from one
-    quadruple scan, or from one basepoint scan per point from
-    ``_SWEEP_FROM`` points on.  ``workers`` is the most processes the
-    scan may use; it uses one.
+    """Every constant of the metric space X, in this process, as
+    ``_four_point`` finds them: from one quadruple scan, or from
+    ``_SWEEP_FROM`` points on from one basepoint scan per point where the
+    table suits it.  From there on a table that is not a metric raises
+    InputError.  ``workers`` is the most processes the scan may use; it
+    uses one.
 
     Twice the triple defect min{(x.z)_v,(y.z)_v} - (x.y)_v is d(x,y)+d(z,v)
     - max{d(x,z)+d(y,v), d(x,v)+d(y,z)}: delta at v is half the largest

@@ -7,6 +7,7 @@ from typing import List, Tuple
 
 from lhyp.catalog import FreeGroup, word_length_table
 from lhyp.geodspace import is_geodesic
+from lhyp import lspace
 from lhyp.lspace import FiniteLambdaSpace, min_delta_4pt
 from lhyp.ordgroup import LexElem
 
@@ -38,13 +39,19 @@ def cycle_space(n: int) -> FiniteLambdaSpace:
     return space_rank1(cycle_rows(n))
 
 
-def random_tree_rows(rng: Random, n: int, maxw: int = 9) -> List[List[int]]:
+def random_tree_rows(rng: Random, n: int, maxw: int = 9,
+                     chords: int = 0) -> List[List[int]]:
+    """A random weighted tree's metric, with chords more random edges."""
     edges = [(rng.randrange(i), i, rng.randint(1, maxw)) for i in range(1, n)]
+    for _ in range(chords):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v, rng.randint(1, maxw)))
     return floyd(n, edges)
 
 
-def random_tree_space(rng: Random, n: int, maxw: int = 9) -> FiniteLambdaSpace:
-    return space_rank1(random_tree_rows(rng, n, maxw))
+def random_tree_space(rng: Random, n: int, maxw: int = 9,
+                      chords: int = 0) -> FiniteLambdaSpace:
+    return space_rank1(random_tree_rows(rng, n, maxw, chords))
 
 
 def random_metric_rows(rng: Random, n: int, maxw: int = 20,
@@ -83,6 +90,40 @@ def random_lex_space(rng: Random, n: int, rank: int, domain: str = "Z",
                 if d[i][k] + d[k][j] < d[i][j]:
                     d[i][j] = d[i][k] + d[k][j]
     return FiniteLambdaSpace(labels_for(n), d, domain)
+
+
+# seeded metrics on n points by family: trees let most pairs of a
+# basepoint scan through the row maxima, random metrics few
+FAMILIES = {
+    "tree": random_tree_space,
+    "tree+1": lambda rng, n: random_tree_space(rng, n, chords=1),
+    "tree+4": lambda rng, n: random_tree_space(rng, n, chords=4),
+    "cycle": lambda rng, n: cycle_space(n),
+    "metric": random_metric_space,
+    "z2": lambda rng, n: random_lex_space(rng, n, 2),
+    "z3": lambda rng, n: random_lex_space(rng, n, 3),
+}
+
+
+def four_point_path(X: FiniteLambdaSpace) -> str:
+    """The way ``lspace._four_point`` takes for X, read from the basepoint
+    scans it makes: "masks" when they test pairs by masks, "walk" when it
+    walks one per point, else "quad", the quadruple scan."""
+    masks = []
+    scan = lspace._basepoint_scan
+
+    def spy(*args, **kw):
+        masks.append(kw.get("masks", False))
+        return scan(*args, **kw)
+
+    lspace._basepoint_scan = spy
+    try:
+        lspace._four_point(X)
+    finally:
+        lspace._basepoint_scan = scan
+    if any(masks):
+        return "masks"
+    return "walk" if len(masks) == len(X) else "quad"
 
 
 def random_connected_unit_rows(rng: Random, n: int,

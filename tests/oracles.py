@@ -72,6 +72,29 @@ def oracle_delta_at_witness(dist: List[List[Raw]], v: int):
     return half(best), wit
 
 
+def oracle_pair_witness(dist: List[List[Raw]], v: int):
+    """The constant at basepoint v as the kernel reads any table: with
+    c(x, y) = d(x,v) + d(y,v) - d(x,y), the largest min{c(x,z), c(y,z)}
+    - c(x,y) over x <= y and every z, halved, and the first (x, y, z) in
+    index order to reach it.  On a symmetric table these are
+    ``oracle_delta_at_witness``'s."""
+    n = len(dist)
+
+    def c(x, y):
+        return vec_sub(vec_add(dist[x][v], dist[y][v]), dist[x][y])
+
+    best, wit = None, None
+    for x in range(n):
+        for y in range(x, n):
+            for z in range(n):
+                cxz, cyz = c(x, z), c(y, z)
+                m = cxz if rkey(cxz) <= rkey(cyz) else cyz
+                defect = vec_sub(m, c(x, y))
+                if best is None or rkey(defect) > rkey(best):
+                    best, wit = defect, (x, y, z)
+    return half(best), wit
+
+
 def oracle_metric_violation(dist: List[List[Raw]]):
     """The first failed axiom and its points, or None: LM1 (a negative
     entry), LM2 (a zero off the diagonal or a nonzero on it) and LM3 (an

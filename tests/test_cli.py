@@ -588,8 +588,8 @@ def test_classify_rejects_a_non_permutation(tmp_path, capsys):
                                            (72, -3, "LM1 at v0,v1")])
 def test_classify_rejects_a_table_that_is_not_a_metric(tmp_path, capsys, n, d01,
                                                       axiom):
-    # on both sides of the four-point crossover; the basepoint scans find
-    # no maximizing quadruple in the 72-point table
+    # on both sides of the four-point crossover, where the basepoint scans
+    # need a metric to find a maximizing quadruple
     rows = random_metric_rows(Random(n), n, maxw=9)
     rows[0][1] = rows[1][0] = d01
     space = put(tmp_path, "bad.lms", write_lms(space_rank1(rows)))

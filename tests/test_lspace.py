@@ -1,5 +1,7 @@
+import importlib.util
 import os
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -16,10 +18,12 @@ from lhyp.lspace import (FiniteLambdaSpace, convex_classes, gromov_product,
                          validate_metric, write_lms)
 from lhyp.ordgroup import LexElem, Packing, QLexElem
 
-from helpers import (L, cycle_space, random_lex_space, random_metric_rows,
+from helpers import (FAMILIES, L, cycle_space, four_point_path,
+                     random_lex_space, random_metric_rows,
                      random_metric_space, random_tree_rows, space_rank1)
 from oracles import (oracle_delta_4pt, oracle_delta_at,
-                     oracle_delta_at_witness, oracle_metric_violation, rkey)
+                     oracle_delta_at_witness, oracle_metric_violation,
+                     oracle_pair_witness, rkey)
 
 seeds = st.integers(min_value=0, max_value=10 ** 6)
 # (rank, domain, bound on the lower coordinates); None is a rank-1 Z metric
@@ -81,15 +85,17 @@ def test_delta_at_matches_oracle(seed, n, kind):
         assert tuple(Fraction(c, got.den) for c in got.num.coords) == want
 
 
-def tie_space(seed, n, rank, metric):
-    """A symmetric table with many ties: a rank-1 metric of weights 1..3 or
-    a rank-2 one of small lower coordinates; otherwise any symmetric table
-    of a few values, negatives and nonzero diagonals included.  One
-    element object per value, except that a few entries get their own."""
+def tie_space(seed, n, rank, kind):
+    """A table with many ties.  A "metric" is a rank-1 metric of weights
+    1..3 or a rank-2 one of small lower coordinates; "any" is any
+    symmetric table of a few values, negatives and nonzero diagonals
+    included, and "asymmetric" the same with its lower triangle drawn
+    on its own.  One element object per value, except that a few entries get
+    their own."""
     rng = Random(seed)
-    if metric and rank == 1:
+    if kind == "metric" and rank == 1:
         rows = [[(d,) for d in row] for row in random_metric_rows(rng, n, maxw=3)]
-    elif metric:
+    elif kind == "metric":
         rows = raw_of(random_lex_space(rng, n, 2, "Z", 1))
     else:
         pool = [tuple(rng.randint(-2, 3) for _ in range(rank)) for _ in range(3)]
@@ -97,33 +103,52 @@ def tie_space(seed, n, rank, metric):
         for i in range(n):
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = rng.choice(pool)
+        if kind == "asymmetric":
+            for i in range(n):
+                for j in range(i):
+                    rows[i][j] = rng.choice(pool)
     shared = {c: LexElem(c) for c in set().union(*rows)}
     dist = [[LexElem(c) if rng.random() < 0.1 else shared[c] for c in row]
             for row in rows]
     return FiniteLambdaSpace(["p%d" % i for i in range(n)], dist)
 
 
-def assert_witness_matches_oracle(X):
+TIE_KINDS = ("metric", "any", "asymmetric")
+
+
+def assert_witness_matches_oracle(X, basepoints=None):
     raw = raw_of(X)
-    for v in range(len(X)):
+    # the kernel's defect is the triple defect where the table is symmetric
+    symmetric = raw == [list(c) for c in zip(*raw)]
+    oracle = oracle_delta_at_witness if symmetric else oracle_pair_witness
+    for v in range(len(X)) if basepoints is None else basepoints:
         val, wit = min_delta_at_witness(X, v)
-        want, (x, y, z) = oracle_delta_at_witness(raw, v)
+        want, (x, y, z) = oracle(raw, v)
         assert tuple(Fraction(c, val.den) for c in val.num.coords) == want
         assert wit == (X.labels[x], X.labels[y], X.labels[z])
 
 
 @given(seeds, st.integers(min_value=1, max_value=7), st.sampled_from((1, 2)),
-       st.booleans())
-def test_witness_matches_oracle_at_every_basepoint(seed, n, rank, metric):
-    assert_witness_matches_oracle(tie_space(seed, n, rank, metric))
+       st.sampled_from(TIE_KINDS))
+def test_witness_matches_oracle_at_every_basepoint(seed, n, rank, kind):
+    assert_witness_matches_oracle(tie_space(seed, n, rank, kind))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_witness_matches_oracle_on_tiny_tables(n):
     for seed in range(60):
         for rank in (1, 2):
-            for metric in (False, True):
-                assert_witness_matches_oracle(tie_space(seed, n, rank, metric))
+            for kind in TIE_KINDS:
+                assert_witness_matches_oracle(tie_space(seed, n, rank, kind))
+
+
+@pytest.mark.parametrize("kind, rank", [("metric", 1), ("metric", 2), ("any", 2),
+                                        ("asymmetric", 1)])
+@pytest.mark.parametrize("n, basepoints", [(10, None), (40, (29,))])
+def test_witness_matches_oracle_on_larger_tables(kind, rank, n, basepoints):
+    # past a few points most pairs are skipped by the row maxima, and the
+    # rest are walked
+    assert_witness_matches_oracle(tie_space(n, n, rank, kind), basepoints)
 
 
 @settings(max_examples=120)
@@ -131,7 +156,7 @@ def test_witness_matches_oracle_on_tiny_tables(n):
        st.sampled_from(("metric", "bumped", "asymmetric", "any")))
 def test_validate_metric_matches_oracle(seed, n, rank, kind):
     rng = Random(seed)
-    rows = raw_of(tie_space(seed, n, rank, kind != "any"))
+    rows = raw_of(tie_space(seed, n, rank, "any" if kind == "any" else "metric"))
     i, j = rng.randrange(n), rng.randrange(n)
     if kind == "bumped":
         # longer sides break the triangle through points between
@@ -239,15 +264,34 @@ def test_a_delta_run_past_the_crossover_forks_nothing(tmp_path, capsys, monkeypa
         os.waitpid(-1, os.WNOHANG)
 
 
+# module settings that send every table of 4 or more points down one way
+# of _four_point: basepoint 0's walk never stops at a limit of n², and
+# stops at its first pair at a limit of 0
+PATHS = {"quad": {"_SWEEP_FROM": 10 ** 9},
+         "walk": {"_SWEEP_FROM": 4, "_WALKED_SHARE": 1},
+         "masks": {"_SWEEP_FROM": 4, "_MASKS_FROM": 4, "_WALKED_SHARE": 10 ** 9}}
+
+
+def on_path(path, report, X):
+    """report(X) with ``_four_point`` sent down path, checked to take it."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in PATHS[path].items():
+            mp.setattr(lspace, name, value)
+        if path != "quad" and len(X) >= 4:
+            assert four_point_path(X) == path
+        return report(X)
+
+
 @pytest.mark.parametrize("sweep", (False, True))
 @given(seeds, st.integers(min_value=1, max_value=8), kinds)
 def test_report_matches_every_basepoint_scan(sweep, seed, n, kind):
     X = some_space(seed, n, kind)
-    with pytest.MonkeyPatch.context() as mp:
-        if sweep:
-            # one basepoint scan per point, from four points on
-            mp.setattr(lspace, "_SWEEP_FROM", 4)
-        hr = hyperbolicity_report(X)
+    if sweep:
+        # one basepoint scan per point from four points on, walked and by masks
+        hr = on_path("walk", hyperbolicity_report, X)
+        assert on_path("masks", hyperbolicity_report, X) == hr
+    else:
+        hr = on_path("quad", hyperbolicity_report, X)
     raw = raw_of(X)
     per = [min_delta_at_witness(X, v) for v in range(n)]
     for v, lab in enumerate(X.labels):
@@ -269,7 +313,7 @@ def test_report_matches_every_basepoint_scan(sweep, seed, n, kind):
     (48, (1, 1)), (64, (1, 2)), (72, (1, 3)), (100, (1, 2)),
     (56, (2, "Z", 1)), (48, (2, "Q", 1)),
 ])
-def test_both_four_point_paths_agree_on_tied_tables(n, kind, monkeypatch):
+def test_both_four_point_paths_agree_on_tied_tables(n, kind):
     # weights of 1..3, or lower coordinates in -1..1, tie many quadruples
     # at the largest defect, so the witness rule meets its hard cases
     rng = Random(n)
@@ -277,11 +321,64 @@ def test_both_four_point_paths_agree_on_tied_tables(n, kind, monkeypatch):
         X = random_metric_space(rng, n, maxw=kind[1])
     else:
         X = random_lex_space(rng, n, *kind)
-    monkeypatch.setattr(lspace, "_SWEEP_FROM", n + 1)
-    want = hyperbolicity_report(X)
-    monkeypatch.setattr(lspace, "_SWEEP_FROM", n)
+    want = on_path("quad", hyperbolicity_report, X)
+    for path in ("walk", "masks"):
+        assert on_path(path, hyperbolicity_report, X) == want
+    # and the way the table picks, which needs no process
     assert hyperbolicity_report(X) == want
     assert min_delta_4pt_witness(X, workers=2) == (want.delta_4pt, want.witness_quad)
+
+
+@pytest.mark.parametrize("family, n, path", [
+    ("tree", 33, "quad"), ("tree", 64, "masks"), ("tree+1", 40, "quad"),
+    ("tree+4", 56, "quad"), ("cycle", 45, "walk"), ("metric", 32, "walk"),
+    ("metric", 70, "walk"), ("z2", 48, "walk"), ("z3", 36, "walk"),
+])
+def test_four_point_paths_agree_on_families(family, n, path):
+    # trees let most pairs through the row maxima, random metrics few
+    X = FAMILIES[family](Random(n), n)
+    assert four_point_path(X) == path
+    want = on_path("quad", lspace._four_point, X)
+    for forced in ("walk", "masks"):
+        assert on_path(forced, lspace._four_point, X) == want
+
+
+@pytest.mark.parametrize("n", (40, 72))
+def test_the_four_point_report_refuses_a_table_that_is_not_a_metric(n):
+    # the basepoint scans need a metric to find a maximizing quadruple
+    rows = random_metric_rows(Random(0), n, maxw=9)
+    rows[0][1] = rows[1][0] = -3
+    X = space_rank1(rows)
+    for report in (min_delta_4pt_witness, hyperbolicity_report):
+        with pytest.raises(InputError, match="^input is not a metric space: LM1 at v0,v1$"):
+            report(X)
+
+
+@pytest.mark.parametrize("command", ("check", "delta"))
+def test_check_and_delta_validate_once(command, tmp_path):
+    space = tmp_path / "forty.lms"
+    space.write_text(write_lms(random_metric_space(Random(40), 40, maxw=9)))
+    validate_metric.cache_clear()
+    assert main([command, "--space", str(space)]) == 0
+    # the four-point report reads the report that the command made
+    info = validate_metric.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("family, n, path", [
+    ("metric", 4, "quad"), ("metric", 24, "walk"), ("z3", 24, "walk"),
+    ("tree", 24, "masks"), ("tree+1", 12, "quad"),
+])
+def test_bench_script_agrees_on_every_path(family, n, path, monkeypatch):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_fourpoint.py"
+    spec = importlib.util.spec_from_file_location("bench_fourpoint", script)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    # tables of 8 or more points may take a basepoint sweep
+    monkeypatch.setattr(lspace, "_SWEEP_FROM", 8)
+    monkeypatch.setattr(lspace, "_MASKS_FROM", 16)
+    row = bench.measure(family, n, 0, 1)
+    assert row["agree"] and row["path"] == path
 
 
 def test_hyperbolicity_report_shape():
