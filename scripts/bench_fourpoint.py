@@ -71,7 +71,7 @@ def measure(family, n, seed, reps):
     P = X.packed_table()
     if not lspace.validate_metric(X).ok:
         raise SystemExit("%s n=%d seed=%d is not a metric" % (family, n, seed))
-    (quad_s, masks_s, new_s), (quad, masks, (value, witness, pm)) = _best_of(
+    (quad_s, masks_s, new_s), (quad, masks, (value, witness, pm, _)) = _best_of(
         reps, lambda: lspace._scan_quads_num(P, range(n - 3), n),
         lambda: mask_sweep(P), lambda: lspace._four_point(X))
     best, first, per = quad

@@ -18,6 +18,7 @@ from __future__ import annotations
 import string
 from collections import deque
 from functools import lru_cache
+from itertools import chain, islice
 from operator import add
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -662,6 +663,16 @@ def write_grp(group: GroupHandle, gens: Optional[Sequence[Elem]] = None,
     return "\n".join(lines) + "\n"
 
 
+def _row_if(rows: Iterator[List[str]], key: str
+            ) -> Tuple[Optional[List[str]], Iterator[List[str]]]:
+    """The next row if its first token is key, else None, and the rows
+    after it: a row that does not start with key is put back."""
+    row = next(rows, None)
+    if row is None or row[0] == key:
+        return row, rows
+    return None, chain((row,), rows)
+
+
 # product and freeprod files may refer to one another this many levels deep
 MAX_GROUP_NESTING = 200
 
@@ -675,10 +686,9 @@ def read_grp(text: str, loader: Optional[Callable[[str], str]] = None
 def _read_grp(text: str, loader: Optional[Callable[[str], str]],
               open_refs: Tuple[str, ...]) -> Tuple[GroupHandle, Tuple[Elem, ...]]:
     rows = _lines(text)
-    if not rows:
+    head = next(rows, None)
+    if head is None:
         raise InputError("empty group description")
-    head = rows[0]
-    rest = rows[1:]
     kind = head[0]
     if kind == "free":
         if len(head) != 2:
@@ -688,15 +698,14 @@ def _read_grp(text: str, loader: Optional[Callable[[str], str]],
         if len(head) != 2:
             raise InputError("finite header needs exactly one order")
         k = int_token(head[1], "order")
-        names = None
-        if rest and rest[0][0] == "names":
-            names = rest[0][1:]
-            rest = rest[1:]
-        if len(rest) < k:
+        if k < 0:
+            raise InputError("bad order %s" % quoted(head[1]))
+        names, rows = _row_if(rows, "names")
+        table = list(islice(rows, k))
+        if len(table) < k:
             raise InputError("finite table needs %d rows" % k)
-        table = [[int_token(v, "table entry") for v in row] for row in rest[:k]]
-        rest = rest[k:]
-        group = FiniteGroup(table, names)
+        table = [[int_token(v, "table entry") for v in row] for row in table]
+        group = FiniteGroup(table, names[1:] if names else None)
     elif kind in ("product", "freeprod"):
         if len(head) != 3:
             raise InputError("%s header needs exactly two factor references" % kind)
@@ -719,7 +728,7 @@ def _read_grp(text: str, loader: Optional[Callable[[str], str]],
     else:
         raise InputError("unknown group kind %s" % quoted(kind))
     gens = None
-    for row in rest:
+    for row in rows:
         if row[0] == "gens":
             gens = tuple(group.parse(tok) for tok in row[1:])
         else:
@@ -746,25 +755,27 @@ def write_len(table: LengthTable, group_ref: str) -> str:
 
 
 def read_len(text: str, loader: Callable[[str], str]) -> LengthTable:
+    """Parse a .len file, its lines read one at a time; the group file
+    it names goes through loader."""
     rows = _lines(text)
-    if len(rows) < 2 or rows[0][0] != "group" or rows[1][0] != "lambda":
+    head = list(islice(rows, 2))
+    if len(head) < 2 or head[0][0] != "group" or head[1][0] != "lambda":
         raise InputError("length file must start with group and lambda lines")
-    if len(rows[0]) != 2:
+    ref, lam = head
+    if len(ref) != 2:
         raise InputError("group line needs exactly one reference")
-    group, _ = read_grp(loader(rows[0][1]), loader)
-    lam = rows[1]
+    group, _ = read_grp(loader(ref[1]), loader)
     if len(lam) != 2 or not lam[1].startswith("Z^"):
         raise InputError("lambda line must read: lambda Z^<rank>")
     rank = int_token(lam[1][2:], "rank")
     if rank < 1:
         raise InputError("rank must be positive")
-    rows = rows[2:]
     radius = None
-    if rows and rows[0][0] == "radius":
-        if len(rows[0]) != 2:
+    line, rows = _row_if(rows, "radius")
+    if line is not None:
+        if len(line) != 2:
             raise InputError("radius line needs exactly one value")
-        radius = int_token(rows[0][1], "radius")
-        rows = rows[1:]
+        radius = int_token(line[1], "radius")
     values: Dict[Elem, LexElem] = {}
     # each distinct tuple of coordinate tokens is converted once, at its
     # first line, and one LexElem per distinct length is shared by every

@@ -284,18 +284,31 @@ def min_delta_at_witness(X: FiniteLambdaSpace, v) -> Tuple[QLexElem, Tuple[str, 
     is never negative.
     """
     P = X.packed_table()
-    best, (bi, bj), D = _basepoint_scan(P, X.index(v), tuple(zip(*P)) == P)
-    Di, Dj = D[bi], D[bj]
-    target = best + Di[bj]
-    bk = next(k for k in range(len(X)) if min(Di[k], Dj[k]) == target)
-    return QLexElem(X.unpack(best), 2), (X.labels[bi], X.labels[bj], X.labels[bk])
+    v = X.index(v)
+    best, pair = _basepoint_scan(P, v, tuple(zip(*P)) == P)
+    return QLexElem(X.unpack(best), 2), _triple(X, v, best, pair)
+
+
+def _triple(X: FiniteLambdaSpace, v: int, best: int, pair: Tuple[int, int]
+            ) -> Tuple[str, str, str]:
+    """The first witness triple at basepoint v, from ``_basepoint_scan``'s
+    best and pair (i, j) there: its third point is the first k with
+    min{D[i][k], D[j][k]} = best + D[i][j], and only rows i and j of D
+    are built."""
+    P = X.packed_table()
+    i, j = pair
+    dv = [row[v] for row in P]
+    Di, Dj = ([dv[x] + b - c for b, c in zip(dv, P[x])] for x in pair)
+    target = best + Di[j]
+    k = next(k for k in range(len(P)) if min(Di[k], Dj[k]) == target)
+    return X.labels[i], X.labels[j], X.labels[k]
 
 
 def _basepoint_scan(P, v: int, symmetric: bool, masks: bool = False,
                     limit: Optional[int] = None):
     """``defect_scan`` at basepoint v of the packed table P, over the pairs
-    i <= j and every column: (best, pair, D), where D[x][y] = 2(x.y)_v and
-    best is twice the constant at v, or None past limit pairs walked.
+    i <= j and every column of D, where D[x][y] = 2(x.y)_v: (best, pair),
+    best being twice the constant at v, or None past limit pairs walked.
     With ``masks`` every pair is tested by level masks instead, and top is
     not needed.
 
@@ -312,7 +325,7 @@ def _basepoint_scan(P, v: int, symmetric: bool, masks: bool = False,
     D = [[a + b - c for b, c in zip(dv, Pa)] for a, Pa in zip(dv, P)]
     pairs = [range(i, n) for i in range(n)]
     if masks:
-        return (*defect_scan(D, pairs, tuple(zip(*map(level_masks, D, [range(n)] * n)))), D)
+        return defect_scan(D, pairs, tuple(zip(*map(level_masks, D, [range(n)] * n))))
     top = []
     for i, Di in enumerate(D):
         d = Di[i]
@@ -321,8 +334,7 @@ def _basepoint_scan(P, v: int, symmetric: bool, masks: bool = False,
             Di[i] = Di[0]
         top.append(max(Di))
         Di[i] = d
-    found = defect_scan(D, pairs, top=top, limit=limit)
-    return None if found is None else (*found, D)
+    return defect_scan(D, pairs, top=top, limit=limit)
 
 
 def min_delta_triple(X: FiniteLambdaSpace) -> QLexElem:
@@ -411,9 +423,10 @@ _WALKED_SHARE = 16
 
 
 def _four_point(X: FiniteLambdaSpace):
-    """The four-point constant of X, its first witness in index order, and
-    pm, where pm[v] is twice the constant at basepoint v, all in this
-    process.
+    """The four-point constant of X, its first witness in index order,
+    pm, where pm[v] is twice the constant at basepoint v, and pairs, where
+    pairs[v] is the first pair (i, j) to reach that constant at v, or None
+    when no basepoint was scanned; all in this process.
 
     Below ``_SWEEP_FROM`` points one quadruple scan gives them.  From
     there on X must be a metric, and basepoint 0's scan, walking the pairs
@@ -426,25 +439,27 @@ def _four_point(X: FiniteLambdaSpace):
     """
     n = len(X)
     if n < 4:
-        return QLexElem.zero(X.rank, X.domain), None, [0] * n
+        return QLexElem.zero(X.rank, X.domain), None, [0] * n, None
     P = X.packed_table()
-    pm = None
+    scans = None
     if n >= _SWEEP_FROM:
         require_metric(X)
         first = _basepoint_scan(P, 0, True, limit=n * n // _WALKED_SHARE)
         if first is not None:
-            pm = [first[0]] + [_basepoint_scan(P, v, True)[0] for v in range(1, n)]
+            scans = [first] + [_basepoint_scan(P, v, True) for v in range(1, n)]
         elif n >= _MASKS_FROM:
-            pm = [_basepoint_scan(P, v, True, masks=True)[0] for v in range(n)]
-    if pm is None:
+            scans = [_basepoint_scan(P, v, True, masks=True) for v in range(n)]
+    if scans is None:
+        pairs = None
         best, quad, pm = _scan_quads_num(P, range(n - 3), n)
     else:
+        pm, pairs = map(list, zip(*scans))
         best, quad = _top_quad(P, pm)
     i, j, k, l = quad
     # the witness pairs first the two points of the first largest sum
     sums = (P[i][j] + P[k][l], P[i][k] + P[j][l], P[i][l] + P[j][k])
     witness = tuple(X.labels[quad[t]] for t in _PAIRINGS[sums.index(max(sums))])
-    return QLexElem(X.unpack(best), 2), witness, pm
+    return QLexElem(X.unpack(best), 2), witness, pm, pairs
 
 
 def min_delta_4pt(X: FiniteLambdaSpace, workers: Optional[int] = None) -> QLexElem:
@@ -497,14 +512,21 @@ def hyperbolicity_report(X: FiniteLambdaSpace,
     - max{d(x,z)+d(y,v), d(x,v)+d(y,z)}: delta at v is half the largest
     defect of a quadruple containing v, and the triple constant is the
     four-point one.  The witness triple is the first at the first basepoint
-    of largest constant; both stay empty when every constant is 0.
+    of largest constant, found from the pair that basepoint's scan kept,
+    or by a scan there after the quadruple scan; both stay empty when
+    every constant is 0.
     """
-    d4, w4, pm = _four_point(X)
+    d4, w4, pm, pairs = _four_point(X)
     per = {lab: QLexElem(X.unpack(c), 2) for lab, c in zip(X.labels, pm)}
     bp, triple = "", ()
-    if max(pm) > 0:
-        bp = X.labels[pm.index(max(pm))]
-        triple = min_delta_at_witness(X, bp)[1]
+    top = max(pm)
+    if top > 0:
+        v = pm.index(top)
+        bp = X.labels[v]
+        if pairs is None:
+            triple = min_delta_at_witness(X, v)[1]
+        else:
+            triple = _triple(X, v, top, pairs[v])
     return HyperbolicityReport(per, d4, d4, triple, w4 or (), bp)
 
 
@@ -598,10 +620,24 @@ def scale(X: FiniteLambdaSpace, k) -> FiniteLambdaSpace:
     return FiniteLambdaSpace(X.labels, dist, X.domain)
 
 
-def _lines(text: str) -> List[List[str]]:
-    """Split into token lists per line, dropping comments and blanks."""
-    rows = (line.split("#", 1)[0].split() for line in text.splitlines())
-    return [row for row in rows if row]
+# _lines splits a text into pieces of about this many characters
+_CHUNK = 1 << 15
+
+
+def _lines(text: str) -> Iterator[List[str]]:
+    """The token lists of the lines of text, one at a time, comments and
+    blank lines dropped.  Lines end where ``str.splitlines`` ends them,
+    but no list of every line is built: the text is split about
+    ``_CHUNK`` characters at a time, each piece ending just past a
+    newline, so that every piece holds whole lines."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _CHUNK) + 1 or size
+        for line in text[start:end].splitlines():
+            row = line.split("#", 1)[0].split()
+            if row:
+                yield row
+        start = end
 
 
 def _tokens(text: str) -> List[str]:

@@ -848,3 +848,10 @@ def oracle_classify(dist: List[List[Raw]], perm: Sequence[int], delta: Raw,
                 if image(image(c)) == c:
                     return order, "inversion", c
     return order, "undetermined", None
+
+
+def oracle_lines(text: str) -> List[List[str]]:
+    """The token lists of text's lines, comments and blank lines dropped,
+    from one ``str.splitlines`` of the whole text."""
+    rows = (line.split("#", 1)[0].split() for line in text.splitlines())
+    return [row for row in rows if row]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lhyp import cli, completion
 from lhyp.catalog import (MAX_GROUP_NESTING, FiniteGroup, FreeGroup,
@@ -1119,3 +1121,35 @@ def test_importing_the_cli_leaves_out_dataclasses_and_inspect(tmp_path):
     assert wall.startswith("wall ")
     # nothing the command runs imports a module that start-up left out
     assert loaded == added == ""
+
+
+# whether importing the CLI loaded OpenSSL's hashlib, then whether the
+# interpreter has a built-in SHA-256 module
+HASH_PROBE = """
+import sys, lhyp.cli
+print("_hashlib" in sys.modules)
+for name in ("_sha2", "_sha256"):
+    try:
+        __import__(name)
+    except ImportError:
+        continue
+    print(True)
+    break
+else:
+    print(False)
+"""
+
+
+def test_importing_the_cli_leaves_out_openssl():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-S", "-c", HASH_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded, built_in = res.stdout.split()
+    if built_in == "True":
+        assert loaded == "False"
+
+
+@given(st.binary(max_size=1000))
+def test_the_cli_digest_is_hashlibs_sha256(data):
+    assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()

@@ -338,9 +338,40 @@ def test_four_point_paths_agree_on_families(family, n, path):
     # trees let most pairs through the row maxima, random metrics few
     X = FAMILIES[family](Random(n), n)
     assert four_point_path(X) == path
-    want = on_path("quad", lspace._four_point, X)
+    # the value, its witness and every basepoint constant; only the
+    # basepoint scans give each point's pair
+    want = on_path("quad", lspace._four_point, X)[:3]
     for forced in ("walk", "masks"):
-        assert on_path(forced, lspace._four_point, X) == want
+        assert on_path(forced, lspace._four_point, X)[:3] == want
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+@pytest.mark.parametrize("family, n", [
+    ("tree", 72), ("tree+1", 32), ("tree+4", 64), ("cycle", 41),
+    ("metric", 56), ("z2", 48), ("z3", 37),
+])
+def test_the_report_takes_the_witness_from_the_basepoint_scans(family, n, path):
+    # the basepoint scans keep each point's pair, so the report finds the
+    # third point from it; after the quadruple scan it scans the basepoint
+    X = FAMILIES[family](Random(n), n)
+    scanned = []
+
+    def at_witness(Y, v):
+        scanned.append(Y.index(v))
+        return min_delta_at_witness(Y, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lspace, "min_delta_at_witness", at_witness)
+        hr = on_path(path, hyperbolicity_report, X)
+    pm = [hr.delta_triple_at[lab] for lab in X.labels]
+    top = max(pm)
+    if top.is_zero():
+        assert family == "tree" and hr.witness_triple == ()
+        return
+    bp = X.labels.index(hr.basepoint_of_witness)
+    assert bp == pm.index(top)
+    assert hr.witness_triple == min_delta_at_witness(X, bp)[1]
+    assert scanned == ([bp] if path == "quad" else [])
 
 
 @pytest.mark.parametrize("n", (40, 72))

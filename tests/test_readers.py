@@ -7,13 +7,14 @@ import io
 import math
 import os
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lhyp.catalog import read_grp, read_len
+from lhyp.catalog import read_grp, read_len, write_len
 from lhyp.cli import main
 from lhyp.errors import InputError
 from lhyp.geodspace import read_gg
@@ -22,9 +23,10 @@ from lhyp.isometry import read_perm
 from lhyp.lspace import read_lms
 from lhyp.ordgroup import parse_lex
 
+from helpers import f2_table
 from oracles import (floyd, oracle_central_points, oracle_classify,
                      oracle_delta_4pt, oracle_delta_at, oracle_delta_at_witness,
-                     oracle_geodesic_gap, oracle_tau, rkey)
+                     oracle_geodesic_gap, oracle_lines, oracle_tau, rkey)
 
 TREE = ("lambda Z^1\n"
         "points 4 a b c d\n"
@@ -349,6 +351,96 @@ def test_read_len_names_the_first_line_of_a_bad_token(body, line):
     code, out, errors = run_main(dict(GROUPS, **{"w.len": text}),
                                  "lenfun --len w.len --axioms")
     assert (code, out, errors) == (2, "", ["error: " + error])
+
+
+# -- lines are read one at a time, as splitlines splits them --------------
+
+# every line boundary of str.splitlines, \x1f, which only separates
+# tokens, tabs, comments and tokens
+PIECES = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029", "\x1f", "\t", " ", "#", "# c", "a", "bc", "1", "-2")
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(PIECES), max_size=40).map("".join),
+       st.integers(min_value=1, max_value=12))
+def test_lines_match_the_splitlines_oracle(text, chunk):
+    assert list(lspace._lines(text)) == oracle_lines(text)
+    # small chunks cut the text at many of its newlines
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lspace, "_CHUNK", chunk)
+        assert list(lspace._lines(text)) == oracle_lines(text)
+
+
+# the same lines, ended by other line boundaries
+def ended(text, ends=("\r\n", "\x0c", " # x\u2028", "\x85\x1e")):
+    lines = text.split("\n")
+    return "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+
+
+@pytest.mark.parametrize("text, error", [
+    ("", "length file must start with group and lambda lines"),
+    ("# nothing\n\n", "length file must start with group and lambda lines"),
+    ("group f2.grp\n", "length file must start with group and lambda lines"),
+    ("lambda Z^1\n", "length file must start with group and lambda lines"),
+    ("lambda Z^1\ngroup f2.grp\n", "length file must start with group and lambda lines"),
+    ("group f2.grp # lambda Z^1\n", "length file must start with group and lambda lines"),
+    ("group f2.grp\nlambda Z^1\n", "empty length table"),
+    ("group f2.grp x\nlambda Z^1\n", "group line needs exactly one reference"),
+    ("group\nlambda Z^1\n", "group line needs exactly one reference"),
+    ("group f2.grp\nlambda Z^1\nradius x\n1 0\n", "bad radius 'x'"),
+    ("group f2.grp\nlambda Z^1\nradius 1 2\n1 0\n", "radius line needs exactly one value"),
+    ("group f2.grp\nlambda Z^1\nradius\n1 0\n", "radius line needs exactly one value"),
+    ("group f2.grp\nlambda Z^1\nradius 1\n", "empty length table"),
+    ("group f2.grp\nlambda Z^1\nradius 1\nradius 1\n1 0\n", "letter 'r' outside rank 2"),
+    ("group f2.grp\nlambda Z^1\n1 0\nradius 1\n", "letter 'r' outside rank 2"),
+    ("group f2.grp\nlambda Z^1 # x\n1\n", "value line '1' needs a form and 1 coordinates"),
+])
+def test_read_len_error_lines(text, error):
+    for body in (text, ended(text)):
+        with pytest.raises(InputError) as info:
+            read_len(body, load_group)
+        assert str(info.value) == error
+
+
+@pytest.mark.parametrize("text, error", [
+    ("", "empty group description"),
+    ("#\n", "empty group description"),
+    ("free\n", "free header needs exactly one rank"),
+    ("free 2 3\n", "free header needs exactly one rank"),
+    ("free 2\ngens\n", "empty generating set"),
+    ("finite 2\n", "finite table needs 2 rows"),
+    ("finite 2\nnames e a\n", "finite table needs 2 rows"),
+    ("finite 1\nnames e\n0\n", "empty generating set"),
+    ("finite 0\n", "empty multiplication table"),
+    ("finite -1\n0\n", "bad order '-1'"),
+    ("finite x\n", "bad order 'x'"),
+    ("finite 2\n0 1\n1 x\n", "bad table entry 'x'"),
+    ("finite 2\nnames\n0 1\n1 0\n", "need 2 distinct element names"),
+    ("finite 2\n0 1\n1 0\nbogus\n", "unexpected line 'bogus'"),
+    ("finite 2\nnames e a\n0 1\n1 0\nnames e a\n", "unexpected line 'names e a'"),
+    ("finite 1\n0\ngens e\n", "unknown element name 'e'"),
+    ("names e\n", "unknown group kind 'names'"),
+])
+def test_read_grp_error_lines(text, error):
+    for body in (text, ended(text)):
+        with pytest.raises(InputError) as info:
+            read_grp(body, load_group)
+        assert str(info.value) == error
+
+
+def test_read_len_keeps_no_list_of_its_lines():
+    # the radius-8 table of F2, 13,121 lines; the text is made before
+    # tracing starts, so the peak counts only what reading adds
+    text = write_len(f2_table(8), "f2.grp")
+    tracemalloc.start()
+    try:
+        table = read_len(text, load_group)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.values) == 13121
+    assert peak < 1.5 * size
 
 
 # -- read_lms shares one element per token ----------------------------------
